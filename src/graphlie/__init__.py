@@ -77,4 +77,3 @@ from .rigidity import (
     find_witness,
     sweep,
 )
-from .cli import run_command, write_report

@@ -22,16 +22,22 @@ The slot-two nil-cohomology of an at most 2-step algebra is
 (ker delta2 intersect ker eta2) / im delta1. The inclusion
 im delta1 <= ker eta2 is asserted at runtime; whether ker eta2 is already
 contained in ker delta2 is only recorded as a flag, never assumed.
+
+The matrices are built on integers (structure constants scaled by the lcm
+of their denominators) and returned as RatMatrix; h2_nil clears their
+denominators again and takes every rank by fraction-free elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import InternalInvariantError
 from .liealg import LieAlgebra, lower_central_series
-from .linalg import ONE, ZERO, RatMatrix, RowReducer
+from .linalg import ZERO, IntRowReducer, RatMatrix
 
 
 class CochainCoordinates:
@@ -73,66 +79,91 @@ class CochainCoordinates:
         return out
 
 
+class _CochainRows:
+    """The one builder of cochain-matrix rows, shared by delta1, delta2 and eta2.
+
+    Each of the three matrices is a grid of n x n blocks of two kinds:
+    sign * ad(e_lead), whose (d, u) entry is the e_d coefficient of
+    [e_lead, e_u], and a structure constant times the identity. Entries are
+    accumulated as ints: every structure constant is scaled by L, the lcm of
+    their denominators, and matrix() divides by L again.
+    """
+
+    def __init__(self, algebra: LieAlgebra):
+        scale = lcm(*{c.denominator for terms in algebra.sc.values() for c in terms.values()})
+        self.n = algebra.n
+        self.scale = scale
+        self.adj = {
+            i: {
+                j: [(l, c.numerator * (scale // c.denominator)) for l, c in terms.items()]
+                for j, terms in row.items()
+            }
+            for i, row in algebra.adjacency().items()
+        }
+        self.rows: dict = {}
+
+    def bracket(self, i: int, j: int) -> list:
+        """[e_i, e_j] times L, as (l, int) terms."""
+        return self.adj.get(i, {}).get(j, [])
+
+    def ad(self, base: int, col_base: int, lead: int, sign: int) -> None:
+        """Add sign * ad(e_lead): entry (d, u) goes to row base + d, column col_base + u."""
+        rows = self.rows
+        for u, terms in self.adj.get(lead, {}).items():
+            col = col_base + u
+            for d, v in terms:
+                row = rows.setdefault(base + d, {})
+                row[col] = row.get(col, 0) + sign * v
+
+    def scalar(self, base: int, col_base: int, coef: int) -> None:
+        """Add coef * identity: row base + d, column col_base + d."""
+        rows = self.rows
+        for d in range(self.n):
+            row = rows.setdefault(base + d, {})
+            row[col_base + d] = row.get(col_base + d, 0) + coef
+
+    def matrix(self, nrows: int, ncols: int) -> RatMatrix:
+        scale = self.scale
+        entries = {}
+        for r in sorted(self.rows):
+            for c, v in self.rows[r].items():
+                if v:
+                    entries[(r, c)] = v if scale == 1 else Fraction(v, scale)
+        return RatMatrix(nrows, ncols, entries)
+
+
 def delta1_matrix(algebra: LieAlgebra, coords: CochainCoordinates | None = None) -> RatMatrix:
     n = algebra.n
     coords = coords or CochainCoordinates(n)
-    entries: dict = {}
-
-    def put(row, col, val):
-        s = entries.get((row, col), ZERO) + val
-        if s:
-            entries[(row, col)] = s
-        else:
-            entries.pop((row, col), None)
-
+    out = _CochainRows(algebra)
     for p, (a, b) in enumerate(coords.pairs):
         base = p * n
-        # [f(e_a), e_b]: f_{a,c} times [e_c, e_b]
-        for c in range(n):
-            for d, v in algebra.bracket_basis(c, b).items():
-                put(base + d, coords.f_coord(a, c), v)
+        # [f(e_a), e_b] = -[e_b, f(e_a)]
+        out.ad(base, coords.f_coord(a, 0), b, -1)
         # [e_a, f(e_b)]
-        for c in range(n):
-            for d, v in algebra.bracket_basis(a, c).items():
-                put(base + d, coords.f_coord(b, c), v)
+        out.ad(base, coords.f_coord(b, 0), a, 1)
         # -f([e_a, e_b])
-        for l, v in algebra.bracket_basis(a, b).items():
-            for d in range(n):
-                put(base + d, coords.f_coord(l, d), -v)
-    return RatMatrix(len(coords.pairs) * n, coords.dim_hom, entries)
+        for l, v in out.bracket(a, b):
+            out.scalar(base, coords.f_coord(l, 0), -v)
+    return out.matrix(len(coords.pairs) * n, coords.dim_hom)
 
 
 def delta2_matrix(algebra: LieAlgebra, coords: CochainCoordinates | None = None) -> RatMatrix:
     n = algebra.n
     coords = coords or CochainCoordinates(n)
-    entries: dict = {}
-
-    def put(row, col, val):
-        s = entries.get((row, col), ZERO) + val
-        if s:
-            entries[(row, col)] = s
-        else:
-            entries.pop((row, col), None)
-
+    out = _CochainRows(algebra)
     for t, (x, y, z) in enumerate(coords.triples):
         base = t * n
         # adjoint terms [x, s(y,z)] - [y, s(x,z)] + [z, s(x,y)]
-        for lead, pair, sign in ((x, (y, z), 1), (y, (x, z), -1), (z, (x, y), 1)):
-            for u in range(n):
-                col, s_sign = coords.sigma_coord(pair[0], pair[1], u)
-                if col is None:
-                    continue
-                for d, v in algebra.bracket_basis(lead, u).items():
-                    put(base + d, col, sign * s_sign * v)
+        for lead, (a, b), sign in ((x, (y, z), 1), (y, (x, z), -1), (z, (x, y), 1)):
+            out.ad(base, coords.pair_index[(a, b)] * n, lead, sign)
         # substitution terms -s([x,y],z) + s([x,z],y) - s([y,z],x)
-        for pair, arg, sign in (((x, y), z, -1), ((x, z), y, 1), ((y, z), x, -1)):
-            for l, v in algebra.bracket_basis(pair[0], pair[1]).items():
-                for d in range(n):
-                    col, s_sign = coords.sigma_coord(l, arg, d)
-                    if col is None:
-                        continue
-                    put(base + d, col, sign * s_sign * v)
-    return RatMatrix(len(coords.triples) * n, coords.dim_two_cochains, entries)
+        for (a, b), arg, sign in (((x, y), z, -1), ((x, z), y, 1), ((y, z), x, -1)):
+            for l, v in out.bracket(a, b):
+                col, s_sign = coords.sigma_coord(l, arg, 0)
+                if col is not None:
+                    out.scalar(base, col, sign * s_sign * v)
+    return out.matrix(len(coords.triples) * n, coords.dim_two_cochains)
 
 
 def eta2_matrix(algebra: LieAlgebra, coords: CochainCoordinates | None = None) -> RatMatrix:
@@ -140,31 +171,19 @@ def eta2_matrix(algebra: LieAlgebra, coords: CochainCoordinates | None = None) -
         raise ValueError("eta2 is only defined for at most 2-step algebras")
     n = algebra.n
     coords = coords or CochainCoordinates(n)
-    entries: dict = {}
-
-    def put(row, col, val):
-        s = entries.get((row, col), ZERO) + val
-        if s:
-            entries[(row, col)] = s
-        else:
-            entries.pop((row, col), None)
-
+    out = _CochainRows(algebra)
     for p, (a, b) in enumerate(coords.pairs):
+        ab = out.bracket(a, b)
         for c in range(n):
             base = (p * n + c) * n
-            # [s(e_a, e_b), e_c]
-            for u in range(n):
-                col, s_sign = coords.sigma_coord(a, b, u)
-                for d, v in algebra.bracket_basis(u, c).items():
-                    put(base + d, col, s_sign * v)
+            # [s(e_a, e_b), e_c] = -[e_c, s(e_a, e_b)]
+            out.ad(base, p * n, c, -1)
             # s([e_a, e_b], e_c)
-            for l, v in algebra.bracket_basis(a, b).items():
-                for d in range(n):
-                    col, s_sign = coords.sigma_coord(l, c, d)
-                    if col is None:
-                        continue
-                    put(base + d, col, s_sign * v)
-    return RatMatrix(len(coords.pairs) * n * n, coords.dim_two_cochains, entries)
+            for l, v in ab:
+                col, s_sign = coords.sigma_coord(l, c, 0)
+                if col is not None:
+                    out.scalar(base, col, s_sign * v)
+    return out.matrix(len(coords.pairs) * n * n, coords.dim_two_cochains)
 
 
 def is_at_most_two_step(algebra: LieAlgebra) -> bool:
@@ -172,21 +191,19 @@ def is_at_most_two_step(algebra: LieAlgebra) -> bool:
     return chain[-1].dim == 0 and len(chain) <= 3
 
 
-def _rank(matrix: RatMatrix) -> int:
-    red = RowReducer(full=False)
-    for row in matrix.row_dicts():
-        if row:
-            red.add(row)
-    return red.rank
+def _reduce(matrix: RatMatrix, *reducers) -> None:
+    """Feed the rows of matrix, cleared of denominators, to every reducer.
 
-
-def _stacked_rank(first: RatMatrix, second: RatMatrix) -> int:
-    red = RowReducer(full=False)
-    for matrix in (first, second):
-        for row in matrix.row_dicts():
-            if row:
-                red.add(row)
-    return red.rank
+    Multiplying the whole matrix by the lcm of its denominators keeps every
+    rank, so the integer ranks are the ranks over Q.
+    """
+    scale = lcm(*{v.denominator for v in matrix.entries.values()})
+    rows: dict = {}
+    for (r, c), v in matrix.entries.items():
+        rows.setdefault(r, {})[c] = v.numerator * (scale // v.denominator)
+    for r in sorted(rows):
+        for red in reducers:
+            red.add(rows[r])
 
 
 @dataclass(frozen=True)
@@ -220,15 +237,23 @@ def h2_nil(algebra: LieAlgebra) -> H2Report:
         raise ValueError("2-step nil-cohomology needs an at most 2-step algebra")
     coords = CochainCoordinates(algebra.n)
     d1 = delta1_matrix(algebra, coords)
-    d2 = delta2_matrix(algebra, coords)
     e2 = eta2_matrix(algebra, coords)
     if not e2.matmul(d1).is_zero():
         raise InternalInvariantError("im delta1 is not contained in ker eta2")
+    # Three eliminations: eta2 and then delta2 into one reducer give rank eta2
+    # and the stacked rank. delta2 is built only after the other two
+    # matrices are released.
+    stacked, alone, image = IntRowReducer(), IntRowReducer(), IntRowReducer()
+    _reduce(e2, stacked)
+    rank_eta2 = stacked.rank
+    _reduce(d1, image)
+    del d1, e2
+    _reduce(delta2_matrix(algebra, coords), stacked, alone)
     cols = coords.dim_two_cochains
-    dim_ker_eta2 = cols - _rank(e2)
-    dim_ker_delta2 = cols - _rank(d2)
-    dim_intersection = cols - _stacked_rank(d2, e2)
-    dim_im_delta1 = _rank(d1)
+    dim_ker_eta2 = cols - rank_eta2
+    dim_ker_delta2 = cols - alone.rank
+    dim_intersection = cols - stacked.rank
+    dim_im_delta1 = image.rank
     return H2Report(
         dim_ker_eta2=dim_ker_eta2,
         dim_ker_delta2=dim_ker_delta2,

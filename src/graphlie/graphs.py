@@ -10,6 +10,8 @@ import json
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
+from .linalg import is_int
+
 
 @dataclass(frozen=True)
 class SimpleGraph:
@@ -18,12 +20,12 @@ class SimpleGraph:
 
     @staticmethod
     def make(m: int, edge_pairs) -> "SimpleGraph":
-        if not isinstance(m, int) or m < 1:
+        if not is_int(m) or m < 1:
             raise ValueError("vertex count must be a positive integer")
         edges = set()
         for pair in edge_pairs:
             i, j = pair
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not (is_int(i) and is_int(j)):
                 raise ValueError(f"edge {pair!r} has non-integer endpoints")
             if i == j:
                 raise ValueError(f"loop at vertex {i} is not allowed")

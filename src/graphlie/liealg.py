@@ -10,7 +10,6 @@ basis element. All three ingredients are treated as immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalInvariantError
 from .linalg import (
@@ -22,6 +21,7 @@ from .linalg import (
     frac,
     frac_str,
     full_space,
+    is_int,
     kernel_basis,
     vec_to_dict,
 )
@@ -348,26 +348,57 @@ def algebra_to_json_dict(algebra: LieAlgebra) -> dict:
 
 
 def algebra_from_json_dict(data: dict) -> LieAlgebra:
-    try:
-        n = data["n"]
-        k = data.get("k")
-        brackets = data["brackets"]
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed algebra JSON: missing {exc}") from exc
+    """Inverse of algebra_to_json_dict; any malformed document raises ValueError.
+
+    Indices must be JSON integers (not booleans) and constants strings such
+    as "-2/7" or integers, so that no float can enter.
+    """
+    if not isinstance(data, dict) or "n" not in data or "brackets" not in data:
+        raise ValueError('algebra JSON must be an object with "n" and "brackets"')
+    n, k, brackets = data["n"], data.get("k"), data["brackets"]
+    if not is_int(n):
+        raise ValueError("algebra JSON: n must be an integer")
+    if k is not None and not is_int(k):
+        raise ValueError("algebra JSON: k must be an integer or null")
+    if not isinstance(brackets, list):
+        raise ValueError("algebra JSON: brackets must be a list")
     sc = {}
     for entry in brackets:
-        i, j = entry["i"], entry["j"]
-        if not (isinstance(i, int) and isinstance(j, int) and i < j):
+        if not isinstance(entry, dict) or not isinstance(entry.get("terms"), list):
+            raise ValueError('bracket entries must be objects with "i", "j" and a "terms" list')
+        i, j = entry.get("i"), entry.get("j")
+        if not (is_int(i) and is_int(j) and i < j):
             raise ValueError("bracket entries must have integer i < j")
-        sc[(i, j)] = {t["l"]: Fraction(t["c"]) for t in entry["terms"]}
+        terms = {}
+        for t in entry["terms"]:
+            if not (isinstance(t, dict) and is_int(t.get("l"))):
+                raise ValueError('bracket terms must be objects {"l": int, "c": str or int}')
+            c = t.get("c")
+            if not (isinstance(c, str) or is_int(c)):
+                raise ValueError(f"structure constant {c!r} must be a string or an integer")
+            terms[t["l"]] = frac(c)
+        sc[(i, j)] = terms
     grading = data.get("grading")
     if grading is None:
         return LieAlgebra(n, sc, k=k)
+    if not (isinstance(grading, list) and all(is_int(d) for d in grading)):
+        raise ValueError("algebra JSON: grading must be a list of integers or null")
     basis = data.get("basis")
     labels = None
     if basis is not None:
-        labels = [
-            BasisLabel(b["label"], b["degree"], tuple(b["multidegree"]))
-            for b in basis
-        ]
+        if not isinstance(basis, list):
+            raise ValueError("algebra JSON: basis must be a list or null")
+        labels = []
+        for b in basis:
+            if not (
+                isinstance(b, dict)
+                and isinstance(b.get("label"), str)
+                and is_int(b.get("degree"))
+                and isinstance(b.get("multidegree"), list)
+                and all(is_int(x) for x in b["multidegree"])
+            ):
+                raise ValueError(
+                    'basis entries must be {"label": str, "degree": int, "multidegree": [int, ...]}'
+                )
+            labels.append(BasisLabel(b["label"], b["degree"], tuple(b["multidegree"])))
     return GradedLieAlgebra(n, sc, grading, labels=labels, k=k)

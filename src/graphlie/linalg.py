@@ -3,15 +3,22 @@
 Every coefficient in this package is a fractions.Fraction; there is no
 floating point and no tolerance anywhere. Rows of sparse matrices and
 sparse vectors are dicts mapping an index to a nonzero Fraction. Dense
-vectors are lists of Fractions.
+vectors are lists of Fractions. The one exception is IntRowReducer, which
+ranks integer rows (a rational matrix cleared of its denominators).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool (JSON true/false are never counts or indices)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def frac(value) -> Fraction:
@@ -210,6 +217,52 @@ class RowReducer:
 
     def rows_sorted(self) -> list:
         return [dict(self.pivots[p]) for p in sorted(self.pivots)]
+
+
+class IntRowReducer:
+    """Incremental fraction-free row echelon form, for ranks of integer matrices.
+
+    Rows are sparse dicts mapping a column to an int. The pivot of a row is
+    its least nonzero column. A row that meets a stored pivot p is replaced
+    by a*row - b*prow, where a = prow[p]/g, b = row[p]/g and
+    g = gcd(row[p], prow[p]), and then divided by its content, so stored rows
+    are primitive (one-step fraction-free elimination; Bareiss, Math. Comp.
+    22, 1968). Every step is exact, so the rank is the rank over Q.
+    """
+
+    def __init__(self):
+        self.pivots: dict = {}
+
+    def add(self, row: dict) -> bool:
+        """Reduce a copy of row against the stored rows; keep it if independent."""
+        row = {c: v for c, v in row.items() if v}
+        pivots = self.pivots
+        while row:
+            g = gcd(*row.values())
+            if g != 1:
+                for c in row:
+                    row[c] //= g
+            p = min(row)
+            prow = pivots.get(p)
+            if prow is None:
+                pivots[p] = row
+                return True
+            g = gcd(row[p], prow[p])
+            a, b = prow[p] // g, row[p] // g
+            if a != 1:
+                for c in row:
+                    row[c] *= a
+            for c, v in prow.items():
+                s = row.get(c, 0) - b * v
+                if s:
+                    row[c] = s
+                else:
+                    del row[c]
+        return False
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
 
 
 def rref(matrix: RatMatrix):

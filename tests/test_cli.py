@@ -183,6 +183,86 @@ def test_classify_rejects_algebra_file(capsys, tmp_path):
     assert "needs a graph" in err
 
 
+GOOD_BRACKET = {"i": 0, "j": 1, "terms": [{"l": 2, "c": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"n": 3, "k": 2, "brackets": [{"i": 0, "j": 1}]},  # no terms
+        {"n": 3, "k": 2, "brackets": 5},
+        {"n": 3, "k": 2, "brackets": [5]},
+        {"n": 3, "k": 2, "brackets": [{"i": 0, "j": 1, "terms": 5}]},
+        {"n": 3, "k": 2, "brackets": [{"i": 0, "j": 1, "terms": [7]}]},
+        {"n": 3, "k": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"c": "1"}]}]},
+        {"n": 3, "k": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"l": 2}]}]},
+        {"n": 3, "k": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"l": 2, "c": 0.1}]}]},
+        {"n": 3, "k": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"l": 2, "c": True}]}]},
+        {"n": 3, "k": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"l": 2, "c": None}]}]},
+        {"n": 3, "k": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"l": 2, "c": "x"}]}]},
+        {"n": 3, "k": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"l": True, "c": "1"}]}]},
+        {"n": 3, "k": 2, "brackets": [{"i": False, "j": 1, "terms": []}]},
+        {"n": 3, "k": 2, "brackets": [{"i": 0, "j": True, "terms": []}]},
+        {"n": 3, "k": 2, "brackets": [{"i": 0.0, "j": 1, "terms": []}]},
+        {"n": True, "k": 2, "brackets": []},
+        {"n": "3", "k": 2, "brackets": []},
+        {"n": 3, "k": True, "brackets": [GOOD_BRACKET]},
+        {"n": 3, "k": 2, "grading": 5, "brackets": [GOOD_BRACKET]},
+        {"n": 3, "k": 2, "grading": [2, 1], "basis": [{"label": "x"}], "brackets": [GOOD_BRACKET]},
+        {"n": 3, "k": 2, "grading": [2, 1], "basis": 5, "brackets": [GOOD_BRACKET]},
+    ],
+)
+def test_malformed_algebra_file_exits_one(capsys, tmp_path, document):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    for command in (("cohomology", "h2nil"), ("algebra", "build")):
+        code, out, err = _run(capsys, *command, "--in", str(path), "--k", "2")
+        assert code == 1, document
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+def test_algebra_file_constants_stay_exact(capsys, tmp_path):
+    document = {
+        "n": 3,
+        "k": 2,
+        "brackets": [{"i": 0, "j": 1, "terms": [{"l": 2, "c": "0.1"}]}],
+    }
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = _run(capsys, "algebra", "build", "--in", str(path), "--k", "2")
+    assert code == 0 and err == ""
+    assert json.loads(out)["brackets"][0]["terms"] == [{"l": 2, "c": "1/10"}]
+    document["brackets"][0]["terms"][0]["c"] = -3
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = _run(capsys, "cohomology", "h2nil", "--in", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out)["h2_dim"] == 0  # the Heisenberg algebra, rescaled
+
+
+@pytest.mark.parametrize(
+    "edges",
+    ['{"m": true, "edges": []}', '{"m": 3, "edges": [[1, true]]}', '{"m": 3, "edges": [[false, 2]]}'],
+)
+def test_boolean_vertices_exit_one(capsys, edges):
+    code, out, err = _run(capsys, "algebra", "build", "--edges", edges, "--k", "2")
+    assert code == 1
+    assert out == ""
+    assert "non-integer" in err or "positive integer" in err
+
+
+def test_import_graphlie_leaves_cli_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, graphlie; print('graphlie.cli' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def _scripts_table_from_text(text):
     """The ``[project.scripts]`` table of a pyproject.toml, read as plain text."""
     scripts, in_table = {}, False
@@ -205,17 +285,22 @@ def _declared_scripts():
     return tomllib.loads(text)["project"].get("scripts", {})
 
 
-def _run_module(*argv):
-    """Run ``python -m graphlie`` from this checkout's src in a fresh process."""
+def _child_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _run_module(*argv):
+    """Run ``python -m graphlie`` from this checkout's src in a fresh process."""
     return subprocess.run(
         [sys.executable, "-m", "graphlie", *argv],
         capture_output=True,
         cwd=REPO_ROOT,
-        env=env,
+        env=_child_env(),
     )
 
 

@@ -6,6 +6,8 @@ import pytest
 from graphlie.basis import structure_constants
 from graphlie.cohomology import (
     CochainCoordinates,
+    H2Report,
+    _reduce,
     complex_identity_holds,
     delta1_matrix,
     delta2_matrix,
@@ -15,7 +17,7 @@ from graphlie.cohomology import (
 )
 from graphlie.graphs import SimpleGraph, enumerate_graphs
 from graphlie.liealg import LieAlgebra
-from graphlie.linalg import ONE, ZERO
+from graphlie.linalg import ONE, ZERO, IntRowReducer, RatMatrix, RowReducer
 
 C4 = SimpleGraph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 TWO_K2 = SimpleGraph.make(4, [(1, 2), (3, 4)])
@@ -234,3 +236,253 @@ def test_h2_dimension_arithmetic():
             assert report.dim_im_delta1 <= report.dim_intersection
             assert report.h2_dim >= 0
             assert isinstance(report.eta2_subset_delta2, bool)
+
+
+# ---------------------------------------------------------------------------
+# The integer h2 engine against independent references.
+#
+# The three builders below are the original entry-by-entry Fraction
+# builders, kept verbatim as a reference for the shared integer row builder;
+# _fraction_h2 is the original four-elimination h2 over the Fraction
+# RowReducer.
+
+
+def _ref_delta1(algebra, coords):
+    n = algebra.n
+    entries: dict = {}
+
+    def put(row, col, val):
+        s = entries.get((row, col), ZERO) + val
+        if s:
+            entries[(row, col)] = s
+        else:
+            entries.pop((row, col), None)
+
+    for p, (a, b) in enumerate(coords.pairs):
+        base = p * n
+        for c in range(n):
+            for d, v in algebra.bracket_basis(c, b).items():
+                put(base + d, coords.f_coord(a, c), v)
+        for c in range(n):
+            for d, v in algebra.bracket_basis(a, c).items():
+                put(base + d, coords.f_coord(b, c), v)
+        for l, v in algebra.bracket_basis(a, b).items():
+            for d in range(n):
+                put(base + d, coords.f_coord(l, d), -v)
+    return RatMatrix(len(coords.pairs) * n, coords.dim_hom, entries)
+
+
+def _ref_delta2(algebra, coords):
+    n = algebra.n
+    entries: dict = {}
+
+    def put(row, col, val):
+        s = entries.get((row, col), ZERO) + val
+        if s:
+            entries[(row, col)] = s
+        else:
+            entries.pop((row, col), None)
+
+    for t, (x, y, z) in enumerate(coords.triples):
+        base = t * n
+        for lead, pair, sign in ((x, (y, z), 1), (y, (x, z), -1), (z, (x, y), 1)):
+            for u in range(n):
+                col, s_sign = coords.sigma_coord(pair[0], pair[1], u)
+                if col is None:
+                    continue
+                for d, v in algebra.bracket_basis(lead, u).items():
+                    put(base + d, col, sign * s_sign * v)
+        for pair, arg, sign in (((x, y), z, -1), ((x, z), y, 1), ((y, z), x, -1)):
+            for l, v in algebra.bracket_basis(pair[0], pair[1]).items():
+                for d in range(n):
+                    col, s_sign = coords.sigma_coord(l, arg, d)
+                    if col is None:
+                        continue
+                    put(base + d, col, sign * s_sign * v)
+    return RatMatrix(len(coords.triples) * n, coords.dim_two_cochains, entries)
+
+
+def _ref_eta2(algebra, coords):
+    n = algebra.n
+    entries: dict = {}
+
+    def put(row, col, val):
+        s = entries.get((row, col), ZERO) + val
+        if s:
+            entries[(row, col)] = s
+        else:
+            entries.pop((row, col), None)
+
+    for p, (a, b) in enumerate(coords.pairs):
+        for c in range(n):
+            base = (p * n + c) * n
+            for u in range(n):
+                col, s_sign = coords.sigma_coord(a, b, u)
+                for d, v in algebra.bracket_basis(u, c).items():
+                    put(base + d, col, s_sign * v)
+            for l, v in algebra.bracket_basis(a, b).items():
+                for d in range(n):
+                    col, s_sign = coords.sigma_coord(l, c, d)
+                    if col is None:
+                        continue
+                    put(base + d, col, s_sign * v)
+    return RatMatrix(len(coords.pairs) * n * n, coords.dim_two_cochains, entries)
+
+
+def _fraction_rank(*matrices):
+    red = RowReducer(full=False)
+    for matrix in matrices:
+        for row in matrix.row_dicts():
+            if row:
+                red.add(row)
+    return red.rank
+
+
+def _fraction_h2(algebra):
+    coords = CochainCoordinates(algebra.n)
+    d1 = _ref_delta1(algebra, coords)
+    d2 = _ref_delta2(algebra, coords)
+    e2 = _ref_eta2(algebra, coords)
+    cols = coords.dim_two_cochains
+    dim_ker_eta2 = cols - _fraction_rank(e2)
+    dim_intersection = cols - _fraction_rank(d2, e2)
+    dim_im_delta1 = _fraction_rank(d1)
+    return H2Report(
+        dim_ker_eta2=dim_ker_eta2,
+        dim_ker_delta2=cols - _fraction_rank(d2),
+        dim_intersection=dim_intersection,
+        dim_im_delta1=dim_im_delta1,
+        h2_dim=dim_intersection - dim_im_delta1,
+        eta2_subset_delta2=dim_intersection == dim_ker_eta2,
+    )
+
+
+def _graph_algebras(max_m, k=2):
+    """Algebras of every graph class with at least one edge and at most max_m vertices."""
+    return [
+        structure_constants(graph, k)
+        for m in range(2, max_m + 1)
+        for graph in enumerate_graphs(m)
+        if graph.edges
+    ]
+
+
+RATIONALS = [Fraction(-2, 7), Fraction(3, 9), Fraction(5, 4), Fraction(-1, 6), Fraction(7, 3), Fraction(-11, 12)]
+
+
+def _rescaled(algebra, rng):
+    """A 2-step algebra with the bracket pattern of algebra and rational constants.
+
+    Every stored constant is multiplied by a random rational, and about half
+    of the brackets also gain a term on another degree-two element. Degree
+    two is central, so the result is again an at most 2-step Lie algebra.
+    """
+    top = list(algebra.degree_block(2))
+    sc = {}
+    for pair, terms in algebra.sc.items():
+        new = {l: c * rng.choice(RATIONALS) for l, c in terms.items()}
+        if len(top) > 1 and rng.random() < 0.5:
+            l = rng.choice(top)
+            new[l] = new.get(l, ZERO) + rng.choice(RATIONALS)
+        sc[pair] = new
+    return LieAlgebra(algebra.n, sc)
+
+
+def _rescaled_algebras():
+    rng = random.Random(2024)
+    return [_rescaled(alg, rng) for alg in _graph_algebras(5) if alg.n <= 10]
+
+
+def test_h2_matches_fraction_oracle_on_small_graphs():
+    algebras = _graph_algebras(5)
+    assert len(algebras) == 47
+    for alg in algebras:
+        assert h2_nil(alg) == _fraction_h2(alg)
+
+
+def test_h2_matches_fraction_oracle_on_rational_constants():
+    algebras = _rescaled_algebras()
+    assert len(algebras) >= 30
+    assert all(
+        any(c.denominator > 1 for terms in alg.sc.values() for c in terms.values())
+        for alg in algebras
+    )
+    for alg in algebras:
+        assert h2_nil(alg) == _fraction_h2(alg)
+
+
+def test_builders_match_reference_builders():
+    rng = random.Random(77)
+    algebras = _graph_algebras(4) + [_rescaled(alg, rng) for alg in _graph_algebras(4)]
+    for alg in algebras:
+        coords = CochainCoordinates(alg.n)
+        assert eta2_matrix(alg, coords) == _ref_eta2(alg, coords)
+    # delta1 and delta2 are defined for any Lie algebra, not only 2-step ones
+    deeper = [structure_constants(K2, 3), structure_constants(PATH3, 3), structure_constants(C4, 3)]
+    for alg in algebras + deeper:
+        coords = CochainCoordinates(alg.n)
+        assert delta1_matrix(alg, coords) == _ref_delta1(alg, coords)
+        assert delta2_matrix(alg, coords) == _ref_delta2(alg, coords)
+
+
+def _blocks(matrix):
+    """The entries of matrix split into blocks that share no row and no column."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for r, c in matrix.entries:
+        a, b = find(("r", r)), find(("c", c))
+        if a != b:
+            parent[a] = b
+    blocks: dict = {}
+    for (r, c), v in matrix.entries.items():
+        blocks.setdefault(find(("r", r)), {})[(r, c)] = v
+    return list(blocks.values())
+
+
+def _sympy_rank(sympy, matrix):
+    # The rank of a matrix is the sum of the ranks of its blocks; splitting
+    # keeps each sympy matrix small (the largest here has 255 entries).
+    rank = 0
+    for block in _blocks(matrix):
+        rows = {r: i for i, r in enumerate(sorted({r for r, _ in block}))}
+        cols = {c: i for i, c in enumerate(sorted({c for _, c in block}))}
+        dense = sympy.zeros(len(rows), len(cols))
+        for (r, c), v in block.items():
+            dense[rows[r], cols[c]] = sympy.Rational(v.numerator, v.denominator)
+        rank += dense.rank()
+    return rank
+
+
+def _int_rank(*matrices):
+    red = IntRowReducer()
+    for matrix in matrices:
+        _reduce(matrix, red)
+    return red.rank
+
+
+def test_ranks_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for alg in _graph_algebras(4) + [ABELIAN2]:
+        coords = CochainCoordinates(alg.n)
+        d1 = delta1_matrix(alg, coords)
+        d2 = delta2_matrix(alg, coords)
+        e2 = eta2_matrix(alg, coords)
+        stacked = RatMatrix(
+            e2.rows + d2.rows,
+            coords.dim_two_cochains,
+            {**e2.entries, **{(e2.rows + r, c): v for (r, c), v in d2.entries.items()}},
+        )
+        ranks = [_sympy_rank(sympy, m) for m in (d1, d2, e2, stacked)]
+        assert [_int_rank(d1), _int_rank(d2), _int_rank(e2), _int_rank(e2, d2)] == ranks
+        cols = coords.dim_two_cochains
+        report = h2_nil(alg)
+        assert report.dim_im_delta1 == ranks[0]
+        assert report.dim_ker_delta2 == cols - ranks[1]
+        assert report.dim_ker_eta2 == cols - ranks[2]
+        assert report.dim_intersection == cols - ranks[3]

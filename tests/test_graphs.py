@@ -34,6 +34,8 @@ def test_parse_edge_list():
         '{"m": 3, "edges": [[0, 2]]}',
         '{"m": 3, "edges": [[1, 4]]}',
         '{"m": 0, "edges": []}',
+        '{"m": true, "edges": []}',
+        '{"m": 3, "edges": [[1, true]]}',
     ],
 )
 def test_parse_edge_list_errors(text):

@@ -281,6 +281,11 @@ def test_json_malformed():
         algebra_from_json_dict(
             {"n": 3, "brackets": [{"i": 1, "j": 0, "terms": []}]}
         )
+    for c in (0.1, True, None, [1]):
+        with pytest.raises(ValueError):
+            algebra_from_json_dict(
+                {"n": 3, "brackets": [{"i": 0, "j": 1, "terms": [{"l": 2, "c": c}]}]}
+            )
 
 
 def test_components_never_mix():

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from graphlie.linalg import (
+    IntRowReducer,
     RatMatrix,
+    RowReducer,
     Subspace,
     frac,
     frac_str,
@@ -154,3 +156,36 @@ def test_subspace_rejects_bad_vectors():
         line.contains([Fraction(1)])
     with pytest.raises(ValueError):
         Subspace(2, [[1, 2, 3]])
+
+
+def test_int_row_reducer_rank_matches_fraction_reducer():
+    rng = random.Random(59)
+    for _ in range(80):
+        rows = [
+            {c: rng.choice([-6, -3, -2, -1, 1, 2, 4, 9]) for c in rng.sample(range(7), rng.randint(0, 4))}
+            for _ in range(rng.randint(1, 8))
+        ]
+        # dependent rows: integer combinations of earlier ones
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append({c: s * a.get(c, 0) + t * b.get(c, 0) for c in set(a) | set(b)})
+        rng.shuffle(rows)
+        oracle = RowReducer(full=False)
+        exact = IntRowReducer()
+        for row in rows:
+            before = dict(row)
+            kept = exact.add(row)
+            assert row == before  # the input row is not modified
+            assert kept == oracle.add({c: Fraction(v) for c, v in row.items()})
+        assert exact.rank == oracle.rank
+
+
+def test_int_row_reducer_stores_primitive_rows():
+    red = IntRowReducer()
+    assert red.add({0: 4, 2: 6})
+    assert red.add({0: 6, 1: 3, 2: 9})  # content 3; minus the first row leaves {1: 1}
+    assert not red.add({0: -2, 1: 5, 2: -3})
+    assert not red.add({3: 0})
+    assert red.rank == 2
+    assert red.pivots == {0: {0: 2, 2: 3}, 1: {1: 1}}
