@@ -25,9 +25,6 @@ from .linalg import (
     frac_str,
     kernel_basis,
     rref,
-    subspace_contains,
-    subspace_intersect,
-    subspace_sum,
 )
 from .basis import (
     BasisElement,

@@ -26,7 +26,7 @@ from itertools import combinations
 from .errors import InternalInvariantError
 from .graphs import SimpleGraph
 from .liealg import BasisLabel, GradedLieAlgebra
-from .linalg import ONE, ZERO, RowReducer
+from .linalg import ONE, ZERO, CoordinateSolver, RowReducer
 
 
 class TraceContext:
@@ -77,7 +77,13 @@ class TraceContext:
         return result
 
     def commutator(self, left: dict, right: dict, k: int) -> dict:
-        """Expansion of [x, y] from word expansions of x and y, truncated past degree k."""
+        """Expansion of [x, y] from word expansions of x and y, truncated past degree k.
+
+        This is the hot loop of the structure constants at k >= 3 (most of a
+        k = 4 sweep). Each product adds to one word and subtracts from another,
+        so the two updates are written out here instead of going through
+        linalg.axpy, which would need a one-entry dict per product.
+        """
         out: dict = {}
         for w1, c1 in left.items():
             for w2, c2 in right.items():
@@ -99,14 +105,7 @@ class TraceContext:
         return out
 
 
-_CONTEXTS: dict = {}
-
-
-def _context(graph: SimpleGraph) -> TraceContext:
-    ctx = _CONTEXTS.get(graph)
-    if ctx is None:
-        ctx = _CONTEXTS[graph] = TraceContext(graph)
-    return ctx
+_context = lru_cache(maxsize=128)(TraceContext)
 
 
 def trace_normal_form(word, graph: SimpleGraph) -> tuple:
@@ -283,7 +282,6 @@ def graded_basis(graph: SimpleGraph, k: int) -> GradedBasis:
     if k < 1:
         raise ValueError("k must be at least 1")
     oracle = dimension_oracle(graph, k)
-    ctx = _context(graph)
     by_length: dict = {}
     for word in lyndon_words(graph.m, k):
         by_length.setdefault(len(word), []).append(word)
@@ -298,7 +296,7 @@ def graded_basis(graph: SimpleGraph, k: int) -> GradedBasis:
             if not expansion:
                 continue
             md = multidegree_of_leaves(word, graph.m)
-            reducer, columns = blocks.setdefault(md, (RowReducer(full=True), {}))
+            reducer, columns = blocks.setdefault(md, (RowReducer(), {}))
             row = {}
             for w, c in expansion.items():
                 col = columns.setdefault(w, len(columns))
@@ -317,52 +315,23 @@ def graded_basis(graph: SimpleGraph, k: int) -> GradedBasis:
     return GradedBasis(graph, k, tuple(dims), elements)
 
 
-class _BlockSolver:
-    """Coordinates with respect to the expansions of one multidegree block."""
-
-    def __init__(self, members):
-        self.members = list(members)
-        self.columns: dict = {}
-        rows = []
-        for e in self.members:
-            row = {}
-            for w, c in e.expansion.items():
-                col = self.columns.setdefault(w, len(self.columns))
-                row[col] = c
-            rows.append(row)
-        self.offset = len(self.columns) + 1
-        self.red = RowReducer(full=True)
-        for pos, row in enumerate(rows):
-            row = dict(row)
-            row[self.offset + pos] = ONE
-            if not self.red.add(row):
-                raise InternalInvariantError("basis expansions are dependent")
-
-    def solve(self, expansion: dict) -> dict:
-        row = {}
-        for w, c in expansion.items():
-            col = self.columns.get(w)
-            if col is None:
-                raise InternalInvariantError("bracket leaves the expected word block")
-            row[col] = c
-        rem = self.red.reduce(row)
-        if any(c < self.offset for c in rem):
-            raise InternalInvariantError("bracket is not in the span of the basis")
-        out = {}
-        for c, v in rem.items():
-            idx = self.members[c - self.offset].index
-            out[idx] = -v
-        return out
-
-
 @lru_cache(maxsize=128)
 def _structure_constants_cached(graph: SimpleGraph, k: int) -> GradedLieAlgebra:
     gb = graded_basis(graph, k)
     ctx = _context(graph)
-    solvers: dict = {}
+    blocks: dict = {}
     for e in gb.elements:
-        solvers.setdefault((e.degree, e.multidegree), []).append(e)
-    solvers = {key: _BlockSolver(members) for key, members in solvers.items()}
+        blocks.setdefault((e.degree, e.multidegree), []).append(e)
+    solvers = {}
+    for key, members in blocks.items():
+        # one column per normal-form word of the block
+        columns: dict = {}
+        rows = [
+            {columns.setdefault(w, len(columns)): c for w, c in e.expansion.items()}
+            for e in members
+        ]
+        indices = [e.index for e in members]
+        solvers[key] = (columns, indices, CoordinateSolver(rows, len(columns)))
     sc = {}
     total = len(gb.elements)
     for i in range(total):
@@ -376,18 +345,23 @@ def _structure_constants_cached(graph: SimpleGraph, k: int) -> GradedLieAlgebra:
             if not expansion:
                 continue
             md = tuple(a + b for a, b in zip(ei.multidegree, ej.multidegree))
-            solver = solvers.get((degree, md))
-            if solver is None:
+            block = solvers.get((degree, md))
+            if block is None:
                 raise InternalInvariantError("bracket lands in an empty multidegree block")
-            terms = solver.solve(expansion)
+            columns, indices, solver = block
+            row = {}
+            for w, c in expansion.items():
+                col = columns.get(w)
+                if col is None:
+                    raise InternalInvariantError("bracket leaves the expected word block")
+                row[col] = c
+            terms = solver.solve(row)
             if terms:
-                sc[(i, j)] = terms
+                sc[(i, j)] = {indices[pos]: c for pos, c in terms.items()}
     labels = tuple(
         BasisLabel(e.label, e.degree, e.multidegree) for e in gb.elements
     )
-    algebra = GradedLieAlgebra(total, sc, gb.dims, labels=labels, k=k)
-    algebra.basis_data = gb
-    return algebra
+    return GradedLieAlgebra(total, sc, gb.dims, labels=labels, k=k)
 
 
 def structure_constants(graph: SimpleGraph, k: int) -> GradedLieAlgebra:

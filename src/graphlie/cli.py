@@ -42,13 +42,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_graph_flags(parser, with_k=True, k_default=None):
+def _add_graph_flags(parser, k_default=None):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--edges", help='edge list JSON {"m": int, "edges": [[i, j], ...]}')
     group.add_argument("--graph6", help="graph6 code")
     group.add_argument("--in", dest="infile", help="file with edge list JSON or algebra JSON")
-    if with_k:
-        parser.add_argument("--k", type=int, default=k_default, required=k_default is None)
+    parser.add_argument("--k", type=int, default=k_default, required=k_default is None)
     parser.add_argument("--out", help="output file (default stdout)")
 
 
@@ -84,7 +83,7 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_report(rows, path=None, fmt: str = "json") -> str:
+def write_report(rows, fmt: str = "json") -> str:
     """Serialize a classification report; identical input gives identical bytes."""
     if fmt == "json":
         text = _dump_json(rows)
@@ -98,9 +97,6 @@ def write_report(rows, path=None, fmt: str = "json") -> str:
         text = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return text
 
 
@@ -184,7 +180,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     rows = sweep(args.n, args.k)
-    text = write_report(rows, path=None, fmt=args.format)
+    text = write_report(rows, fmt=args.format)
     _emit(text, args.out)
     return 0
 

@@ -37,15 +37,6 @@ class SimpleGraph:
     def adjacent(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
-    def neighbors(self, i: int) -> set:
-        out = set()
-        for a, b in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return out
-
     def nonedges(self) -> list:
         return [
             (i, j) for i, j in combinations(range(1, self.m + 1), 2)
@@ -57,12 +48,6 @@ class SimpleGraph:
 
     def is_complete(self) -> bool:
         return len(self.edges) == self.m * (self.m - 1) // 2
-
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
-
-    def to_edge_list(self) -> dict:
-        return {"m": self.m, "edges": [list(e) for e in self.sorted_edges()]}
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,11 @@ from .errors import InternalInvariantError
 from .linalg import (
     ONE,
     ZERO,
+    CoordinateSolver,
     RatMatrix,
     RowReducer,
     Subspace,
+    axpy,
     frac,
     frac_str,
     full_space,
@@ -88,15 +90,8 @@ class LieAlgebra:
                 continue
             for j, yj in y.items():
                 terms = row.get(j)
-                if not terms:
-                    continue
-                coef = xi * yj
-                for l, c in terms.items():
-                    s = out.get(l, ZERO) + coef * c
-                    if s:
-                        out[l] = s
-                    else:
-                        out.pop(l, None)
+                if terms:
+                    axpy(out, xi * yj, terms)
         return out
 
 
@@ -144,7 +139,7 @@ def bracket_subspaces(algebra: LieAlgebra, s: Subspace, t: Subspace) -> Subspace
     """Span of [x, y] over x in S, y in T."""
     if s.ambient_dim != algebra.n or t.ambient_dim != algebra.n:
         raise ValueError("subspace ambient dimension does not match the algebra")
-    red = RowReducer(full=True)
+    red = RowReducer()
     for srow in s.basis_rows():
         for trow in t.basis_rows():
             out = algebra.bracket_sparse(srow, trow)
@@ -200,15 +195,8 @@ def jacobi_report(algebra: LieAlgebra) -> list:
     for (i, j, l) in sorted(candidates):
         acc: dict = {}
         for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
-            inner = algebra.bracket_basis(b, c)
-            for t, coef in inner.items():
-                outer = algebra.bracket_basis(a, t)
-                for u, d in outer.items():
-                    s = acc.get(u, ZERO) + coef * d
-                    if s:
-                        acc[u] = s
-                    else:
-                        acc.pop(u, None)
+            for t, coef in algebra.bracket_basis(b, c).items():
+                axpy(acc, coef, algebra.bracket_basis(a, t))
         if acc:
             bad.append((i, j, l))
     return bad
@@ -244,7 +232,7 @@ def associated_graded(algebra: LieAlgebra) -> GradedLieAlgebra:
     if chain[-1].dim != 0:
         raise ValueError("associated graded requires a nilpotent algebra")
     depth = len(chain) - 1
-    red = RowReducer(full=True)
+    red = RowReducer()
     chosen = []
     for level in range(depth, 0, -1):
         target = chain[level - 1]
@@ -272,7 +260,7 @@ def associated_graded(algebra: LieAlgebra) -> GradedLieAlgebra:
     if identity_basis:
         solver = None
     else:
-        solver = _CoordinateSolver(vectors, algebra.n)
+        solver = CoordinateSolver(vectors, algebra.n)
 
     sc = {}
     for i in range(algebra.n):
@@ -297,25 +285,6 @@ def associated_graded(algebra: LieAlgebra) -> GradedLieAlgebra:
         if algebra.labels is not None and list(algebra.degrees) == levels:
             labels = algebra.labels
     return GradedLieAlgebra(algebra.n, sc, grading, labels=labels, k=depth)
-
-
-class _CoordinateSolver:
-    """Express vectors in a fixed basis given as sparse rows."""
-
-    def __init__(self, rows, ambient: int):
-        self.offset = ambient
-        self.red = RowReducer(full=True)
-        for idx, row in enumerate(rows):
-            aug = dict(row)
-            aug[self.offset + idx] = ONE
-            if not self.red.add(aug):
-                raise ValueError("basis rows are dependent")
-
-    def solve(self, vec: dict) -> dict:
-        rem = self.red.reduce(dict(vec))
-        if any(c < self.offset for c in rem):
-            raise InternalInvariantError("vector outside the spanned space")
-        return {c - self.offset: -v for c, v in rem.items()}
 
 
 def algebra_to_json_dict(algebra: LieAlgebra) -> dict:
@@ -369,6 +338,8 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
         i, j = entry.get("i"), entry.get("j")
         if not (is_int(i) and is_int(j) and i < j):
             raise ValueError("bracket entries must have integer i < j")
+        if (i, j) in sc:
+            raise ValueError(f"bracket ({i}, {j}) is given more than once")
         terms = {}
         for t in entry["terms"]:
             if not (isinstance(t, dict) and is_int(t.get("l"))):
@@ -376,6 +347,8 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
             c = t.get("c")
             if not (isinstance(c, str) or is_int(c)):
                 raise ValueError(f"structure constant {c!r} must be a string or an integer")
+            if t["l"] in terms:
+                raise ValueError(f"bracket ({i}, {j}) gives target {t['l']} more than once")
             terms[t["l"]] = frac(c)
         sc[(i, j)] = terms
     grading = data.get("grading")

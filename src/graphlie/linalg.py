@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import InternalInvariantError
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -44,11 +46,18 @@ def vec_to_dict(vec) -> dict:
     return {i: frac(c) for i, c in enumerate(vec) if c}
 
 
-def dict_to_vec(d: dict, length: int) -> list:
-    out = [ZERO] * length
-    for i, c in d.items():
-        out[i] = c
-    return out
+def axpy(dst: dict, coef, src: dict) -> dict:
+    """dst += coef * src on sparse dicts, in place; entries that cancel are deleted.
+
+    The default for a missing entry is the int 0, so integer rows stay int.
+    """
+    for key, v in src.items():
+        s = dst.get(key, 0) + coef * v
+        if s:
+            dst[key] = s
+        else:
+            dst.pop(key, None)
+    return dst
 
 
 class RatMatrix:
@@ -108,25 +117,23 @@ class RatMatrix:
             out[r][c] = v
         return out
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        other_rows = other.row_dicts()
-        acc: dict = {}
+        # Column c2 of the product is the sum of other[c, c2] * (column c of
+        # self): one axpy per entry of other, the smaller factor in h2_nil.
+        self_cols: dict = {}
         for (r, c), v in self.entries.items():
-            for c2, w in other_rows[c].items():
-                key = (r, c2)
-                s = acc.get(key, ZERO) + v * w
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return RatMatrix(self.rows, other.cols, acc)
+            self_cols.setdefault(c, {})[r] = v
+        acc: dict = {}
+        for (c, c2), w in other.entries.items():
+            if c in self_cols:
+                axpy(acc.setdefault(c2, {}), w, self_cols[c])
+        return RatMatrix(
+            self.rows,
+            other.cols,
+            {(r, c2): x for c2, col in acc.items() for r, x in col.items()},
+        )
 
     def mul_vec(self, vec) -> list:
         """Matrix times dense column vector."""
@@ -150,9 +157,6 @@ class RatMatrix:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self.entries.items()))))
-
     def __repr__(self):
         return f"RatMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
@@ -160,15 +164,14 @@ class RatMatrix:
 class RowReducer:
     """Incremental exact row reduction.
 
-    Rows are sparse dicts. Stored pivot rows are normalized to a unit pivot;
-    in full mode they are also mutually reduced, so rows_sorted() is the
-    reduced row echelon basis of everything added so far. The pivot of a row
-    is its least nonzero column, which makes the result deterministic.
+    Rows are sparse dicts. Stored pivot rows are normalized to a unit pivot
+    and mutually reduced, so rows_sorted() is the reduced row echelon basis
+    of everything added so far. The pivot of a row is its least nonzero
+    column, which makes the result deterministic.
     """
 
-    def __init__(self, full: bool = True):
+    def __init__(self):
         self.pivots: dict = {}
-        self.full = full
 
     def reduce(self, row: dict) -> dict:
         row = {c: v for c, v in row.items() if v}
@@ -179,13 +182,7 @@ class RowReducer:
                     hit = c
             if hit is None:
                 return row
-            coef = row[hit]
-            for c, v in self.pivots[hit].items():
-                s = row.get(c, ZERO) - coef * v
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
+            axpy(row, -row[hit], self.pivots[hit])
 
     def add(self, row: dict) -> bool:
         """Reduce row against the current basis; keep it if independent."""
@@ -195,16 +192,9 @@ class RowReducer:
         p = min(red)
         inv = ONE / red[p]
         red = {c: v * inv for c, v in red.items()}
-        if self.full:
-            for q, prow in self.pivots.items():
-                if p in prow:
-                    coef = prow[p]
-                    for c, v in red.items():
-                        s = prow.get(c, ZERO) - coef * v
-                        if s:
-                            prow[c] = s
-                        else:
-                            prow.pop(c, None)
+        for prow in self.pivots.values():
+            if p in prow:
+                axpy(prow, -prow[p], red)
         self.pivots[p] = red
         return True
 
@@ -252,17 +242,38 @@ class IntRowReducer:
             if a != 1:
                 for c in row:
                     row[c] *= a
-            for c, v in prow.items():
-                s = row.get(c, 0) - b * v
-                if s:
-                    row[c] = s
-                else:
-                    del row[c]
+            axpy(row, -b, prow)
         return False
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+
+class CoordinateSolver:
+    """Coordinates of vectors in the span of fixed independent rows.
+
+    Row i is stored with the unit column offset + i appended, so reducing a
+    vector v of the span leaves -sum_i x_i e_{offset+i} with v = sum_i x_i
+    row_i. offset must exceed every column the rows use.
+    """
+
+    def __init__(self, rows, offset: int):
+        self.offset = offset
+        self.red = RowReducer()
+        for pos, row in enumerate(rows):
+            aug = dict(row)
+            aug[offset + pos] = ONE
+            self.red.add(aug)
+        if any(p >= offset for p in self.red.pivots):
+            raise InternalInvariantError("basis rows are dependent")
+
+    def solve(self, vec: dict) -> dict:
+        """{position: coefficient} of vec in the rows."""
+        rem = self.red.reduce(vec)
+        if any(c < self.offset for c in rem):
+            raise InternalInvariantError("vector outside the spanned space")
+        return {c - self.offset: -v for c, v in rem.items()}
 
 
 def rref(matrix: RatMatrix):
@@ -272,7 +283,7 @@ def rref(matrix: RatMatrix):
     RREF rows on top and zero rows below. Gauss-Jordan with the pivot taken
     as the first nonzero column, so the output is deterministic.
     """
-    red = RowReducer(full=True)
+    red = RowReducer()
     for row in matrix.row_dicts():
         red.add(row)
     rows = red.rows_sorted()
@@ -306,7 +317,7 @@ class Subspace:
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
         self.ambient_dim = ambient_dim
-        self._red = RowReducer(full=True)
+        self._red = RowReducer()
         for row in rows or []:
             if not isinstance(row, dict):
                 row = vec_to_dict(row)
@@ -321,9 +332,6 @@ class Subspace:
 
     def basis_rows(self) -> list:
         return self._red.rows_sorted()
-
-    def basis_matrix(self) -> RatMatrix:
-        return RatMatrix.from_row_dicts(self.basis_rows(), self.ambient_dim)
 
     def contains(self, vec) -> bool:
         if not isinstance(vec, dict):
@@ -346,44 +354,3 @@ class Subspace:
 
 def full_space(n: int) -> Subspace:
     return Subspace(n, [{i: ONE} for i in range(n)])
-
-
-def zero_space(n: int) -> Subspace:
-    return Subspace(n, [])
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    return Subspace(a.ambient_dim, a.basis_rows() + b.basis_rows())
-
-
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, computed via the kernel of the stacked system.
-
-    A vector in both row spaces is alpha^T A = beta^T B; the pairs
-    (alpha, -beta) form the left kernel of the stacked matrix.
-    """
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    arows = a.basis_rows()
-    brows = b.basis_rows()
-    stacked = RatMatrix.from_row_dicts(arows + brows, a.ambient_dim)
-    left_kernel = kernel_basis(stacked.transpose())
-    vectors = []
-    for coeffs in left_kernel.basis_rows():
-        vec: dict = {}
-        for i, alpha in coeffs.items():
-            if i < len(arows):
-                for c, v in arows[i].items():
-                    s = vec.get(c, ZERO) + alpha * v
-                    if s:
-                        vec[c] = s
-                    else:
-                        vec.pop(c, None)
-        vectors.append(vec)
-    return Subspace(a.ambient_dim, vectors)
-
-
-def subspace_contains(a: Subspace, vec) -> bool:
-    return a.contains(vec)

@@ -33,7 +33,7 @@ from .cohomology import H2Report, h2_nil, is_at_most_two_step
 from .errors import InternalInvariantError
 from .graphs import SimpleGraph, analyze, enumerate_graphs, to_graph6
 from .liealg import GradedLieAlgebra, LieAlgebra, center
-from .linalg import ONE, ZERO, Subspace, frac, frac_str, vec_to_dict
+from .linalg import ONE, ZERO, Subspace, axpy, frac, frac_str, vec_to_dict
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,7 @@ class DeformedAlgebra:
         a1, a2 = self.cocycle.a1, self.cocycle.a2
         key = (min(a1, a2), max(a1, a2))
         sign = 1 if a1 < a2 else -1
-        slot = sc.setdefault(key, {})
-        for l, c in enumerate(self.cocycle.y):
-            if not c:
-                continue
-            s = slot.get(l, ZERO) + sign * t * c
-            if s:
-                slot[l] = s
-            else:
-                slot.pop(l, None)
-        if not slot:
-            sc.pop(key, None)
+        axpy(sc.setdefault(key, {}), sign * t, vec_to_dict(self.cocycle.y))
         return LieAlgebra(self.base.n, sc, k=self.base.k)
 
 
@@ -157,26 +147,11 @@ def deform_check(deformed: DeformedAlgebra, exhaustive: bool = False) -> DeformC
             ep, eq, er = {p: ONE}, {q: ONE}, {r: ONE}
             s_pq = sigma.apply_sparse(ep, eq)
             if s_pq:
-                for l, c in base.bracket_sparse(s_pq, er).items():
-                    s = t1.get(l, ZERO) + c
-                    if s:
-                        t1[l] = s
-                    else:
-                        t1.pop(l, None)
-                for l, c in sigma.apply_sparse(s_pq, er).items():
-                    s = t2.get(l, ZERO) + c
-                    if s:
-                        t2[l] = s
-                    else:
-                        t2.pop(l, None)
+                axpy(t1, ONE, base.bracket_sparse(s_pq, er))
+                axpy(t2, ONE, sigma.apply_sparse(s_pq, er))
             mu_pq = base.bracket_basis(p, q)
             if mu_pq:
-                for l, c in sigma.apply_sparse(mu_pq, er).items():
-                    s = t1.get(l, ZERO) + c
-                    if s:
-                        t1[l] = s
-                    else:
-                        t1.pop(l, None)
+                axpy(t1, ONE, sigma.apply_sparse(mu_pq, er))
         if t1 or t2:
             return DeformCheckResult(False, (x, y, z))
     return DeformCheckResult(True, None)
@@ -408,25 +383,22 @@ def algebra_dim(graph: SimpleGraph, k: int) -> int:
     return sum(dimension_oracle(graph, k))
 
 
-def sweep(n_max: int, k: int, record_h2: bool | None = None) -> list:
+def sweep(n_max: int, k: int) -> list:
     """Classify every isomorphism class on 2..n_max vertices.
 
-    For k = 2 the cohomology report is attached to every entry whose
-    algebra is at most 2-step (record_h2 defaults to True there), which
-    also cross-checks every witness against h2 = 0.
+    For k = 2 the cohomology report is attached to every entry, which also
+    cross-checks every witness against h2 = 0.
     """
     if not 2 <= n_max <= 5:
         raise ValueError("sweep supports 2..5 vertices")
     if k < 2:
         raise ValueError("sweep needs k >= 2")
-    if record_h2 is None:
-        record_h2 = k == 2
     rows = []
     for m in range(2, n_max + 1):
         for graph in enumerate_graphs(m):
-            verdict = classify(graph, k, with_cohomology=record_h2 and k == 2)
+            verdict = classify(graph, k, with_cohomology=k == 2)
             h2 = verdict.h2
-            if record_h2 and k == 2 and h2 is None:
+            if k == 2 and h2 is None:
                 h2 = h2_nil(structure_constants(graph, k))
                 if verdict.verdict == "not_rigid" and h2.h2_dim == 0:
                     raise InternalInvariantError(

@@ -5,6 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from graphlie.basis import (
+    _context,
     bracket_word_label,
     bracket_word_leaves,
     clique_polynomial,
@@ -346,6 +347,12 @@ def test_structure_constants_cached():
     assert structure_constants(K2, 2) is structure_constants(K2, 2)
     with pytest.raises(ValueError):
         structure_constants(K2, 0)
+
+
+def test_trace_contexts_cached_with_a_bound():
+    assert _context.cache_info().maxsize == 128
+    assert _context(STAR) is _context(SimpleGraph.make(3, [(1, 3), (2, 1)]))
+    assert _context(STAR) is not _context(PATH3)
 
 
 def test_structure_constants_small_classes_are_lie_algebras():

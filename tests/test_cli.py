@@ -117,6 +117,29 @@ def test_write_report_rejects_unknown_format():
         write_report([], fmt="csv")
 
 
+# tests/data holds the stdout of these commands; a refactor must leave the
+# bytes unchanged, so any difference here is a change of behaviour.
+GOLDEN = {
+    "sweep_n5_k2.json": ("rigidity", "sweep", "--n", "5", "--k", "2"),
+    "sweep_n5_k3.json": ("rigidity", "sweep", "--n", "5", "--k", "3"),
+    "sweep_n5_k4.json": ("rigidity", "sweep", "--n", "5", "--k", "4"),
+    "algebra_build_star_k4.json": ("algebra", "build", "--edges", STAR_EDGES, "--k", "4"),
+    "h2nil_c4.json": (
+        "cohomology", "h2nil", "--edges", '{"m": 4, "edges": [[1,2],[2,3],[3,4],[1,4]]}'
+    ),
+    "deform_emit_star_k3.json": (
+        "deform", "emit", "--edges", STAR_EDGES, "--k", "3", "--t", "1/2"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_outputs(capsys, name):
+    code, out, err = _run(capsys, *GOLDEN[name])
+    assert code == 0 and err == ""
+    assert out.encode("utf-8") == (REPO_ROOT / "tests" / "data" / name).read_bytes()
+
+
 def test_enumerate(capsys):
     code, out, _ = _run(capsys, "graphs", "enumerate", "--n", "4")
     assert code == 0
@@ -210,6 +233,11 @@ GOOD_BRACKET = {"i": 0, "j": 1, "terms": [{"l": 2, "c": "1"}]}
         {"n": 3, "k": 2, "grading": 5, "brackets": [GOOD_BRACKET]},
         {"n": 3, "k": 2, "grading": [2, 1], "basis": [{"label": "x"}], "brackets": [GOOD_BRACKET]},
         {"n": 3, "k": 2, "grading": [2, 1], "basis": 5, "brackets": [GOOD_BRACKET]},
+        # a repeated bracket pair, and a repeated target inside one terms list
+        {"n": 3, "k": 2, "brackets": [GOOD_BRACKET, {"i": 0, "j": 1, "terms": [{"l": 2, "c": "3"}]}]},
+        {"n": 3, "k": 2, "brackets": [
+            {"i": 0, "j": 1, "terms": [{"l": 2, "c": "1"}, {"l": 2, "c": "5"}]}
+        ]},
     ],
 )
 def test_malformed_algebra_file_exits_one(capsys, tmp_path, document):

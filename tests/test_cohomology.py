@@ -330,7 +330,7 @@ def _ref_eta2(algebra, coords):
 
 
 def _fraction_rank(*matrices):
-    red = RowReducer(full=False)
+    red = RowReducer()
     for matrix in matrices:
         for row in matrix.row_dicts():
             if row:

@@ -3,18 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from graphlie.errors import InternalInvariantError
 from graphlie.linalg import (
+    CoordinateSolver,
     IntRowReducer,
     RatMatrix,
     RowReducer,
     Subspace,
+    axpy,
     frac,
     frac_str,
     kernel_basis,
     rref,
-    subspace_contains,
-    subspace_intersect,
-    subspace_sum,
 )
 
 
@@ -108,11 +108,57 @@ def test_kernel_vectors_annihilate():
             assert all(v == 0 for v in m.mul_vec(vec))
 
 
-def test_matmul_and_transpose():
+def test_matmul():
     a = RatMatrix.from_rows([[1, 2], [3, 4]])
     b = RatMatrix.from_rows([[0, 1], [1, 0]])
     assert a.matmul(b).to_rows() == [[2, 1], [4, 3]]
-    assert a.transpose().to_rows() == [[1, 3], [2, 4]]
+    # products that cancel leave no stored entry
+    c = RatMatrix.from_rows([[1, 1]]).matmul(RatMatrix.from_rows([[1, 2], [-1, 0]]))
+    assert c.entries == {(0, 1): 2}
+    rng = random.Random(13)
+    for _ in range(30):
+        rows, inner, cols = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a, b = _random_matrix(rng, rows, inner), _random_matrix(rng, inner, cols)
+        dense = [
+            [sum(x * y for x, y in zip(row, col)) for col in zip(*b.to_rows())]
+            for row in a.to_rows()
+        ]
+        assert a.matmul(b) == RatMatrix.from_rows(dense, cols)
+
+
+def test_axpy_drops_cancelled_entries():
+    dst = {0: Fraction(1), 1: Fraction(2)}
+    assert axpy(dst, Fraction(-1, 2), {1: Fraction(4), 2: Fraction(6)}) is dst
+    assert dst == {0: 1, 2: -3}
+    axpy(dst, 3, {2: Fraction(1)})
+    assert dst == {0: 1}
+    axpy(dst, 0, {5: Fraction(1)})  # a zero coefficient adds no entry
+    assert dst == {0: 1}
+    ints = {0: 2}
+    axpy(ints, -1, {0: 2, 1: 5})
+    assert ints == {1: -5} and type(ints[1]) is int
+
+
+def test_coordinate_solver_round_trip():
+    rng = random.Random(31)
+    for _ in range(40):
+        cols = rng.randint(1, 5)
+        matrix = _random_matrix(rng, rng.randint(1, cols), cols)
+        rows = matrix.row_dicts()
+        if rref(matrix)[2] < len(rows):
+            with pytest.raises(InternalInvariantError):
+                CoordinateSolver(rows, cols)
+            continue
+        solver = CoordinateSolver(rows, cols)
+        coefs = {pos: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for pos in range(len(rows))}
+        vec: dict = {}
+        for pos, x in coefs.items():
+            axpy(vec, x, rows[pos])
+        assert solver.solve(vec) == {pos: x for pos, x in coefs.items() if x}
+    solver = CoordinateSolver([{0: Fraction(1), 1: Fraction(1)}], 2)
+    assert solver.solve({0: Fraction(2), 1: Fraction(2)}) == {0: 2}
+    with pytest.raises(InternalInvariantError):
+        solver.solve({0: Fraction(1)})  # outside the span
 
 
 def _random_subspace(rng, ambient, dim_hint):
@@ -129,25 +175,18 @@ def test_subspace_identities():
         ambient = rng.randint(1, 6)
         a = _random_subspace(rng, ambient, rng.randint(0, 3))
         b = _random_subspace(rng, ambient, rng.randint(0, 3))
-        s = subspace_sum(a, b)
-        i = subspace_intersect(a, b)
-        # Grassmann dimension identity
-        assert s.dim + i.dim == a.dim + b.dim
-        assert subspace_sum(a, a).dim == a.dim
-        assert subspace_intersect(a, a) == a
-        for row in i.basis_rows():
-            assert a.contains(row) and b.contains(row)
-        for row in a.basis_rows():
+        s = Subspace(ambient, a.basis_rows() + b.basis_rows())
+        assert Subspace(ambient, a.basis_rows() + a.basis_rows()) == a
+        for row in a.basis_rows() + b.basis_rows():
             assert s.contains(row)
 
 
 def test_subspace_contains_examples():
     whole = Subspace(2, [[1, 0], [0, 1]])
     line = Subspace(2, [[1, 1]])
-    assert subspace_contains(whole, [Fraction(3), Fraction(-5)])
-    assert subspace_contains(line, [Fraction(2), Fraction(2)])
-    assert not subspace_contains(line, [Fraction(2), Fraction(1)])
-    assert subspace_intersect(whole, line) == line
+    assert whole.contains([Fraction(3), Fraction(-5)])
+    assert line.contains([Fraction(2), Fraction(2)])
+    assert not line.contains([Fraction(2), Fraction(1)])
 
 
 def test_subspace_rejects_bad_vectors():
@@ -171,7 +210,7 @@ def test_int_row_reducer_rank_matches_fraction_reducer():
             s, t = rng.randint(-3, 3), rng.randint(-3, 3)
             rows.append({c: s * a.get(c, 0) + t * b.get(c, 0) for c in set(a) | set(b)})
         rng.shuffle(rows)
-        oracle = RowReducer(full=False)
+        oracle = RowReducer()
         exact = IntRowReducer()
         for row in rows:
             before = dict(row)
@@ -179,6 +218,8 @@ def test_int_row_reducer_rank_matches_fraction_reducer():
             assert row == before  # the input row is not modified
             assert kept == oracle.add({c: Fraction(v) for c, v in row.items()})
         assert exact.rank == oracle.rank
+        # elimination keeps the stored rows integer
+        assert all(type(v) is int for row in exact.pivots.values() for v in row.values())
 
 
 def test_int_row_reducer_stores_primitive_rows():
