@@ -21,6 +21,8 @@ from .liealg import (
     LieAlgebra,
     algebra_from_json_dict,
     algebra_to_json_dict,
+    jacobi_report,
+    lower_central_series,
 )
 from .rigidity import (
     DeformedAlgebra,
@@ -67,8 +69,23 @@ def _load_input(args):
     except json.JSONDecodeError as exc:
         raise ValueError(f"input file is not valid JSON: {exc}") from exc
     if isinstance(data, dict) and "brackets" in data:
-        return None, algebra_from_json_dict(data)
+        return None, _checked_algebra(algebra_from_json_dict(data))
     return parse_graph(text, "edge-list-json"), None
+
+
+def _checked_algebra(algebra: LieAlgebra) -> LieAlgebra:
+    """Refuse a loaded bracket table that is not a nilpotent Lie algebra."""
+    bad = jacobi_report(algebra)
+    if bad:
+        raise ValueError(
+            f"loaded algebra violates the Jacobi identity at basis triple {bad[0]}"
+        )
+    stable = lower_central_series(algebra)[-1].dim
+    if stable:
+        raise ValueError(
+            f"loaded algebra is not nilpotent: its lower central series stops at dimension {stable}"
+        )
+    return algebra
 
 
 def _emit(text: str, out_path):

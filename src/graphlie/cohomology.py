@@ -229,15 +229,15 @@ class H2Report:
 def h2_nil(algebra: LieAlgebra) -> H2Report:
     """Dimension data of (ker delta2 intersect ker eta2) / im delta1.
 
-    Raises InternalInvariantError if im delta1 is not inside ker eta2; for an
-    at most 2-step algebra that containment is a theorem, so a violation can
+    Raises ValueError, from eta2_matrix and before any other matrix is
+    built, unless the algebra is at most 2-step. Raises
+    InternalInvariantError if im delta1 is not inside ker eta2; for an at
+    most 2-step algebra that containment is a theorem, so a violation can
     only mean the matrices are wrong.
     """
-    if not is_at_most_two_step(algebra):
-        raise ValueError("2-step nil-cohomology needs an at most 2-step algebra")
     coords = CochainCoordinates(algebra.n)
-    d1 = delta1_matrix(algebra, coords)
     e2 = eta2_matrix(algebra, coords)
+    d1 = delta1_matrix(algebra, coords)
     if not e2.matmul(d1).is_zero():
         raise InternalInvariantError("im delta1 is not contained in ker eta2")
     # Three eliminations: eta2 and then delta2 into one reducer give rank eta2

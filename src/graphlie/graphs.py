@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
+from .limits import check_vertices
 from .linalg import is_int
 
 
@@ -158,19 +159,51 @@ def canonical_form(graph: SimpleGraph) -> str:
 
     The minimum runs over all vertex relabelings, with pairs ordered
     (1,2),(1,3),...,(1,m),(2,3),... so equal strings mean isomorphic graphs.
+
+    Row p of the string is the adjacency of the vertex at position p to the
+    positions after it. The search (after McKay & Piperno, *Practical graph
+    isomorphism, II*, 2014) places one vertex per level and keeps the
+    unplaced vertices as an ordered partition whose cells fill consecutive
+    positions; the vertices of a cell agree on every placed vertex, so the
+    rows written so far do not depend on the order inside a cell. Placing v
+    from the first cell splits every cell into non-neighbours of v, then
+    neighbours, which gives v its least row. A level keeps only the
+    partitions reached with the least row over all candidates, and each of
+    them once: the rest of the string depends on the partition alone.
     """
-    if graph.m > 8:
-        raise ValueError("canonical form is limited to at most 8 vertices")
-    pairs = list(combinations(range(graph.m), 2))
-    verts = list(range(1, graph.m + 1))
-    best = None
-    for order in permutations(verts):
-        bits = tuple(
-            1 if graph.adjacent(order[i], order[j]) else 0 for i, j in pairs
-        )
-        if best is None or bits < best:
-            best = bits
-    return "".join(str(b) for b in best)
+    check_vertices("canonical_form", graph.m)
+    m = graph.m
+    adj = [0] * m
+    for i, j in graph.edges:
+        adj[i - 1] |= 1 << (j - 1)
+        adj[j - 1] |= 1 << (i - 1)
+    partitions = {((1 << m) - 1,)}
+    rows = []
+    for width in range(m - 1, 0, -1):
+        best, kept = None, set()
+        for cells in partitions:
+            first, later = cells[0], cells[1:]
+            left = first
+            while left:
+                bit = left & -left
+                left ^= bit
+                adj_v = adj[bit.bit_length() - 1]
+                row, split = 0, []
+                for cell in (first ^ bit,) + later:
+                    near = cell & adj_v
+                    far = cell ^ near
+                    row = (row << cell.bit_count()) | ((1 << near.bit_count()) - 1)
+                    if far:
+                        split.append(far)
+                    if near:
+                        split.append(near)
+                if best is None or row < best:
+                    best, kept = row, {tuple(split)}
+                elif row == best:
+                    kept.add(tuple(split))
+        partitions = kept
+        rows.append(format(best, f"0{width}b"))
+    return "".join(rows)
 
 
 def graph_from_canonical(m: int, form: str) -> SimpleGraph:
@@ -187,8 +220,7 @@ def enumerate_graphs(n: int) -> list:
     neighbor set, which reaches every class because deleting a vertex of any
     n-vertex graph lands in some (n-1)-vertex class.
     """
-    if not 1 <= n <= 7:
-        raise ValueError("enumeration is limited to 1..7 vertices")
+    check_vertices("enumerate_graphs", n)
     reps = {canonical_form(SimpleGraph.make(1, []))}
     size = 1
     while size < n:

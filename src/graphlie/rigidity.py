@@ -33,6 +33,7 @@ from .cohomology import H2Report, h2_nil, is_at_most_two_step
 from .errors import InternalInvariantError
 from .graphs import SimpleGraph, analyze, enumerate_graphs, to_graph6
 from .liealg import GradedLieAlgebra, LieAlgebra, center
+from .limits import check_vertices
 from .linalg import ONE, ZERO, Subspace, axpy, frac, frac_str, vec_to_dict
 
 
@@ -389,8 +390,7 @@ def sweep(n_max: int, k: int) -> list:
     For k = 2 the cohomology report is attached to every entry, which also
     cross-checks every witness against h2 = 0.
     """
-    if not 2 <= n_max <= 5:
-        raise ValueError("sweep supports 2..5 vertices")
+    check_vertices("sweep", n_max)
     if k < 2:
         raise ValueError("sweep needs k >= 2")
     rows = []

@@ -130,6 +130,7 @@ GOLDEN = {
     "deform_emit_star_k3.json": (
         "deform", "emit", "--edges", STAR_EDGES, "--k", "3", "--t", "1/2"
     ),
+    "enumerate_n6.txt": ("graphs", "enumerate", "--n", "6"),
 }
 
 
@@ -184,6 +185,7 @@ def test_deform_emit_without_witness(capsys):
         ("algebra", "build", "--edges", '{"m": 3, "edges": []}'),  # missing --k
         ("algebra", "build", "--edges", "{}", "--k", "2", "--bogus"),
         ("rigidity", "sweep", "--n", "9", "--k", "2"),
+        ("rigidity", "sweep", "--n", "7", "--k", "3"),
         ("graphs", "enumerate", "--n", "0"),
         ("deform", "emit", "--edges", STAR_EDGES, "--k", "3", "--t", "1/0"),
         ("rigidity", "classify", "--graph6", "!!!", "--k", "2"),
@@ -248,6 +250,33 @@ def test_malformed_algebra_file_exits_one(capsys, tmp_path, document):
         assert code == 1, document
         assert out == ""
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "document,message",
+    [
+        # [e2, e3] = e1 beside [e0, e1] = e2: Jacobi fails on (0, 1, 3) first
+        (
+            {"n": 4, "k": 2, "brackets": [
+                GOOD_BRACKET, {"i": 2, "j": 3, "terms": [{"l": 1, "c": "1"}]}
+            ]},
+            "Jacobi identity at basis triple (0, 1, 3)",
+        ),
+        # [e0, e1] = e1 is a Lie algebra, but not a nilpotent one
+        (
+            {"n": 2, "k": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"l": 1, "c": "1"}]}]},
+            "not nilpotent",
+        ),
+    ],
+)
+def test_loaded_algebra_must_be_nilpotent_lie(capsys, tmp_path, document, message):
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    for command in (("cohomology", "h2nil"), ("algebra", "build")):
+        code, out, err = _run(capsys, *command, "--in", str(path), "--k", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
 
 
 def test_algebra_file_constants_stay_exact(capsys, tmp_path):

@@ -16,7 +16,7 @@ from graphlie.cohomology import (
     is_at_most_two_step,
 )
 from graphlie.graphs import SimpleGraph, enumerate_graphs
-from graphlie.liealg import LieAlgebra
+from graphlie.liealg import LieAlgebra, lower_central_series
 from graphlie.linalg import ONE, ZERO, IntRowReducer, RatMatrix, RowReducer
 
 C4 = SimpleGraph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -162,6 +162,20 @@ def test_two_step_guards():
         eta2_matrix(three_step)
     with pytest.raises(ValueError):
         h2_nil(three_step)
+
+
+def test_h2_checks_two_step_once(monkeypatch):
+    import graphlie.cohomology as cohomology
+
+    calls = []
+
+    def counted(algebra):
+        calls.append(algebra)
+        return lower_central_series(algebra)
+
+    monkeypatch.setattr(cohomology, "lower_central_series", counted)
+    h2_nil(structure_constants(C4, 2))
+    assert len(calls) == 1
 
 
 def test_h2_fixed_reports():

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from graphlie.graphs import (
     parse_graph,
     to_graph6,
 )
+from graphlie.limits import VERTEX_LIMITS
 
 STAR_GRAPH = SimpleGraph.make(3, [(1, 2), (1, 3)])
 
@@ -133,6 +135,91 @@ def test_canonical_form_size_limit():
         canonical_form(SimpleGraph.make(9, []))
 
 
+def _permutation_canonical_form(graph):
+    """The m! search that canonical_form replaced, kept as its oracle."""
+    pairs = list(combinations(range(graph.m), 2))
+    verts = list(range(1, graph.m + 1))
+    best = None
+    for order in permutations(verts):
+        bits = tuple(
+            1 if graph.adjacent(order[i], order[j]) else 0 for i, j in pairs
+        )
+        if best is None or bits < best:
+            best = bits
+    return "".join(str(b) for b in best)
+
+
+def _complete_multipartite(*sizes):
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    part = {v: i for i, (a, s) in enumerate(zip(starts, sizes)) for v in range(a + 1, a + s + 1)}
+    m = sum(sizes)
+    return SimpleGraph.make(m, [(i, j) for i, j in combinations(range(1, m + 1), 2) if part[i] != part[j]])
+
+
+def _disjoint_cliques(*sizes):
+    return _complete_multipartite(*sizes).complement()
+
+
+def _cycle(m):
+    return SimpleGraph.make(m, [(i, i % m + 1) for i in range(1, m + 1)])
+
+
+def _cube():
+    pairs = combinations(range(8), 2)
+    return SimpleGraph.make(8, [(a + 1, b + 1) for a, b in pairs if bin(a ^ b).count("1") == 1])
+
+
+def test_canonical_form_matches_permutations_exhaustively():
+    for m in range(1, 6):
+        npairs = m * (m - 1) // 2
+        for mask in range(1 << npairs):
+            g = _graph_from_mask(m, mask)
+            assert canonical_form(g) == _permutation_canonical_form(g), (m, mask)
+
+
+def test_canonical_form_matches_permutations_random():
+    rng = random.Random(2014)
+    for m, count in ((6, 30), (7, 12), (8, 2)):
+        for _ in range(count):
+            density = rng.random()
+            pairs = [p for p in combinations(range(1, m + 1), 2) if rng.random() < density]
+            g = SimpleGraph.make(m, pairs)
+            assert canonical_form(g) == _permutation_canonical_form(g), g
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        _complete_multipartite(3, 3),
+        _complete_multipartite(2, 5),
+        _complete_multipartite(3, 5),
+        _complete_multipartite(2, 2, 3),
+        _disjoint_cliques(3, 3),
+        _disjoint_cliques(1, 2, 4),
+        _disjoint_cliques(4, 4),
+        _cycle(6),
+        _cycle(7),
+        _cycle(8),
+        _cube(),
+    ],
+    ids=["K33", "K25", "K35", "K223", "2K3", "K1+K2+K4", "2K4", "C6", "C7", "C8", "Q3"],
+)
+def test_canonical_form_matches_permutations_symmetric(graph):
+    assert canonical_form(graph) == _permutation_canonical_form(graph)
+    # any relabelling of a graph has the same form
+    order = list(range(1, graph.m + 1))
+    random.Random(graph.m).shuffle(order)
+    moved = SimpleGraph.make(graph.m, [(order[i - 1], order[j - 1]) for i, j in graph.edges])
+    assert canonical_form(moved) == canonical_form(graph)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_canonical_form_empty_and_complete(m):
+    npairs = m * (m - 1) // 2
+    assert canonical_form(SimpleGraph.make(m, [])) == "0" * npairs
+    assert canonical_form(SimpleGraph.make(m, combinations(range(1, m + 1), 2))) == "1" * npairs
+
+
 def test_canonical_form_partition_four_vertices():
     forms = {canonical_form(_graph_from_mask(4, mask)) for mask in range(64)}
     assert len(forms) == 11
@@ -143,7 +230,10 @@ def _graph_from_mask(m, mask):
     return SimpleGraph.make(m, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
-@pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
+# OEIS A000088
+@pytest.mark.parametrize(
+    "n,count", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044)]
+)
 def test_enumerate_counts(n, count):
     assert len(enumerate_graphs(n)) == count
 
@@ -165,8 +255,50 @@ def test_enumerate_sorted_and_canonical():
         assert graph_from_canonical(4, form) == g
 
 
+def test_every_size_check_reads_the_limits_table(monkeypatch):
+    from graphlie.rigidity import sweep
+
+    k3 = SimpleGraph.make(3, [(1, 2), (1, 3), (2, 3)])
+    for name, call in (
+        ("canonical_form", lambda: canonical_form(k3)),
+        ("enumerate_graphs", lambda: enumerate_graphs(3)),
+        ("sweep", lambda: sweep(3, 3)),
+    ):
+        call()
+        with monkeypatch.context() as patch:
+            patch.setitem(VERTEX_LIMITS, name, (1, 2))
+            with pytest.raises(ValueError, match=f"{name} supports 1..2 vertices"):
+                call()
+
+
+def test_limits_table_in_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for name, (low, high) in VERTEX_LIMITS.items():
+        assert f"| `{name}` | {low}..{high} |" in readme
+
+
 def test_enumerate_range_errors():
     with pytest.raises(ValueError):
         enumerate_graphs(0)
     with pytest.raises(ValueError):
         enumerate_graphs(8)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_enumerate_matches_networkx_atlas(n):
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+
+    reps = {canonical_form(g): g for g in enumerate_graphs(n)}
+    matched = set()
+    for atlas in graph_atlas_g():
+        if atlas.number_of_nodes() != n:
+            continue
+        ours = SimpleGraph.make(n, [(i + 1, j + 1) for i, j in atlas.edges()])
+        form = canonical_form(ours)
+        rep = nx.Graph(list(reps[form].edges))
+        rep.add_nodes_from(range(1, n + 1))
+        assert nx.is_isomorphic(atlas, rep)
+        matched.add(form)
+    # atlas classes are pairwise non-isomorphic, so this is a bijection
+    assert len(matched) == len(reps)

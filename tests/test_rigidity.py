@@ -297,9 +297,21 @@ def test_verdict_json():
 
 def test_sweep_guards():
     with pytest.raises(ValueError):
-        sweep(6, 2)
+        sweep(7, 2)
+    with pytest.raises(ValueError):
+        sweep(7, 3)
+    with pytest.raises(ValueError):
+        sweep(1, 2)
     with pytest.raises(ValueError):
         sweep(4, 1)
+
+
+def test_sweep_6_3():
+    six = [row for row in sweep(6, 3) if row["m"] == 6]
+    assert len(six) == 156
+    verdicts = [row["verdict"] for row in six]
+    assert verdicts.count("not_rigid") == 155
+    assert verdicts.count("rigid") == 1
 
 
 def test_sweep_4_2():
