@@ -23,9 +23,10 @@ The slot-two nil-cohomology of an at most 2-step algebra is
 im delta1 <= ker eta2 is asserted at runtime; whether ker eta2 is already
 contained in ker delta2 is only recorded as a flag, never assumed.
 
-The matrices are built on integers (structure constants scaled by the lcm
-of their denominators) and returned as RatMatrix; h2_nil clears their
-denominators again and takes every rank by fraction-free elimination.
+The matrices are built as integer rows, with the structure constants
+scaled by L, the lcm of their denominators. The rows go into the RatMatrix
+as they are, divided by L only when L != 1, and h2_nil takes every rank by
+fraction-free elimination on them.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class _CochainRows:
     sign * ad(e_lead), whose (d, u) entry is the e_d coefficient of
     [e_lead, e_u], and a structure constant times the identity. Entries are
     accumulated as ints: every structure constant is scaled by L, the lcm of
-    their denominators, and matrix() divides by L again.
+    their denominators, and matrix() divides by L only when L != 1.
     """
 
     def __init__(self, algebra: LieAlgebra):
@@ -123,13 +124,13 @@ class _CochainRows:
             row[col_base + d] = row.get(col_base + d, 0) + coef
 
     def matrix(self, nrows: int, ncols: int) -> RatMatrix:
-        scale = self.scale
-        entries = {}
-        for r in sorted(self.rows):
-            for c, v in self.rows[r].items():
-                if v:
-                    entries[(r, c)] = v if scale == 1 else Fraction(v, scale)
-        return RatMatrix(nrows, ncols, entries)
+        """Hand the rows to a RatMatrix, divided by L in place when L != 1."""
+        rows, scale = self.rows, self.scale
+        if scale != 1:
+            for row in rows.values():
+                for c, v in row.items():
+                    row[c] = Fraction(v, scale)
+        return RatMatrix(nrows, ncols, rows)
 
 
 def delta1_matrix(algebra: LieAlgebra, coords: CochainCoordinates | None = None) -> RatMatrix:
@@ -192,18 +193,10 @@ def is_at_most_two_step(algebra: LieAlgebra) -> bool:
 
 
 def _reduce(matrix: RatMatrix, *reducers) -> None:
-    """Feed the rows of matrix, cleared of denominators, to every reducer.
-
-    Multiplying the whole matrix by the lcm of its denominators keeps every
-    rank, so the integer ranks are the ranks over Q.
-    """
-    scale = lcm(*{v.denominator for v in matrix.entries.values()})
-    rows: dict = {}
-    for (r, c), v in matrix.entries.items():
-        rows.setdefault(r, {})[c] = v.numerator * (scale // v.denominator)
-    for r in sorted(rows):
+    """Feed the rows of matrix, scaled to integers, to every reducer in row order."""
+    for row in matrix.int_rows():
         for red in reducers:
-            red.add(rows[r])
+            red.add(row)
 
 
 @dataclass(frozen=True)

@@ -83,10 +83,10 @@ def parse_graph(text: str, fmt: str = "edge-list-json") -> SimpleGraph:
 
 def from_graph6(code: str) -> SimpleGraph:
     code = code.strip()
-    if not code:
-        raise ValueError("empty graph6 code")
     if code.startswith(">>graph6<<"):
         code = code[len(">>graph6<<"):]
+    if not code:
+        raise ValueError("empty graph6 code")
     vals = []
     for ch in code:
         o = ord(ch)
@@ -207,10 +207,12 @@ def canonical_form(graph: SimpleGraph) -> str:
 
 
 def graph_from_canonical(m: int, form: str) -> SimpleGraph:
+    """The graph that a canonical_form string encodes; its pairs are valid by construction."""
+    check_vertices("canonical_form", m)
     pairs = list(combinations(range(1, m + 1), 2))
     if len(form) != len(pairs):
         raise ValueError("canonical string length does not match vertex count")
-    return SimpleGraph.make(m, [p for p, bit in zip(pairs, form) if bit == "1"])
+    return SimpleGraph(m, frozenset(p for p, bit in zip(pairs, form) if bit == "1"))
 
 
 def enumerate_graphs(n: int) -> list:
@@ -221,7 +223,7 @@ def enumerate_graphs(n: int) -> list:
     n-vertex graph lands in some (n-1)-vertex class.
     """
     check_vertices("enumerate_graphs", n)
-    reps = {canonical_form(SimpleGraph.make(1, []))}
+    reps = {canonical_form(SimpleGraph(1, frozenset()))}
     size = 1
     while size < n:
         size += 1
@@ -233,7 +235,6 @@ def enumerate_graphs(n: int) -> list:
                 for v in range(1, size):
                     if mask >> (v - 1) & 1:
                         edges.add((v, size))
-                g = SimpleGraph.make(size, edges)
-                next_reps.add(canonical_form(g))
+                next_reps.add(canonical_form(SimpleGraph(size, frozenset(edges))))
         reps = next_reps
     return [graph_from_canonical(n, form) for form in sorted(reps)]

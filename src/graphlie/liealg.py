@@ -4,12 +4,14 @@ Structure constants are stored once per unordered basis pair: sc maps
 (i, j) with i < j to a sparse dict {l: c} meaning [e_i, e_j] = sum c e_l.
 A GradedLieAlgebra additionally knows a grading (block sizes by degree)
 and, when it was built from a graph, a label and a multidegree for every
-basis element. All three ingredients are treated as immutable.
+basis element. All three are read-only (sc and adjacency() are mapping
+proxies all the way down), since structure_constants shares cached algebras.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import InternalInvariantError
 from .linalg import (
@@ -49,8 +51,8 @@ def _clean_sc(n: int, sc: dict) -> dict:
             if c:
                 cleaned[l] = c
         if cleaned:
-            out[(i, j)] = cleaned
-    return out
+            out[(i, j)] = MappingProxyType(cleaned)
+    return MappingProxyType(out)
 
 
 class LieAlgebra:
@@ -77,8 +79,8 @@ class LieAlgebra:
             adj: dict = {}
             for (i, j), terms in self.sc.items():
                 adj.setdefault(i, {})[j] = terms
-                adj.setdefault(j, {})[i] = {l: -c for l, c in terms.items()}
-            self._adj = adj
+                adj.setdefault(j, {})[i] = MappingProxyType({l: -c for l, c in terms.items()})
+            self._adj = MappingProxyType({i: MappingProxyType(row) for i, row in adj.items()})
         return self._adj
 
     def bracket_sparse(self, x: dict, y: dict) -> dict:
@@ -170,13 +172,14 @@ def is_nilpotent(algebra: LieAlgebra) -> bool:
 def center(algebra: LieAlgebra) -> Subspace:
     """Kernel of the stacked adjoint maps x -> ([x, e_j])_j."""
     n = algebra.n
-    entries = {}
+    # Row j*n + l holds the e_l coefficients of [x, e_j]; pairs are stored
+    # once with i < j, so no two terms land on the same entry.
+    rows: dict = {}
     for (i, j), terms in algebra.sc.items():
         for l, c in terms.items():
-            entries[(j * n + l, i)] = entries.get((j * n + l, i), ZERO) + c
-            entries[(i * n + l, j)] = entries.get((i * n + l, j), ZERO) - c
-    stacked = RatMatrix(n * n, n, entries)
-    return kernel_basis(stacked)
+            rows.setdefault(j * n + l, {})[i] = c
+            rows.setdefault(i * n + l, {})[j] = -c
+    return kernel_basis(RatMatrix(n * n, n, rows))
 
 
 def jacobi_report(algebra: LieAlgebra) -> list:

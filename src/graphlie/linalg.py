@@ -1,21 +1,26 @@
 """Exact rational linear algebra on sparse matrices.
 
-Every coefficient in this package is a fractions.Fraction; there is no
-floating point and no tolerance anywhere. Rows of sparse matrices and
-sparse vectors are dicts mapping an index to a nonzero Fraction. Dense
-vectors are lists of Fractions. The one exception is IntRowReducer, which
-ranks integer rows (a rational matrix cleared of its denominators).
+Every coefficient is exact, an int or a fractions.Fraction; there is no
+floating point and no tolerance anywhere. A sparse vector, and each row of
+a RatMatrix, is a dict mapping an index to a nonzero coefficient; integer
+input stays int until a division makes a Fraction. Dense vectors are lists.
+IntRowReducer ranks integer rows without ever dividing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
+from operator import attrgetter
+from types import MappingProxyType
 
 from .errors import InternalInvariantError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_EXACT = frozenset((int, Fraction))
+_DENOMINATOR = attrgetter("denominator")
 
 
 def is_int(value) -> bool:
@@ -61,104 +66,98 @@ def axpy(dst: dict, coef, src: dict) -> dict:
 
 
 class RatMatrix:
-    """Sparse matrix over the rationals; entries maps (row, col) to a nonzero Fraction."""
+    """Sparse matrix over the rationals, stored by rows as {row: {col: value}}.
 
-    __slots__ = ("rows", "cols", "entries")
+    Values are exact (ints or Fractions). Zero entries and empty rows are
+    not stored.
+    """
 
-    def __init__(self, rows: int, cols: int, entries: dict | None = None):
+    __slots__ = ("rows", "cols", "_data")
+
+    def __init__(self, rows: int, cols: int, data: dict | None = None):
+        """Adopt data, a dict {row: {col: value}}, and clean it in place.
+
+        The matrix owns data and its row dicts from here on: zeros and empty
+        rows are deleted from them, not copied away. Each check is one pass
+        over all entries, since cochain matrices have thousands of rows.
+        """
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
+        data = {} if data is None else data
+        if not (
+            all(map(range(rows).__contains__, data))
+            and all(map(range(cols).__contains__, chain.from_iterable(data.values())))
+        ):
+            raise ValueError(f"an index lies outside the {rows}x{cols} matrix")
+        values = list(chain.from_iterable(map(dict.values, data.values())))
+        if not _EXACT.issuperset(map(type, values)):
+            raise TypeError("matrix entries must be ints or Fractions")
+        if 0 in values or not all(data.values()):
+            for r in list(data):
+                row = data[r]
+                for c in [c for c, v in row.items() if not v]:
+                    del row[c]
+                if not row:
+                    del data[r]
         self.rows = rows
         self.cols = cols
-        self.entries = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise ValueError(f"entry ({r},{c}) outside {rows}x{cols} matrix")
-                v = frac(v)
-                if v:
-                    self.entries[(r, c)] = v
+        self._data = data
 
-    @classmethod
-    def from_rows(cls, data, cols: int | None = None) -> "RatMatrix":
-        data = [list(row) for row in data]
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        entries = {}
-        for r, row in enumerate(data):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                v = frac(v)
-                if v:
-                    entries[(r, c)] = v
-        return cls(len(data), cols, entries)
+    @property
+    def entries(self) -> MappingProxyType:
+        """Read-only {(row, col): value} view of the nonzero entries, built on each call."""
+        return MappingProxyType(
+            {(r, c): v for r, row in self._data.items() for c, v in row.items()}
+        )
 
-    @classmethod
-    def from_row_dicts(cls, row_dicts, cols: int) -> "RatMatrix":
-        entries = {}
-        row_dicts = list(row_dicts)
-        for r, row in enumerate(row_dicts):
-            for c, v in row.items():
-                v = frac(v)
-                if v:
-                    entries[(r, c)] = v
-        return cls(len(row_dicts), cols, entries)
+    def int_rows(self):
+        """The nonzero rows in row order, as read-only views, scaled to integers.
 
-    def row_dicts(self) -> list:
-        out = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
-    def to_rows(self) -> list:
-        out = [[ZERO] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
+        Every row is multiplied by the lcm of all denominators, so the rows
+        of an integer matrix come out as stored. Scaling keeps every rank.
+        """
+        data = self._data
+        scale = lcm(*set(map(_DENOMINATOR, chain.from_iterable(map(dict.values, data.values())))))
+        for r in sorted(data):
+            row = data[r]
+            if scale != 1:
+                row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+            yield MappingProxyType(row)
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         # Column c2 of the product is the sum of other[c, c2] * (column c of
         # self): one axpy per entry of other, the smaller factor in h2_nil.
+        # Only the columns of self that meet a nonzero row of other are used.
+        right = other._data
         self_cols: dict = {}
-        for (r, c), v in self.entries.items():
-            self_cols.setdefault(c, {})[r] = v
+        for r, row in self._data.items():
+            for c, v in row.items():
+                if c in right:
+                    self_cols.setdefault(c, {})[r] = v
         acc: dict = {}
-        for (c, c2), w in other.entries.items():
+        for c, row in right.items():
             if c in self_cols:
-                axpy(acc.setdefault(c2, {}), w, self_cols[c])
-        return RatMatrix(
-            self.rows,
-            other.cols,
-            {(r, c2): x for c2, col in acc.items() for r, x in col.items()},
-        )
-
-    def mul_vec(self, vec) -> list:
-        """Matrix times dense column vector."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match")
-        out = [ZERO] * self.rows
-        for (r, c), v in self.entries.items():
-            if vec[c]:
-                out[r] += v * vec[c]
-        return out
+                for c2, w in row.items():
+                    axpy(acc.setdefault(c2, {}), w, self_cols[c])
+        out: dict = {}
+        for c2, col in acc.items():
+            for r, x in col.items():
+                out.setdefault(r, {})[c2] = x
+        return RatMatrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._data
 
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
 
     def __repr__(self):
-        return f"RatMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+        nnz = sum(map(len, self._data.values()))
+        return f"RatMatrix({self.rows}x{self.cols}, nnz={nnz})"
 
 
 class RowReducer:
@@ -276,6 +275,13 @@ class CoordinateSolver:
         return {c - self.offset: -v for c, v in rem.items()}
 
 
+def _echelon(matrix: RatMatrix) -> RowReducer:
+    red = RowReducer()
+    for row in matrix._data.values():
+        red.add(row)
+    return red
+
+
 def rref(matrix: RatMatrix):
     """Reduced row echelon form.
 
@@ -283,30 +289,23 @@ def rref(matrix: RatMatrix):
     RREF rows on top and zero rows below. Gauss-Jordan with the pivot taken
     as the first nonzero column, so the output is deterministic.
     """
-    red = RowReducer()
-    for row in matrix.row_dicts():
-        red.add(row)
+    red = _echelon(matrix)
     rows = red.rows_sorted()
-    out = RatMatrix.from_row_dicts(
-        rows + [dict() for _ in range(matrix.rows - len(rows))], matrix.cols
-    )
+    out = RatMatrix(matrix.rows, matrix.cols, dict(enumerate(rows)))
     return out, sorted(red.pivots), len(rows)
 
 
 def kernel_basis(matrix: RatMatrix) -> "Subspace":
     """Right kernel {x : Mx = 0} as a subspace of dimension cols - rank."""
-    reduced, pivot_cols, rank = rref(matrix)
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(matrix.cols) if c not in pivot_set]
-    rows = reduced.row_dicts()[:rank]
+    pivots = _echelon(matrix).pivots
     basis = []
-    for f in free_cols:
-        vec = {f: ONE}
-        for p, row in zip(pivot_cols, rows):
-            v = row.get(f, ZERO)
-            if v:
-                vec[p] = -v
-        basis.append(vec)
+    for f in range(matrix.cols):
+        if f not in pivots:
+            vec = {f: ONE}
+            for p, row in pivots.items():
+                if f in row:
+                    vec[p] = -row[f]
+            basis.append(vec)
     return Subspace(matrix.cols, basis)
 
 

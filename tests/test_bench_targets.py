@@ -2,11 +2,15 @@
 
 perfbench/spans.py wraps graphlie functions by name and reads the entries
 and column count of the cochain matrices. A rename would leave a span with
-zero calls, so every target is checked here against the current package.
+zero calls, so every target is checked here against the current package,
+and the counters a traced sweep reports are pinned.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 from graphlie.basis import structure_constants
@@ -40,3 +44,35 @@ def test_cochain_matrices_keep_the_fields_the_spans_read():
         matrix = build(algebra)
         assert isinstance(matrix.cols, int) and matrix.cols > 0
         assert len(matrix.entries) > 0
+
+
+def test_traced_sweep_counts_are_pinned():
+    # The benchmark's per-layer counters, read off a traced `rigidity sweep
+    # --n 5 --k 2`. The tracer patches module globals, so it runs in a child.
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import contextlib, io, json, sys\n"
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+        "from graphlie import cli\n"
+        "import spans\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.run_command(['rigidity', 'sweep', '--n', '5', '--k', '2'])\n"
+        "print(json.dumps({'code': code, **tracer.report()}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["code"] == 0
+    assert report["counts"]["cohomology.matrix_nnz"] == 82650
+    assert report["counts"]["cohomology.cochain_cols"] == 19750
+    for name in (
+        "linalg.RatMatrix.matmul",
+        "cohomology.delta1_matrix",
+        "cohomology.delta2_matrix",
+        "cohomology.eta2_matrix",
+    ):
+        assert report["spans"][name][0] >= 1, name

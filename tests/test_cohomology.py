@@ -30,6 +30,22 @@ HEISENBERG = LieAlgebra(3, {(0, 1): {2: 1}})
 ABELIAN2 = LieAlgebra(2, {})
 
 
+def _mul_vec(matrix, vec):
+    """Matrix times dense column vector."""
+    out = [ZERO] * matrix.rows
+    for (r, c), v in matrix.entries.items():
+        out[r] += v * vec[c]
+    return out
+
+
+def _by_rows(entries):
+    """A {(row, col): value} dict regrouped as the {row: {col: value}} a RatMatrix takes."""
+    rows: dict = {}
+    for (r, c), v in entries.items():
+        rows.setdefault(r, {})[c] = v
+    return rows
+
+
 def test_coordinates():
     coords = CochainCoordinates(3)
     assert coords.pairs == [(0, 1), (0, 2), (1, 2)]
@@ -69,7 +85,7 @@ def test_delta1_of_identity_is_bracket():
         identity = [ZERO] * coords.dim_hom
         for a in range(alg.n):
             identity[coords.f_coord(a, a)] = ONE
-        image = delta1_matrix(alg, coords).mul_vec(identity)
+        image = _mul_vec(delta1_matrix(alg, coords), identity)
         expected = [ZERO] * (len(coords.pairs) * alg.n)
         for p, (a, b) in enumerate(coords.pairs):
             for d, v in alg.bracket_basis(a, b).items():
@@ -87,7 +103,7 @@ def test_delta2_kills_the_bracket_cochain():
             if terms:
                 values[(a, b)] = terms
         sigma = coords.sigma_vector(values)
-        assert all(c == ZERO for c in delta2_matrix(alg, coords).mul_vec(sigma))
+        assert all(c == ZERO for c in _mul_vec(delta2_matrix(alg, coords), sigma))
 
 
 def test_delta1_kernel_is_derivation_space():
@@ -283,7 +299,7 @@ def _ref_delta1(algebra, coords):
         for l, v in algebra.bracket_basis(a, b).items():
             for d in range(n):
                 put(base + d, coords.f_coord(l, d), -v)
-    return RatMatrix(len(coords.pairs) * n, coords.dim_hom, entries)
+    return RatMatrix(len(coords.pairs) * n, coords.dim_hom, _by_rows(entries))
 
 
 def _ref_delta2(algebra, coords):
@@ -313,7 +329,7 @@ def _ref_delta2(algebra, coords):
                     if col is None:
                         continue
                     put(base + d, col, sign * s_sign * v)
-    return RatMatrix(len(coords.triples) * n, coords.dim_two_cochains, entries)
+    return RatMatrix(len(coords.triples) * n, coords.dim_two_cochains, _by_rows(entries))
 
 
 def _ref_eta2(algebra, coords):
@@ -340,15 +356,14 @@ def _ref_eta2(algebra, coords):
                     if col is None:
                         continue
                     put(base + d, col, s_sign * v)
-    return RatMatrix(len(coords.pairs) * n * n, coords.dim_two_cochains, entries)
+    return RatMatrix(len(coords.pairs) * n * n, coords.dim_two_cochains, _by_rows(entries))
 
 
 def _fraction_rank(*matrices):
     red = RowReducer()
     for matrix in matrices:
-        for row in matrix.row_dicts():
-            if row:
-                red.add(row)
+        for row in _by_rows(matrix.entries).values():
+            red.add(row)
     return red.rank
 
 
@@ -439,6 +454,49 @@ def test_builders_match_reference_builders():
         assert delta2_matrix(alg, coords) == _ref_delta2(alg, coords)
 
 
+def test_matrices_hold_ints_unless_constants_have_denominators():
+    # The builders hand their integer rows to the matrix as they are, and
+    # divide by L only when L != 1 (test_builders_match_reference_builders
+    # checks the values).
+    rng = random.Random(5)
+    for alg in _graph_algebras(4):
+        coords = CochainCoordinates(alg.n)
+        for build in (delta1_matrix, delta2_matrix, eta2_matrix):
+            entries = build(alg, coords).entries
+            assert all(type(v) is int for v in entries.values()), build.__name__
+        entries = eta2_matrix(_rescaled(alg, rng), coords).entries
+        assert any(isinstance(v, Fraction) and v.denominator > 1 for v in entries.values())
+
+
+def test_integer_rank_path_makes_no_fraction(monkeypatch):
+    # From the builders to the ranks, an integer algebra's rows stay ints.
+    # The 2-step check in eta2_matrix reduces Fraction subspaces, so it is
+    # answered here in advance.
+    import graphlie.cohomology as cohomology
+
+    alg = structure_constants(C4, 2)
+    coords = CochainCoordinates(alg.n)
+    assert is_at_most_two_step(alg)
+    monkeypatch.setattr(cohomology, "is_at_most_two_step", lambda algebra: True)
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    e2, d1 = eta2_matrix(alg, coords), delta1_matrix(alg, coords)
+    assert e2.matmul(d1).is_zero()
+    red = IntRowReducer()
+    for matrix in (e2, d1, delta2_matrix(alg, coords)):
+        _reduce(matrix, red)
+    monkeypatch.undo()
+    assert red.rank > 0
+    assert made == []
+    assert Fraction(2, 4) == Fraction(1, 2) and not made  # the constructor is restored
+
+
 def _blocks(matrix):
     """The entries of matrix split into blocks that share no row and no column."""
     parent = {}
@@ -490,7 +548,7 @@ def test_ranks_match_sympy():
         stacked = RatMatrix(
             e2.rows + d2.rows,
             coords.dim_two_cochains,
-            {**e2.entries, **{(e2.rows + r, c): v for (r, c), v in d2.entries.items()}},
+            _by_rows({**e2.entries, **{(e2.rows + r, c): v for (r, c), v in d2.entries.items()}}),
         )
         ranks = [_sympy_rank(sympy, m) for m in (d1, d2, e2, stacked)]
         assert [_int_rank(d1), _int_rank(d2), _int_rank(e2), _int_rank(e2, d2)] == ranks

@@ -75,7 +75,7 @@ def test_graph6_round_trip_random():
         assert from_graph6(to_graph6(g)) == g
 
 
-@pytest.mark.parametrize("code", ["", "~??", "C<", "C"])
+@pytest.mark.parametrize("code", ["", "~??", "C<", "C", ">>graph6<<"])
 def test_graph6_errors(code):
     with pytest.raises(ValueError):
         from_graph6(code)
@@ -253,6 +253,8 @@ def test_enumerate_sorted_and_canonical():
     assert len(set(forms)) == len(forms)
     for g, form in zip(graphs, forms):
         assert graph_from_canonical(4, form) == g
+    with pytest.raises(ValueError):
+        graph_from_canonical(0, "")  # canonical strings exist for 1..8 vertices only
 
 
 def test_every_size_check_reads_the_limits_table(monkeypatch):

@@ -302,3 +302,23 @@ def test_components_never_mix():
                 md = alg.labels[idx].multidegree
                 support |= {comp_of[v + 1] for v, c in enumerate(md) if c}
             assert len(support) == 1
+
+
+def test_cached_algebras_are_read_only():
+    graph = SimpleGraph.make(3, [(1, 2), (1, 3)])
+    alg = structure_constants(graph, 2)
+    original = {pair: dict(terms) for pair, terms in alg.sc.items()}
+    with pytest.raises(TypeError):
+        alg.sc[(0, 1)][2] = Fraction(5)
+    with pytest.raises(TypeError):
+        alg.sc[(1, 2)] = {0: Fraction(1)}
+    adj = alg.adjacency()
+    with pytest.raises(TypeError):
+        adj[1][0][2] = Fraction(5)
+    with pytest.raises(TypeError):
+        adj[1][2] = {}
+    with pytest.raises(TypeError):
+        adj[3] = {}
+    again = structure_constants(graph, 2)
+    assert again.sc == original
+    assert again.bracket_basis(1, 0) == {3: -1}

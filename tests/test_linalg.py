@@ -32,8 +32,22 @@ def test_frac_str_reduced():
     assert frac_str(Fraction(-1, 3)) == "-1/3"
 
 
+def _matrix(dense, cols=None):
+    """A RatMatrix from dense rows of ints or Fractions."""
+    dense = [list(row) for row in dense]
+    cols = len(dense[0]) if cols is None else cols
+    return RatMatrix(len(dense), cols, {r: dict(enumerate(row)) for r, row in enumerate(dense)})
+
+
+def _dense(matrix):
+    out = [[0] * matrix.cols for _ in range(matrix.rows)]
+    for (r, c), v in matrix.entries.items():
+        out[r][c] = v
+    return out
+
+
 def test_rref_identity_fixed():
-    m = RatMatrix.from_rows([[1, 0], [0, 1]])
+    m = _matrix([[1, 0], [0, 1]])
     r, pivots, rank = rref(m)
     assert r == m
     assert pivots == [0, 1]
@@ -41,21 +55,21 @@ def test_rref_identity_fixed():
 
 
 def test_rref_dependent_rows():
-    m = RatMatrix.from_rows([[1, 2], [2, 4]])
+    m = _matrix([[1, 2], [2, 4]])
     r, pivots, rank = rref(m)
     assert rank == 1
-    assert r.to_rows() == [[1, 2], [0, 0]]
+    assert _dense(r) == [[1, 2], [0, 0]]
 
 
 def test_rref_fraction_pivot_normalized():
-    m = RatMatrix.from_rows([[Fraction(2, 3), 1], [0, Fraction(5)]])
+    m = _matrix([[Fraction(2, 3), 1], [0, Fraction(5)]])
     r, pivots, rank = rref(m)
     assert rank == 2
-    assert r.to_rows() == [[1, 0], [0, 1]]
+    assert _dense(r) == [[1, 0], [0, 1]]
 
 
 def _random_matrix(rng, rows, cols):
-    return RatMatrix.from_rows(
+    return _matrix(
         [[Fraction(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)]
     )
 
@@ -67,11 +81,11 @@ def test_rref_pivots_invariant_under_row_scaling():
         cols = rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols)
         scaled_rows = []
-        for row in m.to_rows():
+        for row in _dense(m):
             c = Fraction(rng.choice([1, 2, 3, 5, 7]), rng.choice([1, 2, 3]))
             scaled_rows.append([c * v for v in row])
         r1, p1, k1 = rref(m)
-        r2, p2, k2 = rref(RatMatrix.from_rows(scaled_rows, cols))
+        r2, p2, k2 = rref(_matrix(scaled_rows, cols))
         assert p1 == p2
         assert k1 == k2
         assert r1 == r2
@@ -90,9 +104,9 @@ def test_rank_plus_nullity():
 def test_kernel_examples():
     zero = RatMatrix(2, 3)
     assert kernel_basis(zero).dim == 3
-    ident = RatMatrix.from_rows([[1, 0], [0, 1]])
+    ident = _matrix([[1, 0], [0, 1]])
     assert kernel_basis(ident).dim == 0
-    m = RatMatrix.from_rows([[1, 1, 0]])
+    m = _matrix([[1, 1, 0]])
     ker = kernel_basis(m)
     assert ker.dim == 2
     assert ker.contains([Fraction(1), Fraction(-1), Fraction(0)])
@@ -105,25 +119,25 @@ def test_kernel_vectors_annihilate():
         ker = kernel_basis(m)
         for row in ker.basis_rows():
             vec = [row.get(i, Fraction(0)) for i in range(m.cols)]
-            assert all(v == 0 for v in m.mul_vec(vec))
+            assert all(sum(x * y for x, y in zip(line, vec)) == 0 for line in _dense(m))
 
 
 def test_matmul():
-    a = RatMatrix.from_rows([[1, 2], [3, 4]])
-    b = RatMatrix.from_rows([[0, 1], [1, 0]])
-    assert a.matmul(b).to_rows() == [[2, 1], [4, 3]]
+    a = _matrix([[1, 2], [3, 4]])
+    b = _matrix([[0, 1], [1, 0]])
+    assert _dense(a.matmul(b)) == [[2, 1], [4, 3]]
     # products that cancel leave no stored entry
-    c = RatMatrix.from_rows([[1, 1]]).matmul(RatMatrix.from_rows([[1, 2], [-1, 0]]))
+    c = _matrix([[1, 1]]).matmul(_matrix([[1, 2], [-1, 0]]))
     assert c.entries == {(0, 1): 2}
     rng = random.Random(13)
     for _ in range(30):
         rows, inner, cols = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
         a, b = _random_matrix(rng, rows, inner), _random_matrix(rng, inner, cols)
         dense = [
-            [sum(x * y for x, y in zip(row, col)) for col in zip(*b.to_rows())]
-            for row in a.to_rows()
+            [sum(x * y for x, y in zip(row, col)) for col in zip(*_dense(b))]
+            for row in _dense(a)
         ]
-        assert a.matmul(b) == RatMatrix.from_rows(dense, cols)
+        assert a.matmul(b) == _matrix(dense, cols)
 
 
 def test_axpy_drops_cancelled_entries():
@@ -144,7 +158,7 @@ def test_coordinate_solver_round_trip():
     for _ in range(40):
         cols = rng.randint(1, 5)
         matrix = _random_matrix(rng, rng.randint(1, cols), cols)
-        rows = matrix.row_dicts()
+        rows = [{c: v for c, v in enumerate(row) if v} for row in _dense(matrix)]
         if rref(matrix)[2] < len(rows):
             with pytest.raises(InternalInvariantError):
                 CoordinateSolver(rows, cols)
@@ -230,3 +244,48 @@ def test_int_row_reducer_stores_primitive_rows():
     assert not red.add({3: 0})
     assert red.rank == 2
     assert red.pivots == {0: {0: 2, 2: 3}, 1: {1: 1}}
+
+
+def test_rat_matrix_rejects_bad_input():
+    with pytest.raises(ValueError):
+        RatMatrix(2, 2, {2: {0: 1}})  # row out of range
+    with pytest.raises(ValueError):
+        RatMatrix(2, 2, {-1: {0: 1}})
+    with pytest.raises(ValueError):
+        RatMatrix(2, 2, {0: {2: 1}})  # column out of range
+    with pytest.raises(ValueError):
+        RatMatrix(2, 2, {0: {-1: 1}})
+    with pytest.raises(ValueError):
+        RatMatrix(-1, 2)
+    with pytest.raises(ValueError):
+        RatMatrix(2, -1)
+    with pytest.raises(TypeError):
+        RatMatrix(2, 2, {0: {0: 0.5}})
+    with pytest.raises(TypeError):
+        RatMatrix(2, 2, {0: {0: 0.0}})  # a float is rejected even when it is zero
+
+
+def test_rat_matrix_adopts_and_cleans_its_rows():
+    data = {0: {0: 2, 1: 0, 2: Fraction(-1, 3)}, 1: {}, 3: {1: 0}, 4: {2: Fraction(0)}, 5: {0: 7}}
+    row0 = data[0]
+    m = RatMatrix(6, 3, data)
+    # zeros and empty rows are deleted in place: the matrix keeps the caller's dicts
+    assert data == {0: {0: 2, 2: Fraction(-1, 3)}, 5: {0: 7}}
+    assert row0 == {0: 2, 2: Fraction(-1, 3)}
+    assert dict(m.entries) == {(0, 0): 2, (0, 2): Fraction(-1, 3), (5, 0): 7}
+    assert len(m.entries) == 3
+    assert type(m.entries[(0, 0)]) is int
+    with pytest.raises(TypeError):
+        m.entries[(1, 1)] = 1  # the (r, c) view is read-only
+    assert RatMatrix(6, 3, {0: {0: 2, 2: Fraction(-1, 3)}, 5: {0: 7}}) == m
+    assert RatMatrix(2, 2, {0: {}, 1: {0: 0}}).is_zero()
+
+
+def test_int_rows_scale_to_integers():
+    m = RatMatrix(3, 3, {2: {0: Fraction(1, 2), 1: 3}, 0: {2: Fraction(-2, 3)}})
+    assert [dict(row) for row in m.int_rows()] == [{2: -4}, {0: 3, 1: 18}]
+    ints = RatMatrix(2, 2, {1: {0: 4}, 0: {1: -2}})
+    rows = list(ints.int_rows())
+    assert [dict(row) for row in rows] == [{1: -2}, {0: 4}]
+    with pytest.raises(TypeError):
+        rows[0][1] = 5  # the rows are read-only views
