@@ -1,7 +1,8 @@
-"""The vertex-count limits of the size-bounded operations.
+"""The size limits of the size-bounded operations.
 
-Every bound lives in ``VERTEX_LIMITS``, and every operation checks its
-input with ``check_vertices``, so the README's limits table has one source.
+Every vertex bound lives in ``VERTEX_LIMITS``, and every operation checks
+its input with ``check_vertices``; ``MAX_DIM`` bounds the basis that
+``graded_basis`` builds. The README's limits table has this one source.
 """
 
 from __future__ import annotations
@@ -13,9 +14,18 @@ VERTEX_LIMITS = {
     "sweep": (2, 6),
 }
 
+# the most basis elements graded_basis builds; (6, 5) on K6 needs 1960
+MAX_DIM = 2000
+
 
 def check_vertices(operation: str, m: int) -> None:
     """Raise ValueError unless m lies in the operation's vertex range."""
     low, high = VERTEX_LIMITS[operation]
     if not low <= m <= high:
         raise ValueError(f"{operation} supports {low}..{high} vertices, not {m}")
+
+
+def check_dim(dims: list) -> None:
+    """Raise ValueError if the per-degree dimensions add up to more than MAX_DIM."""
+    if sum(dims) > MAX_DIM:
+        raise ValueError(f"the algebra has {sum(dims)} basis elements; the budget is {MAX_DIM}")

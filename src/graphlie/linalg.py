@@ -166,7 +166,9 @@ class RowReducer:
     Rows are sparse dicts. Stored pivot rows are normalized to a unit pivot
     and mutually reduced, so rows_sorted() is the reduced row echelon basis
     of everything added so far. The pivot of a row is its least nonzero
-    column, which makes the result deterministic.
+    column, which makes the result deterministic. A pivot of 1 or -1 is
+    normalized by keeping or negating the row, so int rows stay int; only
+    another pivot divides and makes Fractions.
     """
 
     def __init__(self):
@@ -189,8 +191,12 @@ class RowReducer:
         if not red:
             return False
         p = min(red)
-        inv = ONE / red[p]
-        red = {c: v * inv for c, v in red.items()}
+        piv = red[p]
+        if piv == -1:
+            red = {c: -v for c, v in red.items()}
+        elif piv != 1:
+            inv = ONE / piv
+            red = {c: v * inv for c, v in red.items()}
         for prow in self.pivots.values():
             if p in prow:
                 axpy(prow, -prow[p], red)
@@ -262,7 +268,7 @@ class CoordinateSolver:
         self.red = RowReducer()
         for pos, row in enumerate(rows):
             aug = dict(row)
-            aug[offset + pos] = ONE
+            aug[offset + pos] = 1
             self.red.add(aug)
         if any(p >= offset for p in self.red.pivots):
             raise InternalInvariantError("basis rows are dependent")

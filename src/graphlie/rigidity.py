@@ -186,23 +186,17 @@ def certify_graded_witness(algebra: GradedLieAlgebra, a1: int, a2: int, y) -> bo
     return not obstruction.contains(y_sparse)
 
 
-def _derived_indices(algebra: GradedLieAlgebra) -> list:
-    return [i for i in range(algebra.n) if algebra.degrees[i] >= 2]
-
-
 def _graded_obstruction(algebra: GradedLieAlgebra, a1: int, a2: int) -> Subspace:
-    derived = _derived_indices(algebra)
-    rows = []
-    for pos, i in enumerate(derived):
-        for j in derived[pos + 1:]:
-            terms = algebra.bracket_basis(i, j)
-            if terms:
-                rows.append(terms)
-    for a in (a1, a2):
-        for j in derived:
-            terms = algebra.bracket_basis(a, j)
-            if terms:
-                rows.append(terms)
+    """[g', g'] + [a1, g'] + [a2, g'], spanned by stored brackets (i, j).
+
+    Degree-one indices come first, so i < j and deg i >= 2 means [g', g'].
+    """
+    degrees = algebra.degrees
+    rows = [
+        dict(terms)
+        for (i, j), terms in algebra.sc.items()
+        if degrees[i] >= 2 or (degrees[j] >= 2 and i in (a1, a2))
+    ]
     return Subspace(algebra.n, rows)
 
 

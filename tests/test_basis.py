@@ -1,9 +1,13 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
+from graphlie import basis
 from graphlie.basis import (
     _context,
     bracket_word_label,
@@ -19,13 +23,16 @@ from graphlie.basis import (
     trace_normal_form,
 )
 from graphlie.graphs import SimpleGraph, enumerate_graphs
-from graphlie.liealg import grading_support_check, jacobi_report
+from graphlie.liealg import algebra_to_json_dict, grading_support_check, jacobi_report
+from graphlie.limits import MAX_DIM
 
 STAR = SimpleGraph.make(3, [(1, 2), (1, 3)])
 K2 = SimpleGraph.make(2, [(1, 2)])
 PATH3 = SimpleGraph.make(3, [(1, 2), (2, 3)])
 EDGELESS3 = SimpleGraph.make(3, [])
 K3 = SimpleGraph.make(3, [(1, 2), (1, 3), (2, 3)])
+K5 = SimpleGraph.make(5, list(combinations(range(1, 6), 2)))
+DIGESTS = Path(__file__).resolve().parent / "data" / "algebra_digests.json"
 
 
 def _trace_class(word, graph):
@@ -363,3 +370,70 @@ def test_structure_constants_small_classes_are_lie_algebras():
                 assert alg.grading == tuple(dimension_oracle(graph, k))
                 assert jacobi_report(alg) == []
                 assert grading_support_check(alg)
+
+
+def test_algebra_digests_match_the_fraction_pipeline():
+    # sha256 over the sorted-key JSON of every class on 2..5 vertices, one
+    # line each in enumerate_graphs order, as recorded when the structure
+    # constants were still computed on Fractions
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    for k in (3, 4):
+        digest = hashlib.sha256()
+        for m in range(2, 6):
+            for graph in enumerate_graphs(m):
+                doc = algebra_to_json_dict(structure_constants(graph, k))
+                digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == expected[str(k)], k
+
+
+def test_expansions_are_plain_ints():
+    for m in range(1, 6):
+        for graph in enumerate_graphs(m):
+            for e in graded_basis(graph, 4).elements:
+                assert all(type(c) is int for c in e.expansion.values()), (graph, e.label)
+
+
+def test_structure_constants_solve_builds_no_fraction(monkeypatch):
+    # Up to the algebra constructor, whose _clean_sc turns every constant
+    # into a Fraction, K5 at k = 4 runs on ints: the dimension count, the
+    # expansions, the greedy basis and every coordinate solve.
+    made = []
+    built = {}
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    def record(n, sc, grading, labels=None, k=None):
+        built.update(sc)
+
+    monkeypatch.setattr(basis, "GradedLieAlgebra", record)
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    basis._structure_constants_cached.__wrapped__(K5, 4)
+    monkeypatch.undo()
+    assert made == []
+    assert built and all(type(c) is int for terms in built.values() for c in terms.values())
+    assert structure_constants(K5, 4).sc == built
+
+
+def _no_candidates(m, maxlen):
+    raise AssertionError("an oversized request reached the candidate words")
+
+
+def test_size_budget_refuses_before_building(monkeypatch):
+    # the budget is read when the basis is built, right after the count
+    with monkeypatch.context() as patch:
+        patch.setattr("graphlie.limits.MAX_DIM", 19)
+        with pytest.raises(ValueError, match="has 20 basis elements; the budget is 19"):
+            graded_basis(STAR, 4)
+        assert graded_basis(STAR, 3).dims == (3, 2, 5)
+    k4 = SimpleGraph.make(4, list(combinations(range(1, 5), 2)))
+    k6 = SimpleGraph.make(6, list(combinations(range(1, 7), 2)))
+    assert sum(dimension_oracle(k6, 5)) == 1960 <= MAX_DIM
+    assert sum(dimension_oracle(k4, 12)) == 1924378
+    assert sum(dimension_oracle(K5, 10)) == 1256567
+    monkeypatch.setattr(basis, "lyndon_words", _no_candidates)
+    for graph, k in ((k4, 12), (K5, 10)):
+        with pytest.raises(ValueError, match="basis elements; the budget is "):
+            graded_basis(graph, k)

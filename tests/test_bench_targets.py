@@ -46,9 +46,9 @@ def test_cochain_matrices_keep_the_fields_the_spans_read():
         assert len(matrix.entries) > 0
 
 
-def test_traced_sweep_counts_are_pinned():
-    # The benchmark's per-layer counters, read off a traced `rigidity sweep
-    # --n 5 --k 2`. The tracer patches module globals, so it runs in a child.
+def _traced_sweep(k: int) -> dict:
+    # The benchmark's tracer report for `rigidity sweep --n 5 --k <k>`. The
+    # tracer patches module globals, so it runs in a child.
     root = Path(__file__).resolve().parents[1]
     script = (
         "import contextlib, io, json, sys\n"
@@ -58,7 +58,7 @@ def test_traced_sweep_counts_are_pinned():
         "tracer = spans.Tracer()\n"
         "tracer.install()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.run_command(['rigidity', 'sweep', '--n', '5', '--k', '2'])\n"
+        f"    code = cli.run_command(['rigidity', 'sweep', '--n', '5', '--k', '{k}'])\n"
         "print(json.dumps({'code': code, **tracer.report()}))\n"
     )
     done = subprocess.run(
@@ -67,6 +67,11 @@ def test_traced_sweep_counts_are_pinned():
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)
     assert report["code"] == 0
+    return report
+
+
+def test_traced_sweep_counts_are_pinned():
+    report = _traced_sweep(2)
     assert report["counts"]["cohomology.matrix_nnz"] == 82650
     assert report["counts"]["cohomology.cochain_cols"] == 19750
     for name in (
@@ -76,3 +81,16 @@ def test_traced_sweep_counts_are_pinned():
         "cohomology.eta2_matrix",
     ):
         assert report["spans"][name][0] >= 1, name
+
+
+def test_traced_k4_sweep_spans_are_pinned():
+    # sweep5_k4 expects these spans; an int rewrite that stopped calling the
+    # reducer would leave the benchmark's RowReducer.add span empty.
+    spans = _traced_sweep(4)["spans"]
+    assert spans["basis.structure_constants"][0] == 33
+    for name in (
+        "linalg.RowReducer.add",
+        "basis.graded_basis",
+        "rigidity.certify_graded_witness",
+    ):
+        assert spans[name][0] >= 1, name

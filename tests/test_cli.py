@@ -198,6 +198,24 @@ def test_domain_errors_exit_one(capsys, argv):
     assert err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rigidity", "classify", "--graph6", "C~", "--k", "12"),  # K4: 1,924,378
+        ("algebra", "build", "--graph6", "D~{", "--k", "10"),  # K5: 1,256,567
+    ],
+)
+def test_oversized_algebra_is_refused(capsys, monkeypatch, argv):
+    def no_candidates(m, maxlen):
+        raise AssertionError("an oversized request reached the candidate words")
+
+    monkeypatch.setattr("graphlie.basis.lyndon_words", no_candidates)
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the algebra has ") and "; the budget is " in err
+
+
 def test_classify_rejects_algebra_file(capsys, tmp_path):
     _run(capsys, "algebra", "build", "--edges", STAR_EDGES, "--k", "2", "--out",
          str(tmp_path / "a.json"))

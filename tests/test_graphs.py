@@ -14,7 +14,7 @@ from graphlie.graphs import (
     parse_graph,
     to_graph6,
 )
-from graphlie.limits import VERTEX_LIMITS
+from graphlie.limits import MAX_DIM, VERTEX_LIMITS
 
 STAR_GRAPH = SimpleGraph.make(3, [(1, 2), (1, 3)])
 
@@ -276,7 +276,8 @@ def test_every_size_check_reads_the_limits_table(monkeypatch):
 def test_limits_table_in_readme():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     for name, (low, high) in VERTEX_LIMITS.items():
-        assert f"| `{name}` | {low}..{high} |" in readme
+        assert f"| `{name}` | {low}..{high} vertices |" in readme
+    assert f"| `graded_basis` | at most {MAX_DIM} basis elements |" in readme
 
 
 def test_enumerate_range_errors():

@@ -175,6 +175,25 @@ def test_coordinate_solver_round_trip():
         solver.solve({0: Fraction(1)})  # outside the span
 
 
+def test_unit_pivots_keep_int_rows():
+    red = RowReducer()
+    assert red.add({0: -1, 1: 2})
+    assert red.pivots[0] == {0: 1, 1: -2}
+    assert all(type(v) is int for v in red.pivots[0].values())
+    other = RowReducer()
+    assert other.add({0: 2, 1: 3})
+    assert other.pivots[0] == {0: 1, 1: Fraction(3, 2)}
+
+
+def test_coordinate_solver_with_non_unit_pivots_stays_exact():
+    solver = CoordinateSolver([{0: 2}, {1: 3}], 2)
+    assert solver.solve({0: 1, 1: 1}) == {0: Fraction(1, 2), 1: Fraction(1, 3)}
+    unit = CoordinateSolver([{0: 1, 1: -1}, {1: -1}], 2)
+    coords = unit.solve({0: 3, 1: 4})
+    assert coords == {0: 3, 1: -7}
+    assert all(type(v) is int for v in coords.values())
+
+
 def _random_subspace(rng, ambient, dim_hint):
     rows = [
         [Fraction(rng.randint(-3, 3)) for _ in range(ambient)]
