@@ -25,20 +25,22 @@ contained in ker delta2 is only recorded as a flag, never assumed.
 
 The matrices are built as integer rows, with the structure constants
 scaled by L, the lcm of their denominators. The rows go into the RatMatrix
-as they are, divided by L only when L != 1, and h2_nil takes every rank by
-fraction-free elimination on them.
+as they are, divided by L only when L != 1. h2_nil ranks them by
+structured elimination: most cochain rows have one entry, and peeling
+those settles their columns, so only the few rows left over go through
+fraction-free elimination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 from .errors import InternalInvariantError
 from .liealg import LieAlgebra, lower_central_series
-from .linalg import ZERO, IntRowReducer, RatMatrix
+from .linalg import ZERO, RatMatrix
 
 
 class CochainCoordinates:
@@ -192,13 +194,6 @@ def is_at_most_two_step(algebra: LieAlgebra) -> bool:
     return chain[-1].dim == 0 and len(chain) <= 3
 
 
-def _reduce(matrix: RatMatrix, *reducers) -> None:
-    """Feed the rows of matrix, scaled to integers, to every reducer in row order."""
-    for row in matrix.int_rows():
-        for red in reducers:
-            red.add(row)
-
-
 @dataclass(frozen=True)
 class H2Report:
     dim_ker_eta2: int
@@ -209,14 +204,7 @@ class H2Report:
     eta2_subset_delta2: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim_ker_eta2": self.dim_ker_eta2,
-            "dim_ker_delta2": self.dim_ker_delta2,
-            "dim_intersection": self.dim_intersection,
-            "dim_im_delta1": self.dim_im_delta1,
-            "h2_dim": self.h2_dim,
-            "eta2_subset_delta2": self.eta2_subset_delta2,
-        }
+        return asdict(self)
 
 
 def h2_nil(algebra: LieAlgebra) -> H2Report:
@@ -233,28 +221,17 @@ def h2_nil(algebra: LieAlgebra) -> H2Report:
     d1 = delta1_matrix(algebra, coords)
     if not e2.matmul(d1).is_zero():
         raise InternalInvariantError("im delta1 is not contained in ker eta2")
-    # Three eliminations: eta2 and then delta2 into one reducer give rank eta2
-    # and the stacked rank. delta2 is built only after the other two
-    # matrices are released.
-    stacked, alone, image = IntRowReducer(), IntRowReducer(), IntRowReducer()
-    _reduce(e2, stacked)
-    rank_eta2 = stacked.rank
-    _reduce(d1, image)
+    # eta2 is peeled once: its settled columns and leftover rows give rank
+    # eta2, and delta2 peeled onto them gives the stacked rank. delta2 is
+    # built only after the other two matrices are released.
+    eta2 = e2.peeled()
+    image = d1.peeled().rank
     del d1, e2
-    _reduce(delta2_matrix(algebra, coords), stacked, alone)
+    d2 = delta2_matrix(algebra, coords)
     cols = coords.dim_two_cochains
-    dim_ker_eta2 = cols - rank_eta2
-    dim_ker_delta2 = cols - alone.rank
-    dim_intersection = cols - stacked.rank
-    dim_im_delta1 = image.rank
-    return H2Report(
-        dim_ker_eta2=dim_ker_eta2,
-        dim_ker_delta2=dim_ker_delta2,
-        dim_intersection=dim_intersection,
-        dim_im_delta1=dim_im_delta1,
-        h2_dim=dim_intersection - dim_im_delta1,
-        eta2_subset_delta2=dim_intersection == dim_ker_eta2,
-    )
+    ker_eta2, ker_delta2 = cols - eta2.rank, cols - d2.peeled().rank
+    meet = cols - d2.peeled(onto=eta2).rank
+    return H2Report(ker_eta2, ker_delta2, meet, image, meet - image, meet == ker_eta2)
 
 
 def complex_identity_holds(algebra: LieAlgebra) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 VERTEX_LIMITS = {
     "canonical_form": (1, 8),
     "enumerate_graphs": (1, 7),
-    "sweep": (2, 6),
+    "sweep": (2, 7),
 }
 
 # the most basis elements graded_basis builds; (6, 5) on K6 needs 1960

@@ -4,7 +4,7 @@ Every coefficient is exact, an int or a fractions.Fraction; there is no
 floating point and no tolerance anywhere. A sparse vector, and each row of
 a RatMatrix, is a dict mapping an index to a nonzero coefficient; integer
 input stays int until a division makes a Fraction. Dense vectors are lists.
-IntRowReducer ranks integer rows without ever dividing.
+PeeledRows and IntRowReducer rank integer rows without ever dividing.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class RatMatrix:
     not stored.
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_ints")
 
     def __init__(self, rows: int, cols: int, data: dict | None = None):
         """Adopt data, a dict {row: {col: value}}, and clean it in place.
@@ -90,7 +90,8 @@ class RatMatrix:
         ):
             raise ValueError(f"an index lies outside the {rows}x{cols} matrix")
         values = list(chain.from_iterable(map(dict.values, data.values())))
-        if not _EXACT.issuperset(map(type, values)):
+        kinds = set(map(type, values))
+        if not _EXACT.issuperset(kinds):
             raise TypeError("matrix entries must be ints or Fractions")
         if 0 in values or not all(data.values()):
             for r in list(data):
@@ -102,6 +103,7 @@ class RatMatrix:
         self.rows = rows
         self.cols = cols
         self._data = data
+        self._ints = Fraction not in kinds
 
     @property
     def entries(self) -> MappingProxyType:
@@ -117,12 +119,15 @@ class RatMatrix:
         of an integer matrix come out as stored. Scaling keeps every rank.
         """
         data = self._data
-        scale = lcm(*set(map(_DENOMINATOR, chain.from_iterable(map(dict.values, data.values())))))
-        for r in sorted(data):
-            row = data[r]
-            if scale != 1:
-                row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
-            yield MappingProxyType(row)
+        rows = map(data.__getitem__, sorted(data))
+        if not self._ints:
+            scale = lcm(*set(map(_DENOMINATOR, chain.from_iterable(map(dict.values, data.values())))))
+            rows = ({c: v.numerator * (scale // v.denominator) for c, v in row.items()} for row in rows)
+        return map(MappingProxyType, rows)
+
+    def peeled(self, onto: "PeeledRows | None" = None) -> "PeeledRows":
+        """PeeledRows of the rows scaled to integers, as int_rows gives them."""
+        return PeeledRows(self._data.values() if self._ints else self.int_rows(), onto)
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -253,6 +258,51 @@ class IntRowReducer:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+
+class PeeledRows:
+    """Integer rows after structured elimination (LaMacchia & Odlyzko, CRYPTO '90).
+
+    A one-entry row puts a unit vector in the row space, so its column is
+    settled: it adds 1 to the rank and is deleted from every other row, and
+    rows that drop to one entry settle theirs in turn, up to a fixed point.
+    The rank is the number of settled columns plus the IntRowReducer rank of
+    the rows left. With onto, the rows are peeled onto a copy of an earlier
+    state, which ranks the stack. The given rows (columns to nonzero ints)
+    are not changed.
+    """
+
+    def __init__(self, rows, onto: "PeeledRows | None" = None):
+        # queue holds columns to settle; onto's are queued again to strip the new rows.
+        queue = list(onto.settled) if onto else []
+        live = [dict(row) for row in onto.rest] if onto else []
+        for row in rows:
+            if len(row) == 1:
+                queue.extend(row)
+            else:
+                live.append(dict(row))
+        index: dict = {}
+        for row in live:
+            for c in row:
+                index.setdefault(c, []).append(row)
+        settled = set()
+        while queue:
+            c = queue.pop()
+            if c not in settled:
+                settled.add(c)
+                for row in index.pop(c, ()):
+                    del row[c]
+                    if len(row) == 1:
+                        queue.extend(row)
+        self.settled = settled
+        self.rest = [row for row in live if row]
+
+    @property
+    def rank(self) -> int:
+        red = IntRowReducer()
+        for row in self.rest:
+            red.add(row)
+        return len(self.settled) + red.rank
 
 
 class CoordinateSolver:

@@ -328,6 +328,13 @@ class RigidityVerdict:
         return out
 
 
+def _witness_with_zero_h2(graph: SimpleGraph, k: int, phase: str) -> InternalInvariantError:
+    return InternalInvariantError(
+        "a deformation witness and vanishing h2 cannot both hold "
+        f"(graph6 {to_graph6(graph)}, k = {k}, phase: {phase})"
+    )
+
+
 def classify(graph: SimpleGraph, k: int, with_cohomology: bool = False) -> RigidityVerdict:
     """Rigidity verdict for the k-step algebra of a graph with at least 2 vertices."""
     if graph.m < 2:
@@ -359,9 +366,7 @@ def classify(graph: SimpleGraph, k: int, with_cohomology: bool = False) -> Rigid
         h2 = h2_nil(algebra)
     if witness is not None:
         if h2 is not None and h2.h2_dim == 0:
-            raise InternalInvariantError(
-                "a deformation witness and vanishing h2 cannot both hold"
-            )
+            raise _witness_with_zero_h2(graph, k, "classify, witness against h2")
         return RigidityVerdict("not_rigid", witness, h2)
     if h2 is not None and h2.h2_dim == 0:
         return RigidityVerdict("rigid", {"kind": "h2_nil_zero"}, h2)
@@ -395,9 +400,7 @@ def sweep(n_max: int, k: int) -> list:
             if k == 2 and h2 is None:
                 h2 = h2_nil(structure_constants(graph, k))
                 if verdict.verdict == "not_rigid" and h2.h2_dim == 0:
-                    raise InternalInvariantError(
-                        "a deformation witness and vanishing h2 cannot both hold"
-                    )
+                    raise _witness_with_zero_h2(graph, k, "sweep, shortcut verdict against h2")
             row = {
                 "graph6": to_graph6(graph),
                 "m": m,

@@ -185,7 +185,7 @@ def test_deform_emit_without_witness(capsys):
         ("algebra", "build", "--edges", '{"m": 3, "edges": []}'),  # missing --k
         ("algebra", "build", "--edges", "{}", "--k", "2", "--bogus"),
         ("rigidity", "sweep", "--n", "9", "--k", "2"),
-        ("rigidity", "sweep", "--n", "7", "--k", "3"),
+        ("rigidity", "sweep", "--n", "8", "--k", "3"),
         ("graphs", "enumerate", "--n", "0"),
         ("deform", "emit", "--edges", STAR_EDGES, "--k", "3", "--t", "1/0"),
         ("rigidity", "classify", "--graph6", "!!!", "--k", "2"),

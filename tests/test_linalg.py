@@ -7,6 +7,7 @@ from graphlie.errors import InternalInvariantError
 from graphlie.linalg import (
     CoordinateSolver,
     IntRowReducer,
+    PeeledRows,
     RatMatrix,
     RowReducer,
     Subspace,
@@ -263,6 +264,90 @@ def test_int_row_reducer_stores_primitive_rows():
     assert not red.add({3: 0})
     assert red.rank == 2
     assert red.pivots == {0: {0: 2, 2: 3}, 1: {1: 1}}
+
+
+def _plain_rank(rows):
+    red = IntRowReducer()
+    for row in rows:
+        red.add(row)
+    return red.rank
+
+
+def test_peel_settles_a_chain_column_by_column():
+    # {0: 4} settles column 0, which leaves {1: 2} of the next row, and so on.
+    rows = [{3: 2, 4: -1}, {2: 5, 3: 1}, {1: -1, 2: 3}, {0: 7, 1: 2}, {0: 4}]
+    peeled = PeeledRows(rows)
+    assert peeled.settled == {0, 1, 2, 3, 4}
+    assert peeled.rest == []
+    assert peeled.rank == 5 == _plain_rank(rows)
+
+
+def test_peel_two_one_entry_rows_on_one_column():
+    rows = [{2: 3}, {2: -5}, {1: 1, 2: 1}, {0: 1, 1: 1, 3: 1}, {0: 2, 3: 2}]
+    peeled = PeeledRows(rows)
+    assert peeled.settled == {1, 2}  # column 2 counts once
+    assert peeled.rest == [{0: 1, 3: 1}, {0: 2, 3: 2}]
+    assert peeled.rank == 3 == _plain_rank(rows)
+
+
+def test_peel_empties_a_row_inside_the_settled_columns():
+    rows = [{0: 1}, {1: -2}, {0: 3, 1: 4}, {1: 1, 2: 1, 3: 1}]
+    peeled = PeeledRows(rows)
+    assert peeled.settled == {0, 1}
+    assert peeled.rest == [{2: 1, 3: 1}]  # the emptied row is gone
+    assert peeled.rank == 3 == _plain_rank(rows)
+
+
+def test_peel_without_one_entry_rows_leaves_every_row():
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}, {0: 2, 3: 5}]
+    peeled = PeeledRows(rows)
+    assert peeled.settled == set()
+    assert peeled.rest == rows
+    assert all(kept is not row for kept, row in zip(peeled.rest, rows))  # copies
+    assert peeled.rank == 3 == _plain_rank(rows)
+
+
+def test_peel_of_the_empty_matrix():
+    empty = PeeledRows([])
+    assert (empty.settled, empty.rest, empty.rank) == (set(), [], 0)
+    assert PeeledRows([], onto=empty).rank == 0
+    assert RatMatrix(0, 0).peeled().rank == 0
+    assert RatMatrix(3, 4).peeled(onto=PeeledRows([{1: 2}])).rank == 1
+
+
+def test_peel_onto_a_state_ranks_the_stack():
+    top = [{0: 1, 1: 1}, {2: 3}]
+    below = [{0: 2}, {1: 1, 3: 1}]
+    base = PeeledRows(top)
+    stacked = PeeledRows(below, onto=base)
+    assert stacked.settled == {0, 1, 2, 3} and stacked.rest == []
+    assert stacked.rank == 4 == _plain_rank(top + below)
+    assert (base.settled, base.rest, base.rank) == ({2}, [{0: 1, 1: 1}], 2)  # kept
+
+
+def test_peeled_rank_matches_the_reducer_on_random_sparse_rows():
+    rng = random.Random(83)
+
+    def draw(cols):
+        size = min(cols, rng.choice([1, 1, 1, 1, 2, 2, 3, 4]))  # mostly one entry
+        return {c: rng.choice([-3, -2, -1, 1, 2, 5]) for c in rng.sample(range(cols), size)}
+
+    for _ in range(300):
+        cols = rng.randint(1, 12)
+        top = [draw(cols) for _ in range(rng.randint(0, 12))]
+        below = [draw(cols) for _ in range(rng.randint(0, 12))]
+        before = [dict(row) for row in top + below]
+        base = PeeledRows(top)
+        stacked = PeeledRows(below, onto=base)
+        assert base.rank == _plain_rank(top)
+        assert PeeledRows(below).rank == _plain_rank(below)
+        assert stacked.rank == _plain_rank(top + below)
+        assert top + below == before  # the input rows are not changed
+        for state in (base, stacked):
+            assert all(len(row) >= 2 and not state.settled & row.keys() for row in state.rest)
+        # a matrix with Fractions peels its rows scaled to integers
+        scaled = {r: {c: Fraction(v, 6) for c, v in row.items()} for r, row in enumerate(top)}
+        assert RatMatrix(len(top), cols, scaled).peeled().rank == base.rank
 
 
 def test_rat_matrix_rejects_bad_input():

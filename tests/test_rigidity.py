@@ -5,6 +5,8 @@ from itertools import combinations
 import pytest
 
 from graphlie.basis import structure_constants
+from graphlie.cohomology import H2Report
+from graphlie.errors import InternalInvariantError
 from graphlie.graphs import SimpleGraph, from_graph6
 from graphlie.liealg import (
     GradedLieAlgebra,
@@ -17,6 +19,7 @@ from graphlie.linalg import ONE, ZERO, Subspace, frac, vec_to_dict
 from graphlie.rigidity import (
     DeformationCocycle,
     DeformedAlgebra,
+    algebra_dim,
     build_sigma,
     certify_2step_witness,
     certify_graded_witness,
@@ -297,9 +300,9 @@ def test_verdict_json():
 
 def test_sweep_guards():
     with pytest.raises(ValueError):
-        sweep(7, 2)
+        sweep(8, 2)
     with pytest.raises(ValueError):
-        sweep(7, 3)
+        sweep(8, 3)
     with pytest.raises(ValueError):
         sweep(1, 2)
     with pytest.raises(ValueError):
@@ -312,6 +315,58 @@ def test_sweep_6_3():
     verdicts = [row["verdict"] for row in six]
     assert verdicts.count("not_rigid") == 155
     assert verdicts.count("rigid") == 1
+
+
+def test_sweep_7_3():
+    seven = [row for row in sweep(7, 3) if row["m"] == 7]
+    assert len(seven) == 1044
+    verdicts = [row["verdict"] for row in seven]
+    assert verdicts.count("not_rigid") == 1043
+    assert [row["graph6"] for row in seven if row["verdict"] == "rigid"] == ["F~~~w"]
+
+
+def _relabelled(graph, perm):
+    return SimpleGraph.make(graph.m, [(perm[u - 1], perm[v - 1]) for u, v in graph.edges])
+
+
+def test_k2_verdict_and_h2_survive_relabelling():
+    # Relabelling permutes the cochain columns, so the rows peel in another
+    # order; nothing that classify reports up to isomorphism may change.
+    rng = random.Random(97)
+    for _ in range(30):
+        m = rng.randint(4, 6)
+        graph = SimpleGraph.make(
+            m, [e for e in combinations(range(1, m + 1), 2) if rng.random() < 0.5]
+        )
+        perm = list(range(1, m + 1))
+        rng.shuffle(perm)
+        seen = []
+        for g in (graph, _relabelled(graph, perm)):
+            verdict = classify(g, 2, with_cohomology=True)
+            h2 = verdict.h2.to_json_dict() if verdict.h2 else None
+            seen.append((verdict.verdict, verdict.certificate["kind"], algebra_dim(g, 2), h2))
+        assert seen[0] == seen[1], (graph.edges, perm)
+
+
+def test_witness_with_zero_h2_names_graph_k_and_phase(monkeypatch):
+    import graphlie.rigidity as rigidity
+
+    zero = H2Report(0, 0, 0, 0, 0, True)
+    monkeypatch.setattr(rigidity, "h2_nil", lambda algebra: zero)
+    star = from_graph6("CF")  # K1,3, not_rigid by a two-step witness
+    with pytest.raises(InternalInvariantError) as caught:
+        classify(star, 2, with_cohomology=True)
+    message = str(caught.value)
+    assert "cannot both hold" in message
+    assert "graph6 CF," in message
+    assert "k = 2" in message and "phase: classify" in message
+    # In a sweep the empty graph on three vertices is not_rigid by the
+    # abelian shortcut, before classify computes any h2.
+    with pytest.raises(InternalInvariantError) as caught:
+        sweep(3, 2)
+    message = str(caught.value)
+    assert "cannot both hold" in message
+    assert "graph6 B?," in message and "k = 2" in message and "phase: sweep" in message
 
 
 def test_sweep_4_2():
