@@ -11,11 +11,12 @@ pivot other than ±1, which up to k = 4 on 6 vertices never occurs.
 
 Candidates for basis labels are the Lyndon words of length at most k with
 their standard bracketings; their images span each slice because they span
-the free Lie algebra before the quotient. A greedy sweep in lexicographic
-order keeps the first rank-extending subset, one block of constant
-multidegree at a time (expansions of different content never interact).
-An independent dimension count from the clique polynomial of the
-complement graph cross-checks the result of the sweep.
+the free Lie algebra before the quotient; both factors of w = uv are shorter
+Lyndon words, so each expansion is the commutator of two made before it. A
+greedy sweep in lexicographic order keeps the first rank-extending subset,
+one block of constant multidegree at a time, in the CoordinateSolver that
+later solves the brackets landing in that block. An independent dimension
+count from the clique polynomial of the complement cross-checks the sweep.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import InternalInvariantError
-from .graphs import SimpleGraph
+from .errors import InternalInvariantError, invariant_error
+from .graphs import SimpleGraph, to_graph6
 from .liealg import BasisLabel, GradedLieAlgebra
 from .limits import check_dim
-from .linalg import CoordinateSolver, RowReducer
+from .linalg import CoordinateSolver
 
 
 class TraceContext:
@@ -42,7 +43,7 @@ class TraceContext:
             for j in range(1, graph.m + 1):
                 if i != j and not graph.adjacent(i, j):
                     table[i][j] = True
-        self.commutes = table
+        self.commutes = tuple(map(tuple, table))
         self._cache: dict = {}
 
     def normal_form(self, word) -> tuple:
@@ -78,8 +79,8 @@ class TraceContext:
         self._cache[word] = result
         return result
 
-    def commutator(self, left: dict, right: dict, k: int) -> dict:
-        """Expansion of [x, y] from word expansions of x and y, truncated past degree k.
+    def commutator(self, left: dict, right: dict) -> dict:
+        """Expansion of [x, y] from word expansions of x and y.
 
         This is the hot loop of the structure constants at k >= 3 (most of a
         k = 4 sweep). Each product adds to one word and subtracts from another,
@@ -89,8 +90,6 @@ class TraceContext:
         out: dict = {}
         for w1, c1 in left.items():
             for w2, c2 in right.items():
-                if len(w1) + len(w2) > k:
-                    continue
                 coef = c1 * c2
                 w = self.normal_form(w1 + w2)
                 s = out.get(w, 0) + coef
@@ -132,12 +131,16 @@ def lyndon_words(m: int, maxlen: int) -> list:
     return out
 
 
+def _standard_cut(word: tuple) -> int:
+    return min(range(1, len(word)), key=lambda s: word[s:])
+
+
 def standard_bracketing(word):
     """Right standard factorization: w = uv with v the least proper suffix."""
     word = tuple(word)
     if len(word) == 1:
         return word[0]
-    cut = min(range(1, len(word)), key=lambda s: word[s:])
+    cut = _standard_cut(word)
     return (standard_bracketing(word[:cut]), standard_bracketing(word[cut:]))
 
 
@@ -161,7 +164,7 @@ def multidegree_of_leaves(leaves, m: int) -> tuple:
 
 
 def expand_bracket_word(tree, graph: SimpleGraph, k: int) -> dict:
-    """Word expansion of a bracket word, as {normal form: coefficient}."""
+    """Word expansion of a bracket word, as {normal form: coefficient}, made leaf by leaf."""
     leaves = bracket_word_leaves(tree)
     if len(leaves) > k:
         raise ValueError(f"bracket word of degree {len(leaves)} exceeds the bound k={k}")
@@ -173,7 +176,7 @@ def expand_bracket_word(tree, graph: SimpleGraph, k: int) -> dict:
     def rec(node):
         if isinstance(node, int):
             return {(node,): 1}
-        return ctx.commutator(rec(node[0]), rec(node[1]), k)
+        return ctx.commutator(rec(node[0]), rec(node[1]))
 
     return rec(tree)
 
@@ -271,6 +274,9 @@ class GradedBasis:
     k: int
     dims: tuple
     elements: list
+    # (degree, md) -> (word -> column, element index per solver row, CoordinateSolver);
+    # a block has at most m ** degree words, which is the solver's offset
+    blocks: dict
 
     def elements_of_degree(self, degree: int) -> list:
         return [e for e in self.elements if e.degree == degree]
@@ -285,93 +291,71 @@ def graded_basis(graph: SimpleGraph, k: int) -> GradedBasis:
         raise ValueError("k must be at least 1")
     oracle = dimension_oracle(graph, k)
     check_dim(oracle)
-    by_length: dict = {}
-    for word in lyndon_words(graph.m, k):
-        by_length.setdefault(len(word), []).append(word)
+    ctx = _context(graph)
+    made: dict = {}  # Lyndon word -> (tree, expansion)
     elements = []
-    dims = []
-    for degree in range(1, k + 1):
-        picked_before = len(elements)
-        blocks: dict = {}
-        for word in by_length.get(degree, []):
-            tree = standard_bracketing(word)
-            expansion = expand_bracket_word(tree, graph, k)
-            if not expansion:
-                continue
-            md = multidegree_of_leaves(word, graph.m)
-            reducer, columns = blocks.setdefault(md, (RowReducer(), {}))
-            row = {}
-            for w, c in expansion.items():
-                col = columns.setdefault(w, len(columns))
-                row[col] = c
-            if reducer.add(row):
-                elements.append(
-                    BasisElement(len(elements), degree, word, tree, md, expansion)
-                )
-        got = len(elements) - picked_before
-        if got != oracle[degree - 1]:
-            raise InternalInvariantError(
-                f"degree {degree}: greedy basis found {got} elements, "
-                f"dimension count expects {oracle[degree - 1]}"
-            )
-        dims.append(got)
-    return GradedBasis(graph, k, tuple(dims), elements)
+    blocks: dict = {}
+    # by length, then lexicographically: the factors of a word come before it
+    for word in sorted(lyndon_words(graph.m, k), key=len):
+        degree = len(word)
+        if degree == 1:
+            tree, expansion = word[0], {word: 1}
+        else:
+            cut = _standard_cut(word)
+            (lt, le), (rt, re) = made[word[:cut]], made[word[cut:]]
+            tree, expansion = (lt, rt), ctx.commutator(le, re)
+        made[word] = tree, expansion
+        if not expansion:
+            continue
+        md = multidegree_of_leaves(word, graph.m)
+        columns, indices, solver = blocks.setdefault(
+            (degree, md), ({}, [], CoordinateSolver([], graph.m**degree))
+        )
+        if solver.add({columns.setdefault(w, len(columns)): c for w, c in expansion.items()}):
+            indices.append(len(elements))
+            elements.append(BasisElement(len(elements), degree, word, tree, md, expansion))
+    dims = tuple(sum(e.degree == d for e in elements) for d in range(1, k + 1))
+    if list(dims) != oracle:
+        raise invariant_error(
+            f"greedy basis found {dims} elements by degree, dimension count expects {tuple(oracle)}",
+            to_graph6(graph), k, "graded basis against the dimension count",
+        )
+    return GradedBasis(graph, k, dims, elements, blocks)
 
 
 @lru_cache(maxsize=128)
-def _structure_constants_cached(graph: SimpleGraph, k: int) -> GradedLieAlgebra:
-    gb = graded_basis(graph, k)
-    ctx = _context(graph)
-    blocks: dict = {}
-    for e in gb.elements:
-        blocks.setdefault((e.degree, e.multidegree), []).append(e)
-    solvers = {}
-    for key, members in blocks.items():
-        # one column per normal-form word of the block
-        columns: dict = {}
-        rows = [
-            {columns.setdefault(w, len(columns)): c for w, c in e.expansion.items()}
-            for e in members
-        ]
-        indices = [e.index for e in members]
-        solvers[key] = (columns, indices, CoordinateSolver(rows, len(columns)))
-    sc = {}
-    total = len(gb.elements)
-    for i in range(total):
-        ei = gb.elements[i]
-        for j in range(i + 1, total):
-            ej = gb.elements[j]
-            degree = ei.degree + ej.degree
-            if degree > k:
-                continue
-            expansion = ctx.commutator(ei.expansion, ej.expansion, k)
-            if not expansion:
-                continue
-            md = tuple(a + b for a, b in zip(ei.multidegree, ej.multidegree))
-            block = solvers.get((degree, md))
-            if block is None:
-                raise InternalInvariantError("bracket lands in an empty multidegree block")
-            columns, indices, solver = block
-            row = {}
-            for w, c in expansion.items():
-                col = columns.get(w)
-                if col is None:
-                    raise InternalInvariantError("bracket leaves the expected word block")
-                row[col] = c
-            terms = solver.solve(row)
-            if terms:
-                sc[(i, j)] = {indices[pos]: c for pos, c in terms.items()}
-    labels = tuple(
-        BasisLabel(e.label, e.degree, e.multidegree) for e in gb.elements
-    )
-    return GradedLieAlgebra(total, sc, gb.dims, labels=labels, k=k)
-
-
 def structure_constants(graph: SimpleGraph, k: int) -> GradedLieAlgebra:
     """The graph Lie algebra as a graded algebra with exact structure constants.
 
     Results are cached per (graph, k); callers must treat them as immutable.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return _structure_constants_cached(graph, k)
+    gb = graded_basis(graph, k)
+    ctx = _context(graph)
+    where = (to_graph6(graph), k, "structure constants")
+    sc = {}
+    total = len(gb.elements)
+    for i, ei in enumerate(gb.elements):
+        for j in range(i + 1, total):
+            ej = gb.elements[j]
+            degree = ei.degree + ej.degree
+            if degree > k:
+                continue
+            expansion = ctx.commutator(ei.expansion, ej.expansion)
+            if not expansion:
+                continue
+            md = tuple(a + b for a, b in zip(ei.multidegree, ej.multidegree))
+            block = gb.blocks.get((degree, md))
+            if block is None:
+                raise invariant_error("bracket lands in an empty multidegree block", *where)
+            columns, indices, solver = block
+            row = {}
+            for w, c in expansion.items():
+                col = columns.get(w)
+                if col is None:
+                    raise invariant_error("bracket leaves the expected word block", *where)
+                row[col] = c
+            terms = solver.solve(row)
+            if terms:
+                sc[(i, j)] = {indices[pos]: c for pos, c in terms.items()}
+    labels = tuple(BasisLabel(e.label, e.degree, e.multidegree) for e in gb.elements)
+    return GradedLieAlgebra(total, sc, gb.dims, labels=labels, k=k)

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__
 from .basis import structure_constants
@@ -117,6 +118,7 @@ def write_report(rows, fmt: str = "json") -> str:
     return text
 
 
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="graphlie", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)

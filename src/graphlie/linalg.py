@@ -306,7 +306,7 @@ class PeeledRows:
 
 
 class CoordinateSolver:
-    """Coordinates of vectors in the span of fixed independent rows.
+    """Coordinates of vectors in the span of independent rows.
 
     Row i is stored with the unit column offset + i appended, so reducing a
     vector v of the span leaves -sum_i x_i e_{offset+i} with v = sum_i x_i
@@ -316,12 +316,21 @@ class CoordinateSolver:
     def __init__(self, rows, offset: int):
         self.offset = offset
         self.red = RowReducer()
-        for pos, row in enumerate(rows):
-            aug = dict(row)
-            aug[offset + pos] = 1
-            self.red.add(aug)
-        if any(p >= offset for p in self.red.pivots):
-            raise InternalInvariantError("basis rows are dependent")
+        self.size = 0
+        for row in rows:
+            if not self.add(row):
+                raise InternalInvariantError("basis rows are dependent")
+
+    def add(self, row: dict) -> bool:
+        """Keep row as the next position if a column below offset survives its reduction."""
+        aug = dict(row)
+        aug[self.offset + self.size] = 1
+        rem = self.red.reduce(aug)
+        if min(rem) >= self.offset:
+            return False
+        self.red.add(rem)
+        self.size += 1
+        return True
 
     def solve(self, vec: dict) -> dict:
         """{position: coefficient} of vec in the rows."""

@@ -30,7 +30,7 @@ from itertools import combinations
 
 from .basis import structure_constants
 from .cohomology import H2Report, h2_nil, is_at_most_two_step
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, invariant_error
 from .graphs import SimpleGraph, analyze, enumerate_graphs, to_graph6
 from .liealg import GradedLieAlgebra, LieAlgebra, center
 from .limits import check_vertices
@@ -329,9 +329,8 @@ class RigidityVerdict:
 
 
 def _witness_with_zero_h2(graph: SimpleGraph, k: int, phase: str) -> InternalInvariantError:
-    return InternalInvariantError(
-        "a deformation witness and vanishing h2 cannot both hold "
-        f"(graph6 {to_graph6(graph)}, k = {k}, phase: {phase})"
+    return invariant_error(
+        "a deformation witness and vanishing h2 cannot both hold", to_graph6(graph), k, phase
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from graphlie import basis
 from graphlie.basis import (
+    TraceContext,
     _context,
     bracket_word_label,
     bracket_word_leaves,
@@ -22,9 +23,11 @@ from graphlie.basis import (
     structure_constants,
     trace_normal_form,
 )
-from graphlie.graphs import SimpleGraph, enumerate_graphs
+from graphlie.errors import InternalInvariantError
+from graphlie.graphs import SimpleGraph, enumerate_graphs, to_graph6
 from graphlie.liealg import algebra_to_json_dict, grading_support_check, jacobi_report
 from graphlie.limits import MAX_DIM
+from graphlie.linalg import RowReducer
 
 STAR = SimpleGraph.make(3, [(1, 2), (1, 3)])
 K2 = SimpleGraph.make(2, [(1, 2)])
@@ -324,6 +327,56 @@ def test_graded_basis_element_invariants():
         assert e.expansion
 
 
+def test_basis_elements_match_the_reference_expansions():
+    # graded_basis makes each tree and expansion from those of the factors
+    # of the standard factorization; the leaf-by-leaf reference must agree,
+    # down to the order of the words, which fixes the solver columns
+    cases = [(graph, 4) for m in range(1, 6) for graph in enumerate_graphs(m)]
+    cases += [(SimpleGraph.make(m, list(combinations(range(1, m + 1), 2))), 5) for m in (2, 3, 4)]
+    for graph, k in cases:
+        for e in graded_basis(graph, k).elements:
+            assert e.tree == standard_bracketing(e.word), (graph, e.word)
+            reference = expand_bracket_word(e.tree, graph, k)
+            assert list(e.expansion.items()) == list(reference.items()), (graph, e.word)
+
+
+def test_each_kept_row_is_eliminated_once(monkeypatch):
+    adds = []
+    commutators = []
+    add = RowReducer.add
+    commutator = TraceContext.commutator
+    monkeypatch.setattr(RowReducer, "add", lambda self, row: adds.append(1) or add(self, row))
+    monkeypatch.setattr(
+        TraceContext, "commutator", lambda self, x, y: commutators.append(1) or commutator(self, x, y)
+    )
+    # at k = 4, five candidates of STAR have nonzero but dependent expansions
+    for graph in (STAR, K5):
+        adds.clear()
+        commutators.clear()
+        gb = graded_basis(graph, 4)
+        assert len(commutators) == sum(len(w) >= 2 for w in lyndon_words(graph.m, 4))
+        assert len(adds) == len(gb.elements)
+    adds.clear()
+    assert basis.structure_constants.__wrapped__(K5, 4).n == len(adds) == len(gb.elements)
+
+
+def test_basis_invariant_errors_name_graph_k_and_phase(monkeypatch):
+    oracle = basis.dimension_oracle
+
+    def off_by_one(graph, k):
+        dims = oracle(graph, k)
+        return dims[:-1] + [dims[-1] + 1]
+
+    monkeypatch.setattr(basis, "dimension_oracle", off_by_one)
+    with pytest.raises(InternalInvariantError) as caught:
+        graded_basis(STAR, 3)
+    message = str(caught.value)
+    assert "greedy basis found (3, 2, 5) elements by degree, dimension count expects (3, 2, 6)" in message
+    assert message.endswith(
+        f"(graph6 {to_graph6(STAR)}, k = 3, phase: graded basis against the dimension count)"
+    )
+
+
 def test_structure_constants_heisenberg():
     alg = structure_constants(K2, 2)
     assert alg.n == 3
@@ -360,6 +413,12 @@ def test_trace_contexts_cached_with_a_bound():
     assert _context.cache_info().maxsize == 128
     assert _context(STAR) is _context(SimpleGraph.make(3, [(1, 3), (2, 1)]))
     assert _context(STAR) is not _context(PATH3)
+    table = _context(STAR).commutes  # shared by every caller, so read-only
+    assert table[2][3] and not table[1][2]
+    with pytest.raises(TypeError):
+        table[2][3] = False
+    with pytest.raises(TypeError):
+        table[2] = ()
 
 
 def test_structure_constants_small_classes_are_lie_algebras():
@@ -410,7 +469,7 @@ def test_structure_constants_solve_builds_no_fraction(monkeypatch):
 
     monkeypatch.setattr(basis, "GradedLieAlgebra", record)
     monkeypatch.setattr(Fraction, "__new__", counted)
-    basis._structure_constants_cached.__wrapped__(K5, 4)
+    basis.structure_constants.__wrapped__(K5, 4)
     monkeypatch.undo()
     assert made == []
     assert built and all(type(c) is int for terms in built.values() for c in terms.values())

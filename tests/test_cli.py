@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from graphlie.basis import structure_constants
-from graphlie.cli import main, run_command, write_report
+from graphlie.cli import _build_parser, main, run_command, write_report
 from graphlie.cohomology import h2_nil
 from graphlie.graphs import SimpleGraph, enumerate_graphs, from_graph6, to_graph6
 from graphlie.liealg import algebra_from_json_dict, jacobi_report
@@ -196,6 +196,16 @@ def test_domain_errors_exit_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert err
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(capsys):
+    _build_parser.cache_clear()
+    code, out, err = _run(capsys, "graphs", "enumerate", "--n", "three")
+    assert code == 1 and out == "" and "invalid int value" in err
+    code, out, _ = _run(capsys, *ENUMERATE_3)
+    assert code == 0 and out.splitlines() == [to_graph6(g) for g in enumerate_graphs(3)]
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize(

@@ -174,6 +174,10 @@ def test_coordinate_solver_round_trip():
     assert solver.solve({0: Fraction(2), 1: Fraction(2)}) == {0: 2}
     with pytest.raises(InternalInvariantError):
         solver.solve({0: Fraction(1)})  # outside the span
+    assert not solver.add({0: 3, 1: 3})  # dependent: refused, no position taken
+    assert solver.solve({0: Fraction(2), 1: Fraction(2)}) == {0: 2}
+    assert solver.add({1: 1})
+    assert solver.solve({0: 2, 1: 5}) == {0: 2, 1: 3}
 
 
 def test_unit_pivots_keep_int_rows():
