@@ -5,7 +5,9 @@ nilpotent Lie algebra on those generators modulo the brackets of
 non-adjacent pairs. Its degree-j slice embeds into the span of length-j
 words of the trace monoid in which two letters commute exactly when they
 are not adjacent in G, by sending a bracket word to its associative
-expansion uv - vu written in normal form. Ranks of expansions therefore
+expansion uv - vu written in lexicographic normal form (Anisimov & Knuth,
+1979), where an int mask per letter of the letters it does not commute with
+makes "may this letter come first" one AND. Ranks of expansions therefore
 decide everything. They run on exact ints; RowReducer divides only at a
 pivot other than ±1, which up to k = 4 on 6 vertices never occurs.
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import InternalInvariantError, invariant_error
+from .errors import invariant_error
 from .graphs import SimpleGraph, to_graph6
 from .liealg import BasisLabel, GradedLieAlgebra
 from .limits import check_dim
@@ -33,26 +35,25 @@ from .linalg import CoordinateSolver
 
 
 class TraceContext:
-    """Commutation table of a graph plus a normal form cache."""
+    """Commutation masks of a graph plus a normal form cache."""
 
     def __init__(self, graph: SimpleGraph):
         self.graph = graph
         self.m = graph.m
-        table = [[False] * (graph.m + 1) for _ in range(graph.m + 1)]
-        for i in range(1, graph.m + 1):
-            for j in range(1, graph.m + 1):
-                if i != j and not graph.adjacent(i, j):
-                    table[i][j] = True
-        self.commutes = tuple(map(tuple, table))
+        # bit b of blocks[a] is set when b does not commute with a (a included)
+        self.blocks = (0,) + tuple(
+            sum(1 << b for b in range(1, graph.m + 1) if b == a or graph.adjacent(a, b))
+            for a in range(1, graph.m + 1)
+        )
         self._cache: dict = {}
 
     def normal_form(self, word) -> tuple:
         """Lexicographically least representative of the trace class of word.
 
         A letter occurrence can be first in some representative exactly when
-        it commutes with everything before it; taking the least such letter
-        and recursing yields the minimum. Equal letters never commute, so the
-        movable occurrence of each letter value is unique.
+        its mask meets none of the letters before it; taking the least such
+        letter and recursing yields the minimum (Anisimov & Knuth, 1979). Equal
+        letters never commute, so the movable occurrence of each letter is unique.
         """
         word = tuple(word)
         cached = self._cache.get(word)
@@ -61,20 +62,19 @@ class TraceContext:
         for v in word:
             if not 1 <= v <= self.m:
                 raise ValueError(f"letter {v} outside alphabet 1..{self.m}")
-        commutes = self.commutes
+        blocks = self.blocks
         rest = list(word)
         out = []
         while rest:
-            best_letter = None
-            best_pos = -1
-            for pos, a in enumerate(rest):
-                if best_letter is not None and a >= best_letter:
-                    continue
-                if all(commutes[a][b] for b in rest[:pos]):
+            best_letter = self.m + 1
+            best_pos = pos = seen = 0
+            for a in rest:
+                if a < best_letter and not blocks[a] & seen:
                     best_letter = a
                     best_pos = pos
-            out.append(best_letter)
-            del rest[best_pos]
+                seen |= 1 << a
+                pos += 1
+            out.append(rest.pop(best_pos))
         result = tuple(out)
         self._cache[word] = result
         return result
@@ -85,19 +85,23 @@ class TraceContext:
         This is the hot loop of the structure constants at k >= 3 (most of a
         k = 4 sweep). Each product adds to one word and subtracts from another,
         so the two updates are written out here instead of going through
-        linalg.axpy, which would need a one-entry dict per product.
+        linalg.axpy, which would need a one-entry dict per product. Most
+        concatenations recur, so the memo is read before normal_form is called.
         """
+        cache = self._cache
         out: dict = {}
         for w1, c1 in left.items():
             for w2, c2 in right.items():
                 coef = c1 * c2
-                w = self.normal_form(w1 + w2)
+                w = w1 + w2
+                w = cache.get(w) or self.normal_form(w)
                 s = out.get(w, 0) + coef
                 if s:
                     out[w] = s
                 else:
                     out.pop(w, None)
-                w = self.normal_form(w2 + w1)
+                w = w2 + w1
+                w = cache.get(w) or self.normal_form(w)
                 s = out.get(w, 0) - coef
                 if s:
                     out[w] = s
@@ -249,7 +253,9 @@ def dimension_oracle(graph: SimpleGraph, k: int) -> list:
             if d % e == 0:
                 acc += _mobius(d // e) * nq[e]
         if acc % d != 0 or acc < 0:
-            raise InternalInvariantError("dimension count is not a nonnegative integer")
+            raise invariant_error(
+                "dimension count is not a nonnegative integer", to_graph6(graph), k, "dimension count"
+            )
         dims.append(acc // d)
     return dims
 
@@ -333,13 +339,11 @@ def structure_constants(graph: SimpleGraph, k: int) -> GradedLieAlgebra:
     ctx = _context(graph)
     where = (to_graph6(graph), k, "structure constants")
     sc = {}
-    total = len(gb.elements)
     for i, ei in enumerate(gb.elements):
-        for j in range(i + 1, total):
+        # elements run by degree, so the partners of degree <= k - deg e_i come first
+        for j in range(i + 1, sum(gb.dims[: k - ei.degree])):
             ej = gb.elements[j]
             degree = ei.degree + ej.degree
-            if degree > k:
-                continue
             expansion = ctx.commutator(ei.expansion, ej.expansion)
             if not expansion:
                 continue
@@ -358,4 +362,4 @@ def structure_constants(graph: SimpleGraph, k: int) -> GradedLieAlgebra:
             if terms:
                 sc[(i, j)] = {indices[pos]: c for pos, c in terms.items()}
     labels = tuple(BasisLabel(e.label, e.degree, e.multidegree) for e in gb.elements)
-    return GradedLieAlgebra(total, sc, gb.dims, labels=labels, k=k)
+    return GradedLieAlgebra(len(gb.elements), sc, gb.dims, labels=labels, k=k)

@@ -273,8 +273,9 @@ def find_witness(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int):
                         continue
                     y = _unit(n, y_idx)
                     if not certify_graded_witness(algebra, a1, a2, y):
-                        raise InternalInvariantError(
-                            "witness search and certifier disagree"
+                        raise invariant_error(
+                            "witness search and certifier disagree",
+                            to_graph6(graph), k, "graded witness search against the certifier",
                         )
                     return {
                         "kind": "graded_witness",

@@ -101,6 +101,23 @@ def test_normal_form_constant_on_classes():
         assert trace_normal_form(word, graph) == trace_normal_form(other, graph)
 
 
+def test_normal_form_is_class_minimum_on_long_words():
+    # words of length 7 on 6 and 7 vertices, past the oracles above, so the
+    # masks of letters 6 and 7 take part
+    rng = random.Random(707)
+    top_letters = 0
+    for _ in range(60):
+        m = rng.choice((6, 7))
+        graph = _random_graph(rng, m)
+        word = tuple(rng.randint(1, m) for _ in range(7))
+        top_letters += 7 in word
+        cls = _trace_class(word, graph)
+        nf = trace_normal_form(word, graph)
+        assert nf == min(cls), (graph.edges, word)
+        assert trace_normal_form(rng.choice(sorted(cls)), graph) == nf
+    assert top_letters >= 10
+
+
 def test_lyndon_words_rank_two():
     words = lyndon_words(2, 4)
     assert set(words) == {
@@ -377,6 +394,18 @@ def test_basis_invariant_errors_name_graph_k_and_phase(monkeypatch):
     )
 
 
+def test_dimension_count_error_names_graph_k_and_phase(monkeypatch):
+    # integer clique counts always give integer dimensions, so a half count
+    # stands in for a fault; a count that gives l_2 = -1 must fail the same way
+    for counts in ([1, Fraction(3, 2)], [1, 1, 1]):
+        monkeypatch.setattr(basis, "clique_polynomial", lambda graph, c=counts: c)
+        with pytest.raises(InternalInvariantError) as caught:
+            dimension_oracle(STAR, 3)
+        message = str(caught.value)
+        assert message.startswith("dimension count is not a nonnegative integer")
+        assert message.endswith(f"(graph6 {to_graph6(STAR)}, k = 3, phase: dimension count)")
+
+
 def test_structure_constants_heisenberg():
     alg = structure_constants(K2, 2)
     assert alg.n == 3
@@ -413,12 +442,11 @@ def test_trace_contexts_cached_with_a_bound():
     assert _context.cache_info().maxsize == 128
     assert _context(STAR) is _context(SimpleGraph.make(3, [(1, 3), (2, 1)]))
     assert _context(STAR) is not _context(PATH3)
-    table = _context(STAR).commutes  # shared by every caller, so read-only
-    assert table[2][3] and not table[1][2]
+    masks = _context(STAR).blocks  # shared by every caller, so read-only
+    # 2 and 3 commute, 1 and 2 do not
+    assert not masks[2] >> 3 & 1 and masks[1] >> 2 & 1
     with pytest.raises(TypeError):
-        table[2][3] = False
-    with pytest.raises(TypeError):
-        table[2] = ()
+        masks[2] = 0
 
 
 def test_structure_constants_small_classes_are_lie_algebras():
@@ -433,10 +461,11 @@ def test_structure_constants_small_classes_are_lie_algebras():
 
 def test_algebra_digests_match_the_fraction_pipeline():
     # sha256 over the sorted-key JSON of every class on 2..5 vertices, one
-    # line each in enumerate_graphs order, as recorded when the structure
-    # constants were still computed on Fractions
+    # line each in enumerate_graphs order; k = 3 and 4 were recorded when the
+    # structure constants were still computed on Fractions, k = 5 (words of
+    # length 5, pivots other than ±1) before the normal form used bitmasks
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    for k in (3, 4):
+    for k in (3, 4, 5):
         digest = hashlib.sha256()
         for m in range(2, 6):
             for graph in enumerate_graphs(m):

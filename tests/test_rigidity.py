@@ -369,6 +369,19 @@ def test_witness_with_zero_h2_names_graph_k_and_phase(monkeypatch):
     assert "graph6 B?," in message and "k = 2" in message and "phase: sweep" in message
 
 
+def test_witness_certifier_disagreement_names_graph_k_and_phase(monkeypatch):
+    import graphlie.rigidity as rigidity
+
+    monkeypatch.setattr(rigidity, "certify_graded_witness", lambda *args: False)
+    with pytest.raises(InternalInvariantError) as caught:
+        find_witness(STAR, structure_constants(STAR, 3), 3)
+    message = str(caught.value)
+    assert message.startswith("witness search and certifier disagree")
+    assert message.endswith(
+        "(graph6 Bo, k = 3, phase: graded witness search against the certifier)"
+    )
+
+
 def test_sweep_4_2():
     rows = sweep(4, 2)
     assert len(rows) == 17
