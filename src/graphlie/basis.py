@@ -186,37 +186,29 @@ def expand_bracket_word(tree, graph: SimpleGraph, k: int) -> dict:
 
 
 def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    result = 1
-    p = 2
+    result, p = 1, 2
     while p * p <= n:
         if n % p == 0:
             n //= p
             if n % p == 0:
                 return 0
             result = -result
-        else:
-            p += 1
-    if n > 1:
-        result = -result
-    return result
+        p += 1
+    return -result if n > 1 else result
 
 
 def clique_polynomial(graph: SimpleGraph) -> list:
     """Coefficients [c_0, c_1, ...] counting cliques of each size (c_0 = 1)."""
-    counts = [1] + [0] * graph.m
+    counts = [1]
     verts = range(1, graph.m + 1)
-    for size in range(1, graph.m + 1):
-        found = 0
-        for subset in combinations(verts, size):
-            if all(graph.adjacent(a, b) for a, b in combinations(subset, 2)):
-                found += 1
-        if found == 0:
+    for size in verts:
+        found = sum(
+            all(graph.adjacent(a, b) for a, b in combinations(subset, 2))
+            for subset in combinations(verts, size)
+        )
+        if not found:
             break
-        counts[size] = found
-    while len(counts) > 1 and counts[-1] == 0:
-        counts.pop()
+        counts.append(found)
     return counts
 
 
@@ -235,23 +227,14 @@ def dimension_oracle(graph: SimpleGraph, k: int) -> list:
     a = [((-1) ** n) * c for n, c in enumerate(cpoly)]
     s = [1] + [0] * k
     for n in range(1, k + 1):
-        acc = 0
-        for i in range(1, min(n, len(a) - 1) + 1):
-            acc += a[i] * s[n - i]
-        s[n] = -acc
+        s[n] = -sum(a[i] * s[n - i] for i in range(1, min(n, len(a) - 1) + 1))
     # n q_n from the log derivative recurrence n s_n = sum j q_j s_{n-j}
     nq = [0] * (k + 1)
     for n in range(1, k + 1):
-        acc = n * s[n]
-        for j in range(1, n):
-            acc -= nq[j] * s[n - j]
-        nq[n] = acc
+        nq[n] = n * s[n] - sum(nq[j] * s[n - j] for j in range(1, n))
     dims = []
     for d in range(1, k + 1):
-        acc = 0
-        for e in range(1, d + 1):
-            if d % e == 0:
-                acc += _mobius(d // e) * nq[e]
+        acc = sum(_mobius(d // e) * nq[e] for e in range(1, d + 1) if d % e == 0)
         if acc % d != 0 or acc < 0:
             raise invariant_error(
                 "dimension count is not a nonnegative integer", to_graph6(graph), k, "dimension count"

@@ -78,9 +78,7 @@ def _checked_algebra(algebra: LieAlgebra) -> LieAlgebra:
     """Refuse a loaded bracket table that is not a nilpotent Lie algebra."""
     bad = jacobi_report(algebra)
     if bad:
-        raise ValueError(
-            f"loaded algebra violates the Jacobi identity at basis triple {bad[0]}"
-        )
+        raise ValueError(f"loaded algebra violates the Jacobi identity at basis triple {bad[0]}")
     stable = lower_central_series(algebra)[-1].dim
     if stable:
         raise ValueError(

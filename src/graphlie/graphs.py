@@ -99,10 +99,7 @@ def from_graph6(code: str) -> SimpleGraph:
     if m < 1:
         raise ValueError("graph6 code must have at least one vertex")
     nbits = m * (m - 1) // 2
-    bits = []
-    for v in vals[1:]:
-        for shift in range(5, -1, -1):
-            bits.append((v >> shift) & 1)
+    bits = [(v >> shift) & 1 for v in vals[1:] for shift in range(5, -1, -1)]
     if len(bits) < nbits or any(bits[nbits:]):
         raise ValueError("graph6 bit payload has the wrong length")
     edges = []
@@ -118,10 +115,7 @@ def from_graph6(code: str) -> SimpleGraph:
 def to_graph6(graph: SimpleGraph) -> str:
     if graph.m > 62:
         raise ValueError("graph6 codes with more than 62 vertices are not supported")
-    bits = []
-    for j in range(1, graph.m):
-        for i in range(j):
-            bits.append(1 if graph.adjacent(i + 1, j + 1) else 0)
+    bits = [int(graph.adjacent(i + 1, j + 1)) for j in range(1, graph.m) for i in range(j)]
     while len(bits) % 6:
         bits.append(0)
     out = [chr(graph.m + 63)]

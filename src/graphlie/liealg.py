@@ -63,6 +63,7 @@ class LieAlgebra:
         self.k = k
         self.sc = _clean_sc(n, sc)
         self._adj = None
+        self._two_step = None  # cohomology.is_at_most_two_step, once computed
 
     def bracket_basis(self, i: int, j: int) -> dict:
         """[e_i, e_j] as a sparse vector, any i, j."""
@@ -212,14 +213,11 @@ def grading_support_check(algebra: GradedLieAlgebra) -> bool:
     if algebra.labels is None:
         raise ValueError("grading support check needs labeled basis elements")
     for (i, j), terms in algebra.sc.items():
-        di, dj = algebra.degrees[i], algebra.degrees[j]
-        mi = algebra.labels[i].multidegree
-        mj = algebra.labels[j].multidegree
-        target_md = tuple(a + b for a, b in zip(mi, mj))
+        degree = algebra.degrees[i] + algebra.degrees[j]
+        mi, mj = algebra.labels[i].multidegree, algebra.labels[j].multidegree
+        md = tuple(a + b for a, b in zip(mi, mj))
         for l in terms:
-            if algebra.degrees[l] != di + dj:
-                return False
-            if algebra.labels[l].multidegree != target_md:
+            if algebra.degrees[l] != degree or algebra.labels[l].multidegree != md:
                 return False
     return True
 
@@ -257,13 +255,8 @@ def associated_graded(algebra: LieAlgebra) -> GradedLieAlgebra:
     vectors = [v for _, v in chosen]
     grading = [levels.count(d) for d in range(1, depth + 1)]
 
-    identity_basis = all(
-        len(v) == 1 and v.get(idx) == ONE for idx, v in enumerate(vectors)
-    )
-    if identity_basis:
-        solver = None
-    else:
-        solver = CoordinateSolver(vectors, algebra.n)
+    identity_basis = all(v == {idx: ONE} for idx, v in enumerate(vectors))
+    solver = None if identity_basis else CoordinateSolver(vectors, algebra.n)
 
     sc = {}
     for i in range(algebra.n):
@@ -278,9 +271,7 @@ def associated_graded(algebra: LieAlgebra) -> GradedLieAlgebra:
                 if levels[l] == d:
                     terms[l] = c
                 elif levels[l] < d:
-                    raise InternalInvariantError(
-                        "bracket escapes its lower central series level"
-                    )
+                    raise InternalInvariantError("bracket escapes its lower central series level")
             if terms:
                 sc[(i, j)] = terms
     labels = None
@@ -291,31 +282,20 @@ def associated_graded(algebra: LieAlgebra) -> GradedLieAlgebra:
 
 
 def algebra_to_json_dict(algebra: LieAlgebra) -> dict:
-    brackets = []
-    for (i, j) in sorted(algebra.sc):
-        terms = [
-            {"l": l, "c": frac_str(c)} for l, c in sorted(algebra.sc[(i, j)].items())
-        ]
-        brackets.append({"i": i, "j": j, "terms": terms})
-    basis = None
-    grading = None
+    brackets = [
+        {"i": i, "j": j, "terms": [{"l": l, "c": frac_str(c)} for l, c in sorted(terms.items())]}
+        for (i, j), terms in sorted(algebra.sc.items())
+    ]
+    basis = grading = None
     if isinstance(algebra, GradedLieAlgebra):
         grading = list(algebra.grading)
         if algebra.labels is not None:
             basis = [
-                {
-                    "label": lab.label,
-                    "degree": lab.degree,
-                    "multidegree": list(lab.multidegree),
-                }
+                {"label": lab.label, "degree": lab.degree, "multidegree": list(lab.multidegree)}
                 for lab in algebra.labels
             ]
     return {
-        "n": algebra.n,
-        "k": algebra.k,
-        "grading": grading,
-        "basis": basis,
-        "brackets": brackets,
+        "n": algebra.n, "k": algebra.k, "grading": grading, "basis": basis, "brackets": brackets
     }
 
 

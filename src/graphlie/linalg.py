@@ -65,6 +65,17 @@ def axpy(dst: dict, coef, src: dict) -> dict:
     return dst
 
 
+def drop_zeros(data: dict) -> dict:
+    """Delete the zero entries and then the empty rows of {row: {col: value}}, in place."""
+    for r in [r for r, row in data.items() if 0 in row.values() or not row]:
+        row = data[r]
+        for c in [c for c, v in row.items() if not v]:
+            del row[c]
+        if not row:
+            del data[r]
+    return data
+
+
 class RatMatrix:
     """Sparse matrix over the rationals, stored by rows as {row: {col: value}}.
 
@@ -94,16 +105,15 @@ class RatMatrix:
         if not _EXACT.issuperset(kinds):
             raise TypeError("matrix entries must be ints or Fractions")
         if 0 in values or not all(data.values()):
-            for r in list(data):
-                row = data[r]
-                for c in [c for c, v in row.items() if not v]:
-                    del row[c]
-                if not row:
-                    del data[r]
-        self.rows = rows
-        self.cols = cols
-        self._data = data
-        self._ints = Fraction not in kinds
+            drop_zeros(data)
+        self.rows, self.cols, self._data, self._ints = rows, cols, data, Fraction not in kinds
+
+    @classmethod
+    def adopt(cls, rows: int, cols: int, data: dict, ints: bool) -> "RatMatrix":
+        """Take data with no scan: in range, clean as drop_zeros leaves it, all ints if ints."""
+        self = cls.__new__(cls)
+        self.rows, self.cols, self._data, self._ints = rows, cols, data, ints
+        return self
 
     @property
     def entries(self) -> MappingProxyType:
@@ -125,9 +135,9 @@ class RatMatrix:
             rows = ({c: v.numerator * (scale // v.denominator) for c, v in row.items()} for row in rows)
         return map(MappingProxyType, rows)
 
-    def peeled(self, onto: "PeeledRows | None" = None) -> "PeeledRows":
+    def peeled(self) -> "PeeledRows":
         """PeeledRows of the rows scaled to integers, as int_rows gives them."""
-        return PeeledRows(self._data.values() if self._ints else self.int_rows(), onto)
+        return PeeledRows(self._data.values() if self._ints else self.int_rows())
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -266,16 +276,14 @@ class PeeledRows:
     A one-entry row puts a unit vector in the row space, so its column is
     settled: it adds 1 to the rank and is deleted from every other row, and
     rows that drop to one entry settle theirs in turn, up to a fixed point.
-    The rank is the number of settled columns plus the IntRowReducer rank of
-    the rows left. With onto, the rows are peeled onto a copy of an earlier
-    state, which ranks the stack. The given rows (columns to nonzero ints)
-    are not changed.
+    The rows left over (rest) go through an IntRowReducer once, here; the
+    rank is the number of settled columns plus the reducer's rank.
+    stacked_rank continues from that state instead of peeling again. The
+    given rows (columns to nonzero ints) are not changed.
     """
 
-    def __init__(self, rows, onto: "PeeledRows | None" = None):
-        # queue holds columns to settle; onto's are queued again to strip the new rows.
-        queue = list(onto.settled) if onto else []
-        live = [dict(row) for row in onto.rest] if onto else []
+    def __init__(self, rows):
+        queue, live = [], []  # columns to settle, copies of the other rows
         for row in rows:
             if len(row) == 1:
                 queue.extend(row)
@@ -296,13 +304,30 @@ class PeeledRows:
                         queue.extend(row)
         self.settled = settled
         self.rest = [row for row in live if row]
+        self.reducer = IntRowReducer()
+        for row in self.rest:
+            self.reducer.add(row)
 
     @property
     def rank(self) -> int:
+        return len(self.settled) + self.reducer.rank
+
+    def stacked_rank(self, other: "PeeledRows") -> int:
+        """Rank of these rows stacked with other's, from both peeled states.
+
+        Modulo self's settled columns the stack spans self's leftover rows, a
+        unit row for each column only other settles, and other's leftover
+        rows stripped of self's settled columns. Those go into a copy of
+        self's reducer, sharing its stored rows, which are never changed.
+        """
+        settled = self.settled
         red = IntRowReducer()
-        for row in self.rest:
-            red.add(row)
-        return len(self.settled) + red.rank
+        red.pivots.update(self.reducer.pivots)
+        for c in other.settled - settled:
+            red.add({c: 1})
+        for row in other.rest:
+            red.add({c: v for c, v in row.items() if c not in settled})
+        return len(settled) + red.rank
 
 
 class CoordinateSolver:
@@ -363,14 +388,11 @@ def rref(matrix: RatMatrix):
 def kernel_basis(matrix: RatMatrix) -> "Subspace":
     """Right kernel {x : Mx = 0} as a subspace of dimension cols - rank."""
     pivots = _echelon(matrix).pivots
-    basis = []
-    for f in range(matrix.cols):
-        if f not in pivots:
-            vec = {f: ONE}
-            for p, row in pivots.items():
-                if f in row:
-                    vec[p] = -row[f]
-            basis.append(vec)
+    basis = [
+        {f: ONE, **{p: -row[f] for p, row in pivots.items() if f in row}}
+        for f in range(matrix.cols)
+        if f not in pivots
+    ]
     return Subspace(matrix.cols, basis)
 
 
@@ -407,10 +429,7 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (
-            self.ambient_dim == other.ambient_dim
-            and self._red.pivots == other._red.pivots
-        )
+        return (self.ambient_dim, self._red.pivots) == (other.ambient_dim, other._red.pivots)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

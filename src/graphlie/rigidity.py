@@ -70,18 +70,23 @@ class DeformedAlgebra:
         return LieAlgebra(self.base.n, sc, k=self.base.k)
 
 
-def build_sigma(algebra: GradedLieAlgebra, a1: int, a2: int, y) -> DeformationCocycle:
-    """Validated deformation cocycle supported on two degree-one directions."""
+def _check_directions(algebra: GradedLieAlgebra, a1: int, a2: int, y) -> None:
+    """ValueError unless a1, a2 are distinct degree-one directions and y is a vector."""
     if not isinstance(algebra, GradedLieAlgebra):
-        raise ValueError("build_sigma needs a graded algebra")
-    n = algebra.n
+        raise ValueError("witness directions need a graded algebra")
     if a1 == a2:
         raise ValueError("the two directions must be distinct")
     for a in (a1, a2):
-        if not 0 <= a < n or algebra.degrees[a] != 1:
+        if not 0 <= a < algebra.n or algebra.degrees[a] != 1:
             raise ValueError(f"index {a} is not a degree-one basis direction")
-    if len(y) != n:
+    if len(y) != algebra.n:
         raise ValueError("y must be a vector of the algebra")
+
+
+def build_sigma(algebra: GradedLieAlgebra, a1: int, a2: int, y) -> DeformationCocycle:
+    """Validated deformation cocycle supported on two degree-one directions."""
+    _check_directions(algebra, a1, a2, y)
+    n = algebra.n
     y = tuple(frac(c) for c in y)
     rest = [i for i in range(n) if i not in (a1, a2)]
     for i_pos, i in enumerate(rest):
@@ -161,19 +166,10 @@ def deform_check(deformed: DeformedAlgebra, exhaustive: bool = False) -> DeformC
 def certify_graded_witness(algebra: GradedLieAlgebra, a1: int, a2: int, y) -> bool:
     """Degree-k witness conditions: [a1,a2] = 0, y in the top slice, and
     y outside [g',g'] + [a1,g'] + [a2,g']."""
-    if not isinstance(algebra, GradedLieAlgebra):
-        raise ValueError("graded witnesses need a graded algebra")
+    _check_directions(algebra, a1, a2, y)
     k = len(algebra.grading)
     if k < 3:
         raise ValueError("graded witnesses need k >= 3")
-    n = algebra.n
-    for a in (a1, a2):
-        if not 0 <= a < n or algebra.degrees[a] != 1:
-            raise ValueError(f"index {a} is not a degree-one basis direction")
-    if a1 == a2:
-        raise ValueError("witness directions must be distinct")
-    if len(y) != n:
-        raise ValueError("y must be a vector of the algebra")
     y_sparse = vec_to_dict(y)
     if not y_sparse:
         return False
@@ -335,6 +331,14 @@ def _witness_with_zero_h2(graph: SimpleGraph, k: int, phase: str) -> InternalInv
     )
 
 
+def _h2(graph: SimpleGraph, algebra: LieAlgebra, k: int) -> H2Report:
+    """h2_nil, with an invariant failure re-raised naming the graph and k."""
+    try:
+        return h2_nil(algebra)
+    except InternalInvariantError as exc:
+        raise invariant_error(exc.message, to_graph6(graph), k, exc.phase or "h2_nil") from exc
+
+
 def classify(graph: SimpleGraph, k: int, with_cohomology: bool = False) -> RigidityVerdict:
     """Rigidity verdict for the k-step algebra of a graph with at least 2 vertices."""
     if graph.m < 2:
@@ -363,7 +367,7 @@ def classify(graph: SimpleGraph, k: int, with_cohomology: bool = False) -> Rigid
     witness = find_witness(graph, algebra, k)
     h2 = None
     if k == 2 and (with_cohomology or witness is None):
-        h2 = h2_nil(algebra)
+        h2 = _h2(graph, algebra, k)
     if witness is not None:
         if h2 is not None and h2.h2_dim == 0:
             raise _witness_with_zero_h2(graph, k, "classify, witness against h2")
@@ -398,7 +402,7 @@ def sweep(n_max: int, k: int) -> list:
             verdict = classify(graph, k, with_cohomology=k == 2)
             h2 = verdict.h2
             if k == 2 and h2 is None:
-                h2 = h2_nil(structure_constants(graph, k))
+                h2 = _h2(graph, structure_constants(graph, k), k)
                 if verdict.verdict == "not_rigid" and h2.h2_dim == 0:
                     raise _witness_with_zero_h2(graph, k, "sweep, shortcut verdict against h2")
             row = {

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -139,6 +140,16 @@ def test_golden_outputs(capsys, name):
     code, out, err = _run(capsys, *GOLDEN[name])
     assert code == 0 and err == ""
     assert out.encode("utf-8") == (REPO_ROOT / "tests" / "data" / name).read_bytes()
+
+
+def test_stdout_digests(capsys):
+    # sha256 of the stdout of commands too large to keep as golden files,
+    # recorded before the change they guard; about a second at six vertices
+    digests = json.loads((REPO_ROOT / "tests" / "data" / "stdout_digests.json").read_text())
+    for command, digest in digests.items():
+        code, out, err = _run(capsys, *command.split())
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, command
 
 
 def test_enumerate(capsys):

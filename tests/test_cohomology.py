@@ -189,8 +189,13 @@ def test_h2_checks_two_step_once(monkeypatch):
         return lower_central_series(algebra)
 
     monkeypatch.setattr(cohomology, "lower_central_series", counted)
-    h2_nil(structure_constants(C4, 2))
+    # a fresh algebra object: the answer is kept on the object, and the
+    # cached one structure_constants returns may have been checked already
+    alg = structure_constants.__wrapped__(C4, 2)
+    h2_nil(alg)
     assert len(calls) == 1
+    h2_nil(alg)
+    assert is_at_most_two_step(alg) and len(calls) == 1
 
 
 def test_h2_fixed_reports():
@@ -467,6 +472,68 @@ def test_matrices_hold_ints_unless_constants_have_denominators():
         assert any(isinstance(v, Fraction) and v.denominator > 1 for v in entries.values())
 
 
+# Heisenberg in the basis x, y, z + x: [x, y] = z - x and [y, z] = x - z,
+# so the ad and identity blocks of all three builders meet and cancel.
+TWISTED_HEISENBERG = LieAlgebra(3, {(0, 1): {2: 1, 0: -1}, (1, 2): {2: -1, 0: 1}})
+
+
+def test_adopted_builder_rows_match_the_validating_constructor(monkeypatch):
+    import graphlie.cohomology as cohomology
+
+    raw_zeros = []
+    original = cohomology._CochainRows.matrix
+
+    def counted(self):
+        raw_zeros.append(sum(v == 0 for row in self.rows.values() for v in row.values()))
+        return original(self)
+
+    monkeypatch.setattr(cohomology._CochainRows, "matrix", counted)
+    rng = random.Random(17)
+    graphs = [graph for m in range(2, 6) for graph in enumerate_graphs(m)]
+    algebras = [structure_constants(graph, 2) for graph in graphs]
+    loaded = _rescaled(structure_constants(C4, 2), rng)
+    assert loaded.n > 0 and any(c.denominator > 1 for t in loaded.sc.values() for c in t.values())
+    for alg in algebras + [loaded, TWISTED_HEISENBERG]:
+        coords = CochainCoordinates(alg.n)
+        for build in (delta1_matrix, delta2_matrix, eta2_matrix):
+            adopted = build(alg, coords)
+            data = {r: dict(row) for r, row in adopted._data.items()}
+            checked = RatMatrix(adopted.rows, adopted.cols, data)
+            assert adopted == checked, (build.__name__, alg.n)
+            assert all(adopted._data.values())  # no empty row is kept
+            if adopted._data:
+                assert adopted._ints == checked._ints
+    # entries cancelled in every builder on the twisted basis, and no dimension moved
+    assert min(raw_zeros[-3:]) > 0
+    assert h2_nil(TWISTED_HEISENBERG) == h2_nil(HEISENBERG)
+
+
+def test_builder_blocks_past_the_matrix_edge_raise(monkeypatch):
+    import graphlie.cohomology as cohomology
+    from graphlie.errors import InternalInvariantError
+
+    # [e1, e2] = e0: every builder writes a block into its last n rows
+    alg = LieAlgebra(3, {(1, 2): {0: 1}})
+    out = cohomology._CochainRows(alg, 6, 6)
+    out.block(3, 3, out.leads[1], 1)
+    out.block(0, 0, out.unit, 1)  # blocks that just fit
+    for base, col_base in ((4, 0), (0, 4), (-1, 0), (0, -1)):
+        for terms in (out.leads[1], out.unit):
+            with pytest.raises(InternalInvariantError):
+                out.block(base, col_base, terms, 1)
+    # a builder that has one row fewer than its blocks need
+    original = cohomology._CochainRows.__init__
+
+    def one_row_short(self, algebra, nrows, ncols):
+        original(self, algebra, nrows - 1, ncols)
+
+    monkeypatch.setattr(cohomology._CochainRows, "__init__", one_row_short)
+    coords = CochainCoordinates(alg.n)
+    for build in (delta1_matrix, delta2_matrix, eta2_matrix):
+        with pytest.raises(InternalInvariantError):
+            build(alg, coords)
+
+
 def test_integer_rank_path_makes_no_fraction(monkeypatch):
     # From the builders to the ranks, an integer algebra's rows stay ints.
     # The 2-step check in eta2_matrix reduces Fraction subspaces, so it is
@@ -488,8 +555,8 @@ def test_integer_rank_path_makes_no_fraction(monkeypatch):
     e2, d1 = eta2_matrix(alg, coords), delta1_matrix(alg, coords)
     assert e2.matmul(d1).is_zero()
     d2 = delta2_matrix(alg, coords)
-    eta2 = e2.peeled()
-    ranks = [eta2.rank, d1.peeled().rank, d2.peeled().rank, d2.peeled(onto=eta2).rank]
+    eta2, delta2 = e2.peeled(), d2.peeled()
+    ranks = [eta2.rank, d1.peeled().rank, delta2.rank, eta2.stacked_rank(delta2)]
     red = IntRowReducer()
     for matrix in (e2, d1, d2):
         for row in matrix.int_rows():
@@ -542,14 +609,6 @@ def _int_rank(*matrices):
     return red.rank
 
 
-def _peeled_rank(first, *below):
-    # h2_nil's way: peel the first matrix, then each further one onto it.
-    state = first.peeled()
-    for matrix in below:
-        state = matrix.peeled(onto=state)
-    return state.rank
-
-
 def test_ranks_match_sympy():
     sympy = pytest.importorskip("sympy")
     for alg in _graph_algebras(4) + [ABELIAN2]:
@@ -564,7 +623,9 @@ def test_ranks_match_sympy():
         )
         ranks = [_sympy_rank(sympy, m) for m in (d1, d2, e2, stacked)]
         assert [_int_rank(d1), _int_rank(d2), _int_rank(e2), _int_rank(e2, d2)] == ranks
-        assert [_peeled_rank(d1), _peeled_rank(d2), _peeled_rank(e2), _peeled_rank(e2, d2)] == ranks
+        # h2_nil's way: peel each matrix once, stack from the peeled states
+        eta2, delta2 = e2.peeled(), d2.peeled()
+        assert [d1.peeled().rank, delta2.rank, eta2.rank, eta2.stacked_rank(delta2)] == ranks
         cols = coords.dim_two_cochains
         report = h2_nil(alg)
         assert report.dim_im_delta1 == ranks[0]

@@ -314,19 +314,22 @@ def test_peel_without_one_entry_rows_leaves_every_row():
 def test_peel_of_the_empty_matrix():
     empty = PeeledRows([])
     assert (empty.settled, empty.rest, empty.rank) == (set(), [], 0)
-    assert PeeledRows([], onto=empty).rank == 0
+    assert empty.stacked_rank(empty) == 0
     assert RatMatrix(0, 0).peeled().rank == 0
-    assert RatMatrix(3, 4).peeled(onto=PeeledRows([{1: 2}])).rank == 1
+    assert PeeledRows([{1: 2}]).stacked_rank(RatMatrix(3, 4).peeled()) == 1
+    assert RatMatrix(3, 4).peeled().stacked_rank(PeeledRows([{1: 2}])) == 1
 
 
-def test_peel_onto_a_state_ranks_the_stack():
+def test_stacked_rank_continues_from_both_states():
+    # below settles column 0, which top leaves in its reducer
     top = [{0: 1, 1: 1}, {2: 3}]
     below = [{0: 2}, {1: 1, 3: 1}]
-    base = PeeledRows(top)
-    stacked = PeeledRows(below, onto=base)
-    assert stacked.settled == {0, 1, 2, 3} and stacked.rest == []
-    assert stacked.rank == 4 == _plain_rank(top + below)
+    base, other = PeeledRows(top), PeeledRows(below)
+    pivots = {p: dict(row) for p, row in base.reducer.pivots.items()}
+    assert base.stacked_rank(other) == 4 == _plain_rank(top + below)
+    assert other.stacked_rank(base) == 4
     assert (base.settled, base.rest, base.rank) == ({2}, [{0: 1, 1: 1}], 2)  # kept
+    assert base.reducer.pivots == pivots and base.reducer.rank == 1
 
 
 def test_peeled_rank_matches_the_reducer_on_random_sparse_rows():
@@ -336,22 +339,27 @@ def test_peeled_rank_matches_the_reducer_on_random_sparse_rows():
         size = min(cols, rng.choice([1, 1, 1, 1, 2, 2, 3, 4]))  # mostly one entry
         return {c: rng.choice([-3, -2, -1, 1, 2, 5]) for c in rng.sample(range(cols), size)}
 
+    new_columns = 0
     for _ in range(300):
         cols = rng.randint(1, 12)
         top = [draw(cols) for _ in range(rng.randint(0, 12))]
         below = [draw(cols) for _ in range(rng.randint(0, 12))]
         before = [dict(row) for row in top + below]
-        base = PeeledRows(top)
-        stacked = PeeledRows(below, onto=base)
+        base, other = PeeledRows(top), PeeledRows(below)
+        pivots = {p: dict(row) for p, row in base.reducer.pivots.items()}
         assert base.rank == _plain_rank(top)
-        assert PeeledRows(below).rank == _plain_rank(below)
-        assert stacked.rank == _plain_rank(top + below)
+        assert other.rank == _plain_rank(below)
+        assert base.stacked_rank(other) == _plain_rank(top + below)
+        assert other.stacked_rank(base) == _plain_rank(below + top)
+        new_columns += bool(other.settled - base.settled)
         assert top + below == before  # the input rows are not changed
-        for state in (base, stacked):
+        assert base.reducer.pivots == pivots  # stacking works on a copy
+        for state in (base, other):
             assert all(len(row) >= 2 and not state.settled & row.keys() for row in state.rest)
         # a matrix with Fractions peels its rows scaled to integers
         scaled = {r: {c: Fraction(v, 6) for c, v in row.items()} for r, row in enumerate(top)}
         assert RatMatrix(len(top), cols, scaled).peeled().rank == base.rank
+    assert new_columns > 100  # the second matrix often settles columns the first does not
 
 
 def test_rat_matrix_rejects_bad_input():

@@ -369,6 +369,28 @@ def test_witness_with_zero_h2_names_graph_k_and_phase(monkeypatch):
     assert "graph6 B?," in message and "k = 2" in message and "phase: sweep" in message
 
 
+def test_h2_containment_failure_names_graph_k_and_phase(monkeypatch):
+    import graphlie.cohomology as cohomology
+    from graphlie.linalg import RatMatrix
+
+    def wrong_delta1(algebra, coords=None):
+        # a unit entry in every column: eta2 times it is eta2's first columns
+        rows, cols = algebra.n * (algebra.n - 1) // 2 * algebra.n, algebra.n * algebra.n
+        return RatMatrix(rows, cols, {c % rows: {c: 1} for c in range(cols)})
+
+    monkeypatch.setattr(cohomology, "delta1_matrix", wrong_delta1)
+    phase = "phase: h2_nil, containment of im delta1 in ker eta2)"
+    with pytest.raises(InternalInvariantError) as caught:
+        classify(K3, 2)  # rigid: no witness, so classify needs h2
+    message = str(caught.value)
+    assert message.startswith("im delta1 is not contained in ker eta2 (graph6 Bw, k = 2, ")
+    assert message.endswith(phase) and message.count("phase:") == 1
+    with pytest.raises(InternalInvariantError) as caught:
+        sweep(3, 2)
+    message = str(caught.value)
+    assert "(graph6 A_, k = 2, " in message and message.endswith(phase)
+
+
 def test_witness_certifier_disagreement_names_graph_k_and_phase(monkeypatch):
     import graphlie.rigidity as rigidity
 
