@@ -6,10 +6,11 @@ non-adjacent pairs. Its degree-j slice embeds into the span of length-j
 words of the trace monoid in which two letters commute exactly when they
 are not adjacent in G, by sending a bracket word to its associative
 expansion uv - vu written in lexicographic normal form (Anisimov & Knuth,
-1979), where an int mask per letter of the letters it does not commute with
-makes "may this letter come first" one AND. Ranks of expansions therefore
-decide everything. They run on exact ints; RowReducer divides only at a
-pivot other than ±1, which up to k = 4 on 6 vertices never occurs.
+1979). Every key of an expansion is a normal form, so the normal form of a
+product w1 w2 is w1 with the letters of w2 inserted by int mask tests, not
+a rescan of the whole word. Ranks of expansions therefore decide everything.
+They run on exact ints; RowReducer divides only at a pivot other than ±1,
+which up to k = 4 on 6 vertices never occurs.
 
 Candidates for basis labels are the Lyndon words of length at most k with
 their standard bracketings; their images span each slice because they span
@@ -17,8 +18,11 @@ the free Lie algebra before the quotient; both factors of w = uv are shorter
 Lyndon words, so each expansion is the commutator of two made before it. A
 greedy sweep in lexicographic order keeps the first rank-extending subset,
 one block of constant multidegree at a time, in the CoordinateSolver that
-later solves the brackets landing in that block. An independent dimension
-count from the clique polynomial of the complement cross-checks the sweep.
+later solves the brackets landing in that block. The sweep records the
+coordinates of [u, v] whenever u and v are both basis elements, so the
+structure constants expand and solve only the pairs that are not standard
+factorizations. An independent dimension count from the clique polynomial
+of the complement cross-checks the sweep.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import invariant_error
+from .errors import InternalInvariantError, invariant_error
 from .graphs import SimpleGraph, to_graph6
 from .liealg import BasisLabel, GradedLieAlgebra
 from .limits import check_dim
@@ -35,7 +39,12 @@ from .linalg import CoordinateSolver
 
 
 class TraceContext:
-    """Commutation masks of a graph plus a normal form cache."""
+    """Commutation masks of a graph plus a normal form memo, shared by every caller.
+
+    Every normal form is made by one routine, _place, which inserts letters
+    into a normal form one at a time: normal_form starts from the empty
+    word, and commutator puts one key of an expansion into another.
+    """
 
     def __init__(self, graph: SimpleGraph):
         self.graph = graph
@@ -48,13 +57,7 @@ class TraceContext:
         self._cache: dict = {}
 
     def normal_form(self, word) -> tuple:
-        """Lexicographically least representative of the trace class of word.
-
-        A letter occurrence can be first in some representative exactly when
-        its mask meets none of the letters before it; taking the least such
-        letter and recursing yields the minimum (Anisimov & Knuth, 1979). Equal
-        letters never commute, so the movable occurrence of each letter is unique.
-        """
+        """Lexicographically least representative of the trace class of word."""
         word = tuple(word)
         cached = self._cache.get(word)
         if cached is not None:
@@ -62,46 +65,53 @@ class TraceContext:
         for v in word:
             if not 1 <= v <= self.m:
                 raise ValueError(f"letter {v} outside alphabet 1..{self.m}")
+        return self._place((), word)
+
+    def _place(self, head: tuple, tail: tuple) -> tuple:
+        """Normal form of head + tail, for head a normal form; memoized under head + tail.
+
+        Each letter a of tail goes after the last letter it does not commute
+        with, then past the smaller letters that follow. A word is a normal
+        form when no factor b u c has c < b and c commuting with all of b u
+        (Anisimov & Knuth). Placing a makes no such factor: the letters it
+        passes are smaller than a, the next one is larger and commutes with
+        a, and a factor with a inside it was one before, without a.
+        """
         blocks = self.blocks
-        rest = list(word)
-        out = []
-        while rest:
-            best_letter = self.m + 1
-            best_pos = pos = seen = 0
-            for a in rest:
-                if a < best_letter and not blocks[a] & seen:
-                    best_letter = a
-                    best_pos = pos
-                seen |= 1 << a
-                pos += 1
-            out.append(rest.pop(best_pos))
-        result = tuple(out)
-        self._cache[word] = result
+        out = list(head)
+        for a in tail:
+            mask = blocks[a]
+            i = n = len(out)
+            while i and not mask >> out[i - 1] & 1:
+                i -= 1
+            while i < n and out[i] < a:
+                i += 1
+            out.insert(i, a)
+        result = self._cache[head + tail] = tuple(out)
         return result
 
     def commutator(self, left: dict, right: dict) -> dict:
         """Expansion of [x, y] from word expansions of x and y.
 
-        This is the hot loop of the structure constants at k >= 3 (most of a
-        k = 4 sweep). Each product adds to one word and subtracts from another,
-        so the two updates are written out here instead of going through
-        linalg.axpy, which would need a one-entry dict per product. Most
-        concatenations recur, so the memo is read before normal_form is called.
+        This is the hot loop of the k >= 3 path. Each product adds to one
+        word and subtracts from another, so the two updates are written out
+        here instead of going through linalg.axpy, which would need a
+        one-entry dict per product. Every key of an expansion is a normal
+        form, so a memo miss places the letters of one into the other.
         """
         cache = self._cache
+        place = self._place
         out: dict = {}
         for w1, c1 in left.items():
             for w2, c2 in right.items():
                 coef = c1 * c2
-                w = w1 + w2
-                w = cache.get(w) or self.normal_form(w)
+                w = cache.get(w1 + w2) or place(w1, w2)
                 s = out.get(w, 0) + coef
                 if s:
                     out[w] = s
                 else:
                     out.pop(w, None)
-                w = w2 + w1
-                w = cache.get(w) or self.normal_form(w)
+                w = cache.get(w2 + w1) or place(w2, w1)
                 s = out.get(w, 0) - coef
                 if s:
                     out[w] = s
@@ -266,6 +276,9 @@ class GradedBasis:
     # (degree, md) -> (word -> column, element index per solver row, CoordinateSolver);
     # a block has at most m ** degree words, which is the solver's offset
     blocks: dict
+    # (u, v) -> {element index: coefficient} of [e_u, e_v], for each candidate
+    # whose standard factors are the basis elements u and v; {} when it is zero
+    brackets: dict
 
     def elements_of_degree(self, degree: int) -> list:
         return [e for e in self.elements if e.degree == degree]
@@ -281,68 +294,91 @@ def graded_basis(graph: SimpleGraph, k: int) -> GradedBasis:
     oracle = dimension_oracle(graph, k)
     check_dim(oracle)
     ctx = _context(graph)
-    made: dict = {}  # Lyndon word -> (tree, expansion)
+    made: dict = {}  # Lyndon word -> (tree, expansion, element index or None)
     elements = []
     blocks: dict = {}
+    brackets: dict = {}
     # by length, then lexicographically: the factors of a word come before it
     for word in sorted(lyndon_words(graph.m, k), key=len):
-        degree = len(word)
+        degree, index, coords = len(word), None, {}
         if degree == 1:
-            tree, expansion = word[0], {word: 1}
+            tree, expansion, pair = word[0], {word: 1}, None
         else:
             cut = _standard_cut(word)
-            (lt, le), (rt, re) = made[word[:cut]], made[word[cut:]]
+            (lt, le, u), (rt, re, v) = made[word[:cut]], made[word[cut:]]
             tree, expansion = (lt, rt), ctx.commutator(le, re)
-        made[word] = tree, expansion
-        if not expansion:
-            continue
-        md = multidegree_of_leaves(word, graph.m)
-        columns, indices, solver = blocks.setdefault(
-            (degree, md), ({}, [], CoordinateSolver([], graph.m**degree))
-        )
-        if solver.add({columns.setdefault(w, len(columns)): c for w, c in expansion.items()}):
-            indices.append(len(elements))
-            elements.append(BasisElement(len(elements), degree, word, tree, md, expansion))
+            pair = None if u is None or v is None else (u, v)
+        if expansion:
+            md = multidegree_of_leaves(word, graph.m)
+            columns, indices, solver = blocks.setdefault(
+                (degree, md), ({}, [], CoordinateSolver([], graph.m**degree))
+            )
+            try:
+                coords = solver.add({columns.setdefault(w, len(columns)): c for w, c in expansion.items()})
+            except InternalInvariantError as exc:
+                raise invariant_error(exc.message, to_graph6(graph), k, "graded basis") from exc
+            if len(indices) < solver.size:
+                index = len(elements)
+                indices.append(index)
+                elements.append(BasisElement(index, degree, word, tree, md, expansion))
+            coords = {indices[pos]: c for pos, c in coords.items()}
+        made[word] = tree, expansion, index
+        if pair:
+            brackets[pair] = coords
     dims = tuple(sum(e.degree == d for e in elements) for d in range(1, k + 1))
     if list(dims) != oracle:
         raise invariant_error(
             f"greedy basis found {dims} elements by degree, dimension count expects {tuple(oracle)}",
             to_graph6(graph), k, "graded basis against the dimension count",
         )
-    return GradedBasis(graph, k, dims, elements, blocks)
+    return GradedBasis(graph, k, dims, elements, blocks, brackets)
 
 
 @lru_cache(maxsize=128)
 def structure_constants(graph: SimpleGraph, k: int) -> GradedLieAlgebra:
     """The graph Lie algebra as a graded algebra with exact structure constants.
 
-    Results are cached per (graph, k); callers must treat them as immutable.
+    Brackets the basis sweep recorded are read, negated when the pair comes
+    reversed; only the other pairs are expanded and solved here. Results
+    are cached per (graph, k); callers must treat them as immutable.
     """
     gb = graded_basis(graph, k)
     ctx = _context(graph)
     where = (to_graph6(graph), k, "structure constants")
+    known = {}
+    for (u, v), terms in gb.brackets.items():
+        known[(u, v) if u < v else (v, u)] = terms if u < v else {l: -c for l, c in terms.items()}
     sc = {}
     for i, ei in enumerate(gb.elements):
         # elements run by degree, so the partners of degree <= k - deg e_i come first
         for j in range(i + 1, sum(gb.dims[: k - ei.degree])):
-            ej = gb.elements[j]
-            degree = ei.degree + ej.degree
-            expansion = ctx.commutator(ei.expansion, ej.expansion)
-            if not expansion:
-                continue
-            md = tuple(a + b for a, b in zip(ei.multidegree, ej.multidegree))
-            block = gb.blocks.get((degree, md))
-            if block is None:
-                raise invariant_error("bracket lands in an empty multidegree block", *where)
-            columns, indices, solver = block
-            row = {}
-            for w, c in expansion.items():
-                col = columns.get(w)
-                if col is None:
-                    raise invariant_error("bracket leaves the expected word block", *where)
-                row[col] = c
-            terms = solver.solve(row)
+            terms = known.get((i, j))
+            if terms is None:
+                terms = _solve_bracket(gb, ctx, ei, gb.elements[j], where)
             if terms:
-                sc[(i, j)] = {indices[pos]: c for pos, c in terms.items()}
+                sc[(i, j)] = terms
     labels = tuple(BasisLabel(e.label, e.degree, e.multidegree) for e in gb.elements)
     return GradedLieAlgebra(len(gb.elements), sc, gb.dims, labels=labels, k=k)
+
+
+def _solve_bracket(gb: GradedBasis, ctx: TraceContext, ei, ej, where: tuple) -> dict:
+    """{element index: coefficient} of [e_i, e_j], from its expansion and its block's solver."""
+    expansion = ctx.commutator(ei.expansion, ej.expansion)
+    if not expansion:
+        return {}
+    md = tuple(a + b for a, b in zip(ei.multidegree, ej.multidegree))
+    block = gb.blocks.get((ei.degree + ej.degree, md))
+    if block is None:
+        raise invariant_error("bracket lands in an empty multidegree block", *where)
+    columns, indices, solver = block
+    row = {}
+    for w, c in expansion.items():
+        col = columns.get(w)
+        if col is None:
+            raise invariant_error("bracket leaves the expected word block", *where)
+        row[col] = c
+    try:
+        terms = solver.solve(row)
+    except InternalInvariantError as exc:
+        raise invariant_error(exc.message, *where) from exc
+    return {indices[pos]: c for pos, c in terms.items()}

@@ -43,7 +43,7 @@ from math import lcm
 
 from .errors import InternalInvariantError
 from .liealg import LieAlgebra, lower_central_series
-from .linalg import ZERO, RatMatrix, drop_zeros
+from .linalg import RatMatrix, drop_zeros
 
 
 class CochainCoordinates:
@@ -67,15 +67,6 @@ class CochainCoordinates:
         if a < b:
             return self.pair_index[(a, b)] * self.n + c, 1
         return self.pair_index[(b, a)] * self.n + c, -1
-
-    def sigma_vector(self, values: dict) -> list:
-        """Dense coordinates of a 2-cochain given as {(a<b): sparse image}."""
-        out = [ZERO] * self.dim_two_cochains
-        for (a, b), image in values.items():
-            for c, coef in image.items():
-                col, sign = self.sigma_coord(a, b, c)
-                out[col] += sign * coef
-        return out
 
 
 class _CochainRows:

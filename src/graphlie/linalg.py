@@ -10,9 +10,9 @@ PeeledRows and IntRowReducer rank integer rows without ever dividing.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, not_
 from types import MappingProxyType
 
 from .errors import InternalInvariantError
@@ -142,24 +142,18 @@ class RatMatrix:
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        # Column c2 of the product is the sum of other[c, c2] * (column c of
-        # self): one axpy per entry of other, the smaller factor in h2_nil.
-        # Only the columns of self that meet a nonzero row of other are used.
-        right = other._data
-        self_cols: dict = {}
-        for r, row in self._data.items():
-            for c, v in row.items():
-                if c in right:
-                    self_cols.setdefault(c, {})[r] = v
-        acc: dict = {}
-        for c, row in right.items():
-            if c in self_cols:
-                for c2, w in row.items():
-                    axpy(acc.setdefault(c2, {}), w, self_cols[c])
+        # Row r of the product sums self[r, c] * (row c of other). The rows of
+        # self that meet no nonzero row of other (most of eta2 in h2_nil) are
+        # skipped at C speed before any Python loop runs.
+        right, data = other._data, self._data
         out: dict = {}
-        for c2, col in acc.items():
-            for r, x in col.items():
-                out.setdefault(r, {})[c2] = x
+        for r in compress(data, map(not_, map(right.keys().isdisjoint, data.values()))):
+            acc: dict = {}
+            for c, v in data[r].items():
+                if c in right:
+                    axpy(acc, v, right[c])
+            if acc:
+                out[r] = acc
         return RatMatrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
@@ -342,20 +336,28 @@ class CoordinateSolver:
         self.offset = offset
         self.red = RowReducer()
         self.size = 0
-        for row in rows:
-            if not self.add(row):
+        for i, row in enumerate(rows):
+            self.add(row)
+            if self.size == i:
                 raise InternalInvariantError("basis rows are dependent")
 
-    def add(self, row: dict) -> bool:
-        """Keep row as the next position if a column below offset survives its reduction."""
+    def add(self, row: dict) -> dict:
+        """{position: coefficient} of row, kept as the next position if it is independent.
+
+        A row is kept when a column below offset survives its reduction and
+        then comes back as {its position: 1}; otherwise the reduction has
+        left its coordinates in the rows so far, and size does not change.
+        """
+        pos = self.offset + self.size
         aug = dict(row)
-        aug[self.offset + self.size] = 1
+        aug[pos] = 1
         rem = self.red.reduce(aug)
         if min(rem) >= self.offset:
-            return False
+            del rem[pos]
+            return {c - self.offset: -v for c, v in rem.items()}
         self.red.add(rem)
         self.size += 1
-        return True
+        return {self.size - 1: 1}
 
     def solve(self, vec: dict) -> dict:
         """{position: coefficient} of vec in the rows."""

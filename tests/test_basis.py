@@ -27,7 +27,7 @@ from graphlie.errors import InternalInvariantError
 from graphlie.graphs import SimpleGraph, enumerate_graphs, to_graph6
 from graphlie.liealg import algebra_to_json_dict, grading_support_check, jacobi_report
 from graphlie.limits import MAX_DIM
-from graphlie.linalg import RowReducer
+from graphlie.linalg import CoordinateSolver, RowReducer
 
 STAR = SimpleGraph.make(3, [(1, 2), (1, 3)])
 K2 = SimpleGraph.make(2, [(1, 2)])
@@ -116,6 +116,24 @@ def test_normal_form_is_class_minimum_on_long_words():
         assert nf == min(cls), (graph.edges, word)
         assert trace_normal_form(rng.choice(sorted(cls)), graph) == nf
     assert top_letters >= 10
+
+
+def test_placement_is_the_class_minimum_of_the_concatenation():
+    # commutator places the letters of one normal form into another on a
+    # memo miss; a fresh context, so that no memo entry answers first
+    rng = random.Random(4747)
+    pairs = 0
+    for m in range(2, 8):
+        for _ in range(12):
+            ctx = TraceContext(_random_graph(rng, m))
+            for _ in range(50):
+                w1, w2 = (
+                    min(_trace_class(tuple(rng.randint(1, m) for _ in range(rng.randint(1, size))), ctx.graph))
+                    for size in (4, 3)
+                )
+                assert ctx._place(w1, w2) == min(_trace_class(w1 + w2, ctx.graph)), (ctx.graph.edges, w1, w2)
+                pairs += 1
+    assert pairs == 3600
 
 
 def test_lyndon_words_rank_two():
@@ -404,6 +422,69 @@ def test_dimension_count_error_names_graph_k_and_phase(monkeypatch):
         message = str(caught.value)
         assert message.startswith("dimension count is not a nonnegative integer")
         assert message.endswith(f"(graph6 {to_graph6(STAR)}, k = 3, phase: dimension count)")
+
+
+def test_solver_invariant_errors_name_graph_k_and_phase(monkeypatch):
+    def refuse(message):
+        def method(self, row):
+            raise InternalInvariantError(message)
+        return method
+
+    monkeypatch.setattr(CoordinateSolver, "solve", refuse("vector outside the spanned space"))
+    with pytest.raises(InternalInvariantError) as caught:
+        basis.structure_constants.__wrapped__(K3, 3)
+    assert str(caught.value) == (
+        f"vector outside the spanned space (graph6 {to_graph6(K3)}, k = 3, phase: structure constants)"
+    )
+    monkeypatch.setattr(CoordinateSolver, "add", refuse("basis rows are dependent"))
+    with pytest.raises(InternalInvariantError) as caught:
+        graded_basis(STAR, 2)
+    assert str(caught.value) == (
+        f"basis rows are dependent (graph6 {to_graph6(STAR)}, k = 2, phase: graded basis)"
+    )
+
+
+def _reference_structure_constants(graph, k):
+    """Every [e_i, e_j] of degree <= k by commutator + solve, reading no recorded bracket."""
+    gb = graded_basis(graph, k)
+    ctx = TraceContext(graph)
+    sc = {}
+    for ei, ej in combinations(gb.elements, 2):
+        degree = ei.degree + ej.degree
+        expansion = ctx.commutator(ei.expansion, ej.expansion) if degree <= k else {}
+        if expansion:
+            md = tuple(a + b for a, b in zip(ei.multidegree, ej.multidegree))
+            columns, indices, solver = gb.blocks[(degree, md)]
+            terms = solver.solve({columns[w]: c for w, c in expansion.items()})
+            if terms:
+                sc[(ei.index, ej.index)] = {indices[pos]: c for pos, c in terms.items()}
+    return sc
+
+
+def test_structure_constants_match_the_reference():
+    rng = random.Random(606)
+    cases = [(g, k) for m in range(2, 6) for g in enumerate_graphs(m) for k in (2, 3, 4, 5)]
+    cases += [(_random_graph(rng, 6), k) for _ in range(3) for k in (3, 4)]
+    for graph, k in cases:
+        assert structure_constants(graph, k).sc == _reference_structure_constants(graph, k), (
+            to_graph6(graph), k,
+        )
+
+
+def test_structure_constants_expand_only_unrecorded_pairs(monkeypatch):
+    commutators = []
+    commutator = TraceContext.commutator
+    monkeypatch.setattr(
+        TraceContext, "commutator", lambda self, x, y: commutators.append(1) or commutator(self, x, y)
+    )
+    for graph, k in ((K2, 2), (STAR, 4), (K5, 4)):
+        gb = graded_basis(graph, k)
+        commutators.clear()
+        basis.structure_constants.__wrapped__(graph, k)
+        swept = sum(len(w) >= 2 for w in lyndon_words(graph.m, k))
+        pairs = sum(ei.degree + ej.degree <= k for ei, ej in combinations(gb.elements, 2))
+        assert gb.brackets and len(commutators) == swept + pairs - len(gb.brackets)
+    assert gb.brackets[(0, 1)] == {5: 1}  # [v1, v2] is the first element of degree 2
 
 
 def test_structure_constants_heisenberg():

@@ -144,7 +144,7 @@ def test_golden_outputs(capsys, name):
 
 def test_stdout_digests(capsys):
     # sha256 of the stdout of commands too large to keep as golden files,
-    # recorded before the change they guard; about a second at six vertices
+    # recorded before the change they guard; a few seconds in all at six vertices
     digests = json.loads((REPO_ROOT / "tests" / "data" / "stdout_digests.json").read_text())
     for command, digest in digests.items():
         code, out, err = _run(capsys, *command.split())

@@ -141,6 +141,28 @@ def test_matmul():
         assert a.matmul(b) == _matrix(dense, cols)
 
 
+def test_matmul_skips_rows_that_meet_no_right_row():
+    # only row 1 of the right factor is nonzero, and no left row has column 1
+    right = _matrix([[0, 0], [2, 3], [0, 0]])
+    product = _matrix([[1, 0, 0], [0, 0, 5]]).matmul(right)
+    assert product.is_zero() and (product.rows, product.cols) == (2, 2)
+    assert RatMatrix(2, 3).matmul(right).is_zero()
+    assert _matrix([[1, 0, 4]]).matmul(RatMatrix(3, 2)).is_zero()
+    # row 0 meets it and row 1 does not; int rows stay int
+    product = _matrix([[1, 2, 0], [0, 0, 7]]).matmul(right)
+    assert product.entries == {(0, 0): 4, (0, 1): 6}
+    assert all(type(v) is int for v in product.entries.values())
+    # rows of Fractions, one of which meets the right factor only where it cancels
+    left = _matrix([[Fraction(1, 2), Fraction(-3, 4), 0], [0, Fraction(2, 3), 0], [0, 0, 9]])
+    right = _matrix([[Fraction(3, 2), 1], [1, Fraction(2, 3)], [0, 0]])
+    assert _dense(left.matmul(right)) == [
+        [Fraction(0), Fraction(0)],
+        [Fraction(2, 3), Fraction(4, 9)],
+        [0, 0],
+    ]
+    assert left.matmul(right).entries == {(1, 0): Fraction(2, 3), (1, 1): Fraction(4, 9)}
+
+
 def test_axpy_drops_cancelled_entries():
     dst = {0: Fraction(1), 1: Fraction(2)}
     assert axpy(dst, Fraction(-1, 2), {1: Fraction(4), 2: Fraction(6)}) is dst
@@ -174,10 +196,12 @@ def test_coordinate_solver_round_trip():
     assert solver.solve({0: Fraction(2), 1: Fraction(2)}) == {0: 2}
     with pytest.raises(InternalInvariantError):
         solver.solve({0: Fraction(1)})  # outside the span
-    assert not solver.add({0: 3, 1: 3})  # dependent: refused, no position taken
+    # dependent: its coordinates come back and no position is taken
+    assert solver.add({0: 3, 1: 3}) == {0: 3} and solver.size == 1
     assert solver.solve({0: Fraction(2), 1: Fraction(2)}) == {0: 2}
-    assert solver.add({1: 1})
+    assert solver.add({1: 1}) == {1: 1} and solver.size == 2  # kept as position 1
     assert solver.solve({0: 2, 1: 5}) == {0: 2, 1: 3}
+    assert solver.add({0: -1, 1: 4}) == {0: -1, 1: 5} and solver.size == 2
 
 
 def test_unit_pivots_keep_int_rows():
