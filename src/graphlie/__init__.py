@@ -24,7 +24,6 @@ from .linalg import (
     frac,
     frac_str,
     kernel_basis,
-    rref,
 )
 from .basis import (
     BasisElement,
@@ -32,7 +31,6 @@ from .basis import (
     TraceContext,
     clique_polynomial,
     dimension_oracle,
-    expand_bracket_word,
     graded_basis,
     lyndon_words,
     standard_bracketing,
@@ -47,7 +45,6 @@ from .liealg import (
     algebra_to_json_dict,
     associated_graded,
     bracket_subspaces,
-    bracket_vectors,
     center,
     grading_support_check,
     jacobi_report,

@@ -16,13 +16,24 @@ Candidates for basis labels are the Lyndon words of length at most k with
 their standard bracketings; their images span each slice because they span
 the free Lie algebra before the quotient; both factors of w = uv are shorter
 Lyndon words, so each expansion is the commutator of two made before it. A
-greedy sweep in lexicographic order keeps the first rank-extending subset,
+greedy sweep in (length, word) order keeps the first rank-extending subset,
 one block of constant multidegree at a time, in the CoordinateSolver that
-later solves the brackets landing in that block. The sweep records the
-coordinates of [u, v] whenever u and v are both basis elements, so the
-structure constants expand and solve only the pairs that are not standard
-factorizations. An independent dimension count from the clique polynomial
-of the complement cross-checks the sweep.
+later solves the brackets landing in that block.
+
+A block depends only on the subgraph induced on its support, the letters it
+uses: in the subalgebra those letters generate only the edges among them act
+(Duchamp & Krob, Adv. Math. 95, 1992). The order-preserving relabel of the
+support onto 1..s keeps lexicographic order, so it carries the Lyndon words,
+their factorizations, the normal forms, the word columns, the greedy choice
+and every coordinate over unchanged; a canonical relabel would not, since the
+Lyndon basis depends on letter order. So each support type (s, edges induced
+on 1..s, k) is built once per process, holding only its words that use every
+letter and the brackets whose factors' supports cover 1..s, and a graph's
+basis and structure constants are assembled from the types of its vertex
+sets. The sweep records the coordinates of [u, v] whenever u and v are both
+basis elements, so only the other pairs are expanded and solved. An
+independent dimension count from the clique polynomial of the complement
+cross-checks every graph.
 """
 
 from __future__ import annotations
@@ -158,16 +169,10 @@ def standard_bracketing(word):
     return (standard_bracketing(word[:cut]), standard_bracketing(word[cut:]))
 
 
-def bracket_word_leaves(tree) -> tuple:
+def bracket_word_label(tree, leaf: str = "v{}") -> str:
     if isinstance(tree, int):
-        return (tree,)
-    return bracket_word_leaves(tree[0]) + bracket_word_leaves(tree[1])
-
-
-def bracket_word_label(tree) -> str:
-    if isinstance(tree, int):
-        return f"v{tree}"
-    return f"[{bracket_word_label(tree[0])},{bracket_word_label(tree[1])}]"
+        return leaf.format(tree)
+    return f"[{bracket_word_label(tree[0], leaf)},{bracket_word_label(tree[1], leaf)}]"
 
 
 def multidegree_of_leaves(leaves, m: int) -> tuple:
@@ -175,24 +180,6 @@ def multidegree_of_leaves(leaves, m: int) -> tuple:
     for v in leaves:
         md[v - 1] += 1
     return tuple(md)
-
-
-def expand_bracket_word(tree, graph: SimpleGraph, k: int) -> dict:
-    """Word expansion of a bracket word, as {normal form: coefficient}, made leaf by leaf."""
-    leaves = bracket_word_leaves(tree)
-    if len(leaves) > k:
-        raise ValueError(f"bracket word of degree {len(leaves)} exceeds the bound k={k}")
-    for v in leaves:
-        if not (isinstance(v, int) and 1 <= v <= graph.m):
-            raise ValueError(f"leaf {v!r} is not a vertex of the graph")
-    ctx = _context(graph)
-
-    def rec(node):
-        if isinstance(node, int):
-            return {(node,): 1}
-        return ctx.commutator(rec(node[0]), rec(node[1]))
-
-    return rec(tree)
 
 
 def _mobius(n: int) -> int:
@@ -253,18 +240,138 @@ def dimension_oracle(graph: SimpleGraph, k: int) -> list:
     return dims
 
 
-@dataclass(eq=False)
+def _relabel(word: tuple, letters: tuple) -> tuple:
+    return tuple(map(letters.__getitem__, word))
+
+
+def _supports(graph: SimpleGraph, top: int) -> list:
+    """(vertices, type key (s, edges)) of each set of s <= top vertices, its edges moved onto 1..s."""
+    out = []
+    for size in range(1, top + 1):
+        for sub in combinations(range(1, graph.m + 1), size):
+            pairs = combinations(range(1, size + 1), 2)
+            edges = tuple((i, j) for i, j in pairs if (sub[i - 1], sub[j - 1]) in graph.edges)
+            out.append((sub, (size, edges)))
+    return out
+
+
+@dataclass(frozen=True)
+class _SupportType:
+    """What the words that use every letter add to the algebra of a graph on 1..s.
+
+    made: Lyndon word -> (expansion, (1..s, position) or None); kept: (word,
+    label template) by position; brackets: (A, a, B, b, {position: c}) when
+    supports number A and B of _subsets(1..s) cover 1..s, the a-th element
+    of A's type preceding the b-th of B's in (length, word) order.
+    """
+
+    made: dict
+    kept: list
+    brackets: list
+
+
+def _subsets(letters: tuple) -> list:
+    """The nonempty subsets of letters by size, then lexicographically; a relabel keeps the order."""
+    return [sub for size in range(1, len(letters) + 1) for sub in combinations(letters, size)]
+
+
+@lru_cache(maxsize=2048)
+def _support_type(s: int, edges: tuple, k: int) -> _SupportType:
+    """One support type, built once per process; words on fewer letters come from their own types."""
+    ctx = TraceContext(SimpleGraph(s, frozenset(edges)))
+    made = {}  # Lyndon word on 1..s -> (expansion, (support, position) or None)
+    for sub, key in _supports(ctx.graph, s - 1):
+        letters = (0,) + sub
+        for word, (expansion, ref) in _support_type(*key, k).made.items():
+            relabelled = {_relabel(w, letters): c for w, c in expansion.items()}
+            made[_relabel(word, letters)] = relabelled, ref and (sub, ref[1])
+    kept, blocks, known = [], {}, {}
+    # by length, then lexicographically: the factors of a word come before it
+    for word in sorted((w for w in lyndon_words(s, k) if len(set(w)) == s), key=len):
+        if len(word) == 1:
+            expansion, pair = {word: 1}, None
+        else:
+            cut = _standard_cut(word)
+            u, v = made.get(word[:cut]), made.get(word[cut:])
+            if u is None or v is None:
+                continue  # a factor vanishes, so the word does
+            expansion = ctx.commutator(u[0], v[0])
+            pair = u[1] and v[1] and (word[:cut], word[cut:])
+        coords, ref = {}, None
+        if expansion:
+            columns, indices, solver = blocks.setdefault(
+                multidegree_of_leaves(word, s), ({}, [], CoordinateSolver([], s ** len(word)))
+            )
+            try:
+                coords = solver.add({columns.setdefault(w, len(columns)): c for w, c in expansion.items()})
+            except InternalInvariantError as exc:
+                raise InternalInvariantError(exc.message, "graded basis") from exc
+            if len(indices) < solver.size:
+                ref = tuple(range(1, s + 1)), len(kept)
+                indices.append(len(kept))
+                kept.append((word, bracket_word_label(standard_bracketing(word), "v{{{}}}")))
+            coords = {indices[p]: c for p, c in coords.items()}
+            made[word] = expansion, ref
+        if pair:
+            known[pair], known[pair[::-1]] = coords, {l: -c for l, c in coords.items()}
+    groups: dict = {}  # support -> (word, position, expansion) of its basis elements below degree k
+    for word, (expansion, ref) in made.items():
+        if ref and len(word) < k:
+            groups.setdefault(ref[0], []).append((word, ref[1], expansion))
+    brackets, number = [], {sub: n for n, sub in enumerate(_subsets(tuple(range(1, s + 1))))}
+    for a_sup, xs in groups.items():
+        for b_sup, ys in groups.items():
+            if len(set(a_sup + b_sup)) == s:
+                for x, a, ex in xs:
+                    for y, b, ey in ys:
+                        if len(x) + len(y) <= k and (len(x), x) < (len(y), y):
+                            terms = known.get((x, y))
+                            if terms is None:
+                                terms = _solve_bracket(ctx, blocks, x + y, ex, ey)
+                            if terms:
+                                brackets.append((number[a_sup], a, number[b_sup], b, terms))
+    own = {w: entry for w, entry in made.items() if len(set(w)) == s}
+    return _SupportType(own, kept, brackets)
+
+
+def _solve_bracket(ctx: TraceContext, blocks: dict, leaves: tuple, left: dict, right: dict) -> dict:
+    """{position: coefficient} of the bracket of two expansions, from its block's solver."""
+    expansion = ctx.commutator(left, right)
+    if not expansion:
+        return {}
+    try:
+        columns, indices, solver = blocks[multidegree_of_leaves(leaves, ctx.m)]
+        row = {columns[w]: c for w, c in expansion.items()}
+    except KeyError:
+        raise InternalInvariantError("bracket leaves its block", "structure constants") from None
+    try:
+        terms = solver.solve(row)
+    except InternalInvariantError as exc:
+        raise InternalInvariantError(exc.message, "structure constants") from exc
+    return {indices[pos]: c for pos, c in terms.items()}
+
+
 class BasisElement:
-    index: int
-    degree: int
-    word: tuple
-    tree: object
-    multidegree: tuple
-    expansion: dict
+    """A basis element: its Lyndon word on the graph's vertices and its bracket label.
+
+    The word expansion is read off the support type the element comes
+    from, through the order-preserving relabel of its support.
+    """
+
+    __slots__ = ("index", "degree", "word", "multidegree", "label", "_source")
+
+    def __init__(self, index: int, word: tuple, multidegree: tuple, label: str, source: tuple):
+        self.index, self.degree, self.word = index, len(word), word
+        self.multidegree, self.label, self._source = multidegree, label, source
 
     @property
-    def label(self) -> str:
-        return bracket_word_label(self.tree)
+    def tree(self):
+        return standard_bracketing(self.word)
+
+    @property
+    def expansion(self) -> dict:
+        entry, local, letters = self._source
+        return {_relabel(w, letters): c for w, c in entry.made[local][0].items()}
 
 
 @dataclass(eq=False)
@@ -273,12 +380,8 @@ class GradedBasis:
     k: int
     dims: tuple
     elements: list
-    # (degree, md) -> (word -> column, element index per solver row, CoordinateSolver);
-    # a block has at most m ** degree words, which is the solver's offset
-    blocks: dict
-    # (u, v) -> {element index: coefficient} of [e_u, e_v], for each candidate
-    # whose standard factors are the basis elements u and v; {} when it is zero
-    brackets: dict
+    # set of at most k vertices -> (its support type, the element index of each type position)
+    supports: dict
 
     def elements_of_degree(self, degree: int) -> list:
         return [e for e in self.elements if e.degree == degree]
@@ -288,97 +391,48 @@ class GradedBasis:
 
 
 def graded_basis(graph: SimpleGraph, k: int) -> GradedBasis:
-    """Greedy homogeneous basis with Lyndon word labels, degree by degree."""
+    """Lyndon-word basis in (length, word) order, assembled from the support types of graph."""
     if k < 1:
         raise ValueError("k must be at least 1")
     oracle = dimension_oracle(graph, k)
     check_dim(oracle)
-    ctx = _context(graph)
-    made: dict = {}  # Lyndon word -> (tree, expansion, element index or None)
+    try:
+        supports = {sub: (_support_type(*key, k), []) for sub, key in _supports(graph, k)}
+    except InternalInvariantError as exc:
+        raise invariant_error(exc.message, to_graph6(graph), k, exc.phase) from exc
+    found = []  # (degree, word, then what the element needs); words are distinct
+    for sub, (entry, indices) in supports.items():
+        letters = (0,) + sub
+        found += [(len(w), _relabel(w, letters), w, t, letters, entry, indices) for w, t in entry.kept]
+    found.sort()
     elements = []
-    blocks: dict = {}
-    brackets: dict = {}
-    # by length, then lexicographically: the factors of a word come before it
-    for word in sorted(lyndon_words(graph.m, k), key=len):
-        degree, index, coords = len(word), None, {}
-        if degree == 1:
-            tree, expansion, pair = word[0], {word: 1}, None
-        else:
-            cut = _standard_cut(word)
-            (lt, le, u), (rt, re, v) = made[word[:cut]], made[word[cut:]]
-            tree, expansion = (lt, rt), ctx.commutator(le, re)
-            pair = None if u is None or v is None else (u, v)
-        if expansion:
-            md = multidegree_of_leaves(word, graph.m)
-            columns, indices, solver = blocks.setdefault(
-                (degree, md), ({}, [], CoordinateSolver([], graph.m**degree))
-            )
-            try:
-                coords = solver.add({columns.setdefault(w, len(columns)): c for w, c in expansion.items()})
-            except InternalInvariantError as exc:
-                raise invariant_error(exc.message, to_graph6(graph), k, "graded basis") from exc
-            if len(indices) < solver.size:
-                index = len(elements)
-                indices.append(index)
-                elements.append(BasisElement(index, degree, word, tree, md, expansion))
-            coords = {indices[pos]: c for pos, c in coords.items()}
-        made[word] = tree, expansion, index
-        if pair:
-            brackets[pair] = coords
-    dims = tuple(sum(e.degree == d for e in elements) for d in range(1, k + 1))
+    for index, (_, word, local, template, letters, entry, indices) in enumerate(found):
+        indices.append(index)  # positions of one support come in order
+        md = multidegree_of_leaves(word, graph.m)
+        elements.append(BasisElement(index, word, md, template.format(*letters), (entry, local, letters)))
+    dims = tuple(sum(f[0] == d for f in found) for d in range(1, k + 1))
     if list(dims) != oracle:
         raise invariant_error(
             f"greedy basis found {dims} elements by degree, dimension count expects {tuple(oracle)}",
             to_graph6(graph), k, "graded basis against the dimension count",
         )
-    return GradedBasis(graph, k, dims, elements, blocks, brackets)
+    return GradedBasis(graph, k, dims, elements, supports)
 
 
 @lru_cache(maxsize=128)
 def structure_constants(graph: SimpleGraph, k: int) -> GradedLieAlgebra:
     """The graph Lie algebra as a graded algebra with exact structure constants.
 
-    Brackets the basis sweep recorded are read, negated when the pair comes
-    reversed; only the other pairs are expanded and solved here. Results
-    are cached per (graph, k); callers must treat them as immutable.
+    A bracket of degree at most k lands in the block of the union of its
+    factors' supports, so the relabelled brackets of the support types give
+    every constant. Results are cached per (graph, k); callers must treat
+    them as immutable.
     """
     gb = graded_basis(graph, k)
-    ctx = _context(graph)
-    where = (to_graph6(graph), k, "structure constants")
-    known = {}
-    for (u, v), terms in gb.brackets.items():
-        known[(u, v) if u < v else (v, u)] = terms if u < v else {l: -c for l, c in terms.items()}
     sc = {}
-    for i, ei in enumerate(gb.elements):
-        # elements run by degree, so the partners of degree <= k - deg e_i come first
-        for j in range(i + 1, sum(gb.dims[: k - ei.degree])):
-            terms = known.get((i, j))
-            if terms is None:
-                terms = _solve_bracket(gb, ctx, ei, gb.elements[j], where)
-            if terms:
-                sc[(i, j)] = terms
+    for sub, (entry, here) in gb.supports.items():
+        index = [gb.supports[part][1] for part in _subsets(sub)]
+        for a_part, a, b_part, b, terms in entry.brackets:
+            sc[index[a_part][a], index[b_part][b]] = {here[q]: c for q, c in terms.items()}
     labels = tuple(BasisLabel(e.label, e.degree, e.multidegree) for e in gb.elements)
-    return GradedLieAlgebra(len(gb.elements), sc, gb.dims, labels=labels, k=k)
-
-
-def _solve_bracket(gb: GradedBasis, ctx: TraceContext, ei, ej, where: tuple) -> dict:
-    """{element index: coefficient} of [e_i, e_j], from its expansion and its block's solver."""
-    expansion = ctx.commutator(ei.expansion, ej.expansion)
-    if not expansion:
-        return {}
-    md = tuple(a + b for a, b in zip(ei.multidegree, ej.multidegree))
-    block = gb.blocks.get((ei.degree + ej.degree, md))
-    if block is None:
-        raise invariant_error("bracket lands in an empty multidegree block", *where)
-    columns, indices, solver = block
-    row = {}
-    for w, c in expansion.items():
-        col = columns.get(w)
-        if col is None:
-            raise invariant_error("bracket leaves the expected word block", *where)
-        row[col] = c
-    try:
-        terms = solver.solve(row)
-    except InternalInvariantError as exc:
-        raise invariant_error(exc.message, *where) from exc
-    return {indices[pos]: c for pos, c in terms.items()}
+    return GradedLieAlgebra(len(gb.elements), dict(sorted(sc.items())), gb.dims, labels=labels, k=k)

@@ -16,7 +16,7 @@ from functools import cache
 from . import __version__
 from .basis import structure_constants
 from .cohomology import h2_nil
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, invariant_error
 from .graphs import SimpleGraph, enumerate_graphs, parse_graph, to_graph6
 from .liealg import (
     LieAlgebra,
@@ -220,8 +220,9 @@ def _cmd_deform_emit(args) -> int:
     deformed = DeformedAlgebra(base, cocycle)
     check = deform_check(deformed)
     if not check:
-        raise InternalInvariantError(
-            f"witness cocycle fails the deformation identities at {check.violation}"
+        raise invariant_error(
+            f"witness cocycle fails the deformation identities at {check.violation}",
+            to_graph6(graph), args.k, "deform emit, deformation identities",
         )
     materialized = deformed.at_t(t)
     payload = {

@@ -16,7 +16,6 @@ from types import MappingProxyType
 from .errors import InternalInvariantError
 from .linalg import (
     ONE,
-    ZERO,
     CoordinateSolver,
     RatMatrix,
     RowReducer,
@@ -27,7 +26,6 @@ from .linalg import (
     full_space,
     is_int,
     kernel_basis,
-    vec_to_dict,
 )
 
 
@@ -125,17 +123,6 @@ class GradedLieAlgebra(LieAlgebra):
     def degree_block(self, degree: int) -> range:
         start = sum(self.grading[: degree - 1])
         return range(start, start + self.grading[degree - 1])
-
-
-def bracket_vectors(algebra: LieAlgebra, x, y) -> list:
-    """[x, y] for dense vectors x, y."""
-    if len(x) != algebra.n or len(y) != algebra.n:
-        raise ValueError("vector length does not match the algebra dimension")
-    out = algebra.bracket_sparse(vec_to_dict(x), vec_to_dict(y))
-    dense = [ZERO] * algebra.n
-    for l, c in out.items():
-        dense[l] = c
-    return dense
 
 
 def bracket_subspaces(algebra: LieAlgebra, s: Subspace, t: Subspace) -> Subspace:

@@ -197,8 +197,12 @@ class RowReducer:
     def add(self, row: dict) -> bool:
         """Reduce row against the current basis; keep it if independent."""
         red = self.reduce(row)
-        if not red:
-            return False
+        if red:
+            self.store(red)
+        return bool(red)
+
+    def store(self, red: dict) -> None:
+        """Keep red, a nonzero row as reduce leaves it (no stored pivot column); red is taken over."""
         p = min(red)
         piv = red[p]
         if piv == -1:
@@ -210,7 +214,6 @@ class RowReducer:
             if p in prow:
                 axpy(prow, -prow[p], red)
         self.pivots[p] = red
-        return True
 
     def contains(self, row: dict) -> bool:
         return not self.reduce(row)
@@ -355,7 +358,7 @@ class CoordinateSolver:
         if min(rem) >= self.offset:
             del rem[pos]
             return {c - self.offset: -v for c, v in rem.items()}
-        self.red.add(rem)
+        self.red.store(rem)
         self.size += 1
         return {self.size - 1: 1}
 
@@ -367,29 +370,12 @@ class CoordinateSolver:
         return {c - self.offset: -v for c, v in rem.items()}
 
 
-def _echelon(matrix: RatMatrix) -> RowReducer:
+def kernel_basis(matrix: RatMatrix) -> "Subspace":
+    """Right kernel {x : Mx = 0} as a subspace of dimension cols - rank."""
     red = RowReducer()
     for row in matrix._data.values():
         red.add(row)
-    return red
-
-
-def rref(matrix: RatMatrix):
-    """Reduced row echelon form.
-
-    Returns (R, pivot_columns, rank); R has the shape of the input with the
-    RREF rows on top and zero rows below. Gauss-Jordan with the pivot taken
-    as the first nonzero column, so the output is deterministic.
-    """
-    red = _echelon(matrix)
-    rows = red.rows_sorted()
-    out = RatMatrix(matrix.rows, matrix.cols, dict(enumerate(rows)))
-    return out, sorted(red.pivots), len(rows)
-
-
-def kernel_basis(matrix: RatMatrix) -> "Subspace":
-    """Right kernel {x : Mx = 0} as a subspace of dimension cols - rank."""
-    pivots = _echelon(matrix).pivots
+    pivots = red.pivots
     basis = [
         {f: ONE, **{p: -row[f] for p, row in pivots.items() if f in row}}
         for f in range(matrix.cols)

@@ -291,7 +291,11 @@ def find_witness(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int):
         for (u, w) in nonadj:
             v_vec = _unit(n, u - 1)
             w_vec = _unit(n, w - 1)
-            z = certify_2step_witness(algebra, v_vec, w_vec)
+            try:
+                z = certify_2step_witness(algebra, v_vec, w_vec)
+            except InternalInvariantError as exc:
+                phase = "two-step witness certificate"
+                raise invariant_error(exc.message, to_graph6(graph), k, phase) from exc
             if z is not None:
                 z_sparse = vec_to_dict(z)
                 z_label = None

@@ -12,10 +12,8 @@ from graphlie.basis import (
     TraceContext,
     _context,
     bracket_word_label,
-    bracket_word_leaves,
     clique_polynomial,
     dimension_oracle,
-    expand_bracket_word,
     graded_basis,
     lyndon_words,
     multidegree_of_leaves,
@@ -25,7 +23,7 @@ from graphlie.basis import (
 )
 from graphlie.errors import InternalInvariantError
 from graphlie.graphs import SimpleGraph, enumerate_graphs, to_graph6
-from graphlie.liealg import algebra_to_json_dict, grading_support_check, jacobi_report
+from graphlie.liealg import BasisLabel, algebra_to_json_dict, grading_support_check, jacobi_report
 from graphlie.limits import MAX_DIM
 from graphlie.linalg import CoordinateSolver, RowReducer
 
@@ -56,9 +54,78 @@ def _trace_class(word, graph):
     return seen
 
 
+def bracket_word_leaves(tree):
+    if isinstance(tree, int):
+        return (tree,)
+    return bracket_word_leaves(tree[0]) + bracket_word_leaves(tree[1])
+
+
+def expand_bracket_word(tree, graph, k):
+    """Word expansion of a bracket word, as {normal form: coefficient}, made leaf by leaf."""
+    leaves = bracket_word_leaves(tree)
+    if len(leaves) > k:
+        raise ValueError(f"bracket word of degree {len(leaves)} exceeds the bound k={k}")
+    for v in leaves:
+        if not (isinstance(v, int) and 1 <= v <= graph.m):
+            raise ValueError(f"leaf {v!r} is not a vertex of the graph")
+    ctx = _context(graph)
+
+    def rec(node):
+        if isinstance(node, int):
+            return {(node,): 1}
+        return ctx.commutator(rec(node[0]), rec(node[1]))
+
+    return rec(tree)
+
+
 def _random_graph(rng, m):
     pairs = [p for p in combinations(range(1, m + 1), 2) if rng.random() < 0.5]
     return SimpleGraph.make(m, pairs)
+
+
+@pytest.fixture
+def fresh_types():
+    """An empty support-type memo, so that patched internals take part in filling it."""
+    basis._support_type.cache_clear()
+    yield
+    basis._support_type.cache_clear()
+
+
+def _direct_basis(graph, k):
+    """The per-graph Lyndon sweep, with every candidate expanded and reduced in graph itself.
+
+    Returns (elements, blocks, brackets): elements as (word, multidegree,
+    expansion) in sweep order, which is (length, word) order; blocks as
+    (degree, md) -> (word columns, element index per solver row, solver);
+    brackets as (u, v) -> {element index: coefficient} of [e_u, e_v] for each
+    candidate whose standard factors are the basis elements u and v.
+    """
+    ctx = TraceContext(graph)
+    made, elements, blocks, brackets = {}, [], {}, {}
+    for word in sorted(lyndon_words(graph.m, k), key=len):
+        degree, index, coords, pair = len(word), None, {}, None
+        if degree == 1:
+            expansion = {word: 1}
+        else:
+            cut = min(range(1, degree), key=lambda s: word[s:])
+            (left, u), (right, v) = made[word[:cut]], made[word[cut:]]
+            expansion = ctx.commutator(left, right)
+            pair = None if u is None or v is None else (u, v)
+        if expansion:
+            md = multidegree_of_leaves(word, graph.m)
+            columns, indices, solver = blocks.setdefault(
+                (degree, md), ({}, [], CoordinateSolver([], graph.m**degree))
+            )
+            coords = solver.add({columns.setdefault(w, len(columns)): c for w, c in expansion.items()})
+            if len(indices) < solver.size:
+                index = len(elements)
+                indices.append(index)
+                elements.append((word, md, expansion))
+            coords = {indices[pos]: c for pos, c in coords.items()}
+        made[word] = expansion, index
+        if pair:
+            brackets[pair] = coords
+    return elements, blocks, brackets
 
 
 def test_normal_form_fixed_cases():
@@ -375,24 +442,58 @@ def test_basis_elements_match_the_reference_expansions():
             assert list(e.expansion.items()) == list(reference.items()), (graph, e.word)
 
 
-def test_each_kept_row_is_eliminated_once(monkeypatch):
-    adds = []
-    commutators = []
-    add = RowReducer.add
-    commutator = TraceContext.commutator
-    monkeypatch.setattr(RowReducer, "add", lambda self, row: adds.append(1) or add(self, row))
-    monkeypatch.setattr(
-        TraceContext, "commutator", lambda self, x, y: commutators.append(1) or commutator(self, x, y)
+def _count_calls(monkeypatch, *methods):
+    """Wrap each (class or module, name) function to count its calls under "owner.name"."""
+    counts = {}
+    for owner, name in methods:
+        key, method = f"{owner.__name__}.{name}", getattr(owner, name)
+        counts[key] = 0
+
+        def counted(*args, key=key, method=method):
+            counts[key] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def test_each_kept_row_is_eliminated_once(monkeypatch, fresh_types):
+    counts = _count_calls(
+        monkeypatch,
+        (TraceContext, "commutator"),
+        (CoordinateSolver, "add"),
+        (CoordinateSolver, "solve"),
+        (RowReducer, "reduce"),
+        (RowReducer, "store"),
+        (RowReducer, "add"),
     )
-    # at k = 4, five candidates of STAR have nonzero but dependent expansions
-    for graph in (STAR, K5):
-        adds.clear()
-        commutators.clear()
-        gb = graded_basis(graph, 4)
-        assert len(commutators) == sum(len(w) >= 2 for w in lyndon_words(graph.m, 4))
-        assert len(adds) == len(gb.elements)
-    adds.clear()
-    assert basis.structure_constants.__wrapped__(K5, 4).n == len(adds) == len(gb.elements)
+    # (graph, k, rows the fills add, rows kept, brackets solved, commutators);
+    # a support type is filled once per process, so the two edges of STAR
+    # share one, and K5 needs one per size. Every row and every solved
+    # bracket is reduced once, and a kept row is stored as it is, never
+    # through RowReducer.add. With 3 as the hub, 5 rows are dependent.
+    cases = (
+        (K2, 2, 2, 2, 0, 1),
+        (STAR, 4, 12, 12, 6, 18),
+        (SimpleGraph.make(3, [(1, 3), (2, 3)]), 4, 17, 12, 3, 20),
+        (K5, 4, 24, 24, 13, 36),
+    )
+    for graph, k, rows, kept, solved, commutators in cases:
+        basis._support_type.cache_clear()
+        counts.update(dict.fromkeys(counts, 0))
+        graded_basis(graph, k)
+        assert counts == {
+            "TraceContext.commutator": commutators,
+            "CoordinateSolver.add": rows,
+            "CoordinateSolver.solve": solved,
+            "RowReducer.reduce": rows + solved,
+            "RowReducer.store": kept,
+            "RowReducer.add": 0,
+        }, to_graph6(graph)
+        # the filled memo answers the structure constants with no work at all
+        counts.update(dict.fromkeys(counts, 0))
+        basis.structure_constants.__wrapped__(graph, k)
+        assert set(counts.values()) == {0}
 
 
 def test_basis_invariant_errors_name_graph_k_and_phase(monkeypatch):
@@ -424,7 +525,7 @@ def test_dimension_count_error_names_graph_k_and_phase(monkeypatch):
         assert message.endswith(f"(graph6 {to_graph6(STAR)}, k = 3, phase: dimension count)")
 
 
-def test_solver_invariant_errors_name_graph_k_and_phase(monkeypatch):
+def test_solver_invariant_errors_name_graph_k_and_phase(monkeypatch, fresh_types):
     def refuse(message):
         def method(self, row):
             raise InternalInvariantError(message)
@@ -445,46 +546,86 @@ def test_solver_invariant_errors_name_graph_k_and_phase(monkeypatch):
 
 
 def _reference_structure_constants(graph, k):
-    """Every [e_i, e_j] of degree <= k by commutator + solve, reading no recorded bracket."""
-    gb = graded_basis(graph, k)
+    """Every [e_i, e_j] of degree <= k by commutator + solve in graph, reading no recorded bracket."""
+    elements, blocks, _ = _direct_basis(graph, k)
     ctx = TraceContext(graph)
     sc = {}
-    for ei, ej in combinations(gb.elements, 2):
-        degree = ei.degree + ej.degree
-        expansion = ctx.commutator(ei.expansion, ej.expansion) if degree <= k else {}
+    for (i, (wi, mdi, ei)), (j, (wj, mdj, ej)) in combinations(enumerate(elements), 2):
+        degree = len(wi) + len(wj)
+        expansion = ctx.commutator(ei, ej) if degree <= k else {}
         if expansion:
-            md = tuple(a + b for a, b in zip(ei.multidegree, ej.multidegree))
-            columns, indices, solver = gb.blocks[(degree, md)]
+            md = tuple(a + b for a, b in zip(mdi, mdj))
+            columns, indices, solver = blocks[(degree, md)]
             terms = solver.solve({columns[w]: c for w, c in expansion.items()})
             if terms:
-                sc[(ei.index, ej.index)] = {indices[pos]: c for pos, c in terms.items()}
-    return sc
+                sc[(i, j)] = {indices[pos]: c for pos, c in terms.items()}
+    labels = tuple(
+        BasisLabel(bracket_word_label(standard_bracketing(w)), len(w), md) for w, md, _ in elements
+    )
+    return sc, labels
+
+
+def _memo_cases():
+    # every class on 2..5 vertices at k = 2..5, and labelled 6-vertex graphs,
+    # whose vertex order is not a canonical one, at k = 3 and 4
+    rng = random.Random(606)
+    cases = [(g, k) for m in range(2, 6) for g in enumerate_graphs(m) for k in (2, 3, 4, 5)]
+    return cases + [(_random_graph(rng, 6), k) for _ in range(3) for k in (3, 4)]
 
 
 def test_structure_constants_match_the_reference():
-    rng = random.Random(606)
-    cases = [(g, k) for m in range(2, 6) for g in enumerate_graphs(m) for k in (2, 3, 4, 5)]
-    cases += [(_random_graph(rng, 6), k) for _ in range(3) for k in (3, 4)]
-    for graph, k in cases:
-        assert structure_constants(graph, k).sc == _reference_structure_constants(graph, k), (
+    # the memo path against the per-graph construction: constants, labels
+    # and grading, on graphs whose supports share types in many ways
+    for graph, k in _memo_cases():
+        alg = structure_constants(graph, k)
+        sc, labels = _reference_structure_constants(graph, k)
+        assert (alg.sc, alg.labels) == (sc, labels), (to_graph6(graph), k)
+        assert list(alg.grading) == dimension_oracle(graph, k)
+
+
+def test_graded_basis_matches_the_per_graph_sweep():
+    for graph, k in _memo_cases():
+        elements, _, _ = _direct_basis(graph, k)
+        got = [(e.word, e.multidegree, list(e.expansion.items())) for e in graded_basis(graph, k).elements]
+        assert got == [(w, md, list(expansion.items())) for w, md, expansion in elements], (
             to_graph6(graph), k,
         )
 
 
-def test_structure_constants_expand_only_unrecorded_pairs(monkeypatch):
-    commutators = []
-    commutator = TraceContext.commutator
-    monkeypatch.setattr(
-        TraceContext, "commutator", lambda self, x, y: commutators.append(1) or commutator(self, x, y)
+def test_support_types_are_shared_and_bounded():
+    # one entry per (s, induced edges on 1..s, k), whatever the vertices
+    supports = graded_basis(STAR, 4).supports
+    assert supports[(1, 2)][0] is supports[(1, 3)][0] is not supports[(2, 3)][0]
+    assert supports[(1, 2)][0] is graded_basis(PATH3, 4).supports[(2, 3)][0]
+    assert supports[(1, 2)][0] is not graded_basis(STAR, 3).supports[(1, 2)][0]
+    # large enough for every labelled graph on at most 5 vertices at one k
+    assert basis._support_type.cache_info().maxsize >= sum(2 ** (s * (s - 1) // 2) for s in range(1, 6))
+
+
+def _unrecorded_full_pairs(graph, k):
+    """Pairs of degree <= k of the per-graph basis whose supports cover every vertex
+    and that are no candidate's standard factorization."""
+    elements, _, brackets = _direct_basis(graph, k)
+    recorded = {frozenset(pair) for pair in brackets}
+    return sum(
+        len(wi) + len(wj) <= k and len(set(wi + wj)) == graph.m and frozenset((i, j)) not in recorded
+        for (i, (wi, _, _)), (j, (wj, _, _)) in combinations(enumerate(elements), 2)
     )
-    for graph, k in ((K2, 2), (STAR, 4), (K5, 4)):
-        gb = graded_basis(graph, k)
-        commutators.clear()
+
+
+def test_structure_constants_expand_only_unrecorded_pairs(monkeypatch, fresh_types):
+    # On an empty memo each support type sweeps its candidates (one
+    # commutator for each whose two factors do not vanish) and then expands
+    # the pairs covering its support that no candidate recorded.
+    counts = _count_calls(monkeypatch, (TraceContext, "commutator"), (basis, "_solve_bracket"))
+    hub3 = SimpleGraph.make(3, [(1, 3), (2, 3)])
+    for graph, k, swept, pairs in ((K2, 2, 1, 0), (STAR, 4, 12, 6), (hub3, 4, 17, 3), (K5, 4, 23, 13)):
+        basis._support_type.cache_clear()
+        counts.update(dict.fromkeys(counts, 0))
         basis.structure_constants.__wrapped__(graph, k)
-        swept = sum(len(w) >= 2 for w in lyndon_words(graph.m, k))
-        pairs = sum(ei.degree + ej.degree <= k for ei, ej in combinations(gb.elements, 2))
-        assert gb.brackets and len(commutators) == swept + pairs - len(gb.brackets)
-    assert gb.brackets[(0, 1)] == {5: 1}  # [v1, v2] is the first element of degree 2
+        assert list(counts.values()) == [swept + pairs, pairs], to_graph6(graph)
+        types = {SimpleGraph(s, frozenset(edges)) for _, (s, edges) in basis._supports(graph, k)}
+        assert pairs == sum(_unrecorded_full_pairs(support, k) for support in types)
 
 
 def test_structure_constants_heisenberg():
@@ -562,10 +703,12 @@ def test_expansions_are_plain_ints():
                 assert all(type(c) is int for c in e.expansion.values()), (graph, e.label)
 
 
-def test_structure_constants_solve_builds_no_fraction(monkeypatch):
+def test_structure_constants_solve_builds_no_fraction(monkeypatch, fresh_types):
     # Up to the algebra constructor, whose _clean_sc turns every constant
     # into a Fraction, K5 at k = 4 runs on ints: the dimension count, the
-    # expansions, the greedy basis and every coordinate solve.
+    # expansions, the greedy basis and every coordinate solve. The memo is
+    # empty, so K5's types are filled here, under the patch.
+    counts = _count_calls(monkeypatch, (CoordinateSolver, "add"), (CoordinateSolver, "solve"))
     made = []
     built = {}
     original = Fraction.__new__
@@ -581,6 +724,7 @@ def test_structure_constants_solve_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counted)
     basis.structure_constants.__wrapped__(K5, 4)
     monkeypatch.undo()
+    assert counts == {"CoordinateSolver.add": 24, "CoordinateSolver.solve": 13}
     assert made == []
     assert built and all(type(c) is int for terms in built.values() for c in terms.values())
     assert structure_constants(K5, 4).sc == built
@@ -590,7 +734,7 @@ def _no_candidates(m, maxlen):
     raise AssertionError("an oversized request reached the candidate words")
 
 
-def test_size_budget_refuses_before_building(monkeypatch):
+def test_size_budget_refuses_before_building(monkeypatch, fresh_types):
     # the budget is read when the basis is built, right after the count
     with monkeypatch.context() as patch:
         patch.setattr("graphlie.limits.MAX_DIM", 19)

@@ -91,8 +91,9 @@ def test_traced_k4_sweep_spans_are_pinned():
     # reducer would leave the benchmark's RowReducer.add span empty.
     spans = _traced_sweep(4)["spans"]
     assert spans["basis.structure_constants"][0] == 33
-    # 2,604 kept basis rows, each eliminated once, plus 2,970 from Subspace
-    assert spans["linalg.RowReducer.add"][0] == 5574
+    # the 2,970 rows of Subspace; the basis stores its kept rows through
+    # RowReducer.store, once per support type, never through add
+    assert spans["linalg.RowReducer.add"][0] == 2970
     for name in (
         "linalg.RowReducer.add",
         "basis.graded_basis",

@@ -180,6 +180,19 @@ def test_deform_emit(capsys):
     assert str(deformed.bracket_basis(a1, a2)[y_idx]) == "1/2"
 
 
+def test_deform_identity_failure_names_graph_k_and_phase(capsys, monkeypatch):
+    import graphlie.cli as cli
+    from graphlie.rigidity import DeformCheckResult
+
+    monkeypatch.setattr(cli, "deform_check", lambda deformed: DeformCheckResult(False, (0, 1, 2)))
+    code, out, err = _run(capsys, "deform", "emit", "--edges", STAR_EDGES, "--k", "3", "--t", "1")
+    assert code == 2 and out == ""
+    assert err == (
+        "internal invariant failure: witness cocycle fails the deformation identities at (0, 1, 2) "
+        "(graph6 Bo, k = 3, phase: deform emit, deformation identities)\n"
+    )
+
+
 def test_deform_emit_without_witness(capsys):
     code, out, err = _run(capsys, "deform", "emit", "--edges", C4_EDGES, "--k", "2")
     assert code == 1

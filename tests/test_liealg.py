@@ -13,7 +13,6 @@ from graphlie.liealg import (
     algebra_to_json_dict,
     associated_graded,
     bracket_subspaces,
-    bracket_vectors,
     center,
     grading_support_check,
     is_nilpotent,
@@ -49,13 +48,6 @@ def test_bracket_basis_orientations():
     assert HEISENBERG.bracket_basis(1, 0) == {2: -ONE}
     assert HEISENBERG.bracket_basis(1, 1) == {}
     assert HEISENBERG.bracket_basis(0, 2) == {}
-
-
-def test_bracket_vectors():
-    out = bracket_vectors(HEISENBERG, [1, 0, 0], [0, 1, 0])
-    assert out == [ZERO, ZERO, ONE]
-    with pytest.raises(ValueError):
-        bracket_vectors(HEISENBERG, [1, 0], [0, 1, 0])
 
 
 def test_bracket_sparse_bilinear():

@@ -15,7 +15,6 @@ from graphlie.linalg import (
     frac,
     frac_str,
     kernel_basis,
-    rref,
 )
 
 
@@ -47,26 +46,11 @@ def _dense(matrix):
     return out
 
 
-def test_rref_identity_fixed():
-    m = _matrix([[1, 0], [0, 1]])
-    r, pivots, rank = rref(m)
-    assert r == m
-    assert pivots == [0, 1]
-    assert rank == 2
-
-
-def test_rref_dependent_rows():
-    m = _matrix([[1, 2], [2, 4]])
-    r, pivots, rank = rref(m)
-    assert rank == 1
-    assert _dense(r) == [[1, 2], [0, 0]]
-
-
-def test_rref_fraction_pivot_normalized():
-    m = _matrix([[Fraction(2, 3), 1], [0, Fraction(5)]])
-    r, pivots, rank = rref(m)
-    assert rank == 2
-    assert _dense(r) == [[1, 0], [0, 1]]
+def _echelon(rows):
+    red = RowReducer()
+    for row in rows:
+        red.add({c: v for c, v in enumerate(row) if v})
+    return red
 
 
 def _random_matrix(rng, rows, cols):
@@ -75,21 +59,51 @@ def _random_matrix(rng, rows, cols):
     )
 
 
+# linalg.rref was a thin wrapper over RowReducer.rows_sorted; these cases
+# now check the reducer's rows directly: each has a unit pivot at its least
+# column, and no other stored row meets that column.
+
+
+def test_rref_identity_fixed():
+    red = _echelon([[1, 0], [0, 1]])
+    assert red.rows_sorted() == [{0: 1}, {1: 1}]
+    assert sorted(red.pivots) == [0, 1]
+    assert red.rank == 2
+
+
+def test_rref_dependent_rows():
+    red = _echelon([[1, 2], [2, 4]])
+    assert red.rank == 1
+    assert red.rows_sorted() == [{0: 1, 1: 2}]
+
+
+def test_rref_fraction_pivot_normalized():
+    red = _echelon([[Fraction(2, 3), 1], [0, Fraction(5)]])
+    assert red.rank == 2
+    assert red.rows_sorted() == [{0: 1}, {1: 1}]
+
+
 def test_rref_pivots_invariant_under_row_scaling():
     rng = random.Random(11)
     for _ in range(60):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = _random_matrix(rng, rows, cols)
-        scaled_rows = []
-        for row in _dense(m):
-            c = Fraction(rng.choice([1, 2, 3, 5, 7]), rng.choice([1, 2, 3]))
-            scaled_rows.append([c * v for v in row])
-        r1, p1, k1 = rref(m)
-        r2, p2, k2 = rref(_matrix(scaled_rows, cols))
-        assert p1 == p2
-        assert k1 == k2
-        assert r1 == r2
+        dense = _dense(_random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)))
+        scales = [Fraction(rng.choice([1, 2, 3, 5, 7]), rng.choice([1, 2, 3])) for _ in dense]
+        scaled = [[c * v for v in row] for c, row in zip(scales, dense)]
+        r1, r2 = _echelon(dense), _echelon(scaled)
+        assert sorted(r1.pivots) == sorted(r2.pivots)
+        assert r1.rank == r2.rank
+        assert r1.rows_sorted() == r2.rows_sorted()
+
+
+def test_coordinate_solver_reduces_each_row_once(monkeypatch):
+    reductions = []
+    reduce = RowReducer.reduce
+    monkeypatch.setattr(RowReducer, "reduce", lambda self, row: reductions.append(1) or reduce(self, row))
+    solver = CoordinateSolver([], 3)
+    rows = [{0: 1, 1: 2}, {0: 2, 1: 4}, {1: 1, 2: 3}, {0: 1, 2: -1}]
+    assert [solver.add(row) for row in rows] == [{0: 1}, {0: 2}, {1: 1}, {2: 1}]
+    # three rows kept, each stored as its one reduction left it
+    assert len(reductions) == 4 and solver.size == solver.red.rank == 3
 
 
 def test_rank_plus_nullity():
@@ -98,7 +112,7 @@ def test_rank_plus_nullity():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = _random_matrix(rng, rows, cols)
-        _, _, rank = rref(m)
+        rank = _echelon(_dense(m)).rank
         assert rank + kernel_basis(m).dim == cols
 
 
@@ -182,7 +196,7 @@ def test_coordinate_solver_round_trip():
         cols = rng.randint(1, 5)
         matrix = _random_matrix(rng, rng.randint(1, cols), cols)
         rows = [{c: v for c, v in enumerate(row) if v} for row in _dense(matrix)]
-        if rref(matrix)[2] < len(rows):
+        if _echelon(_dense(matrix)).rank < len(rows):
             with pytest.raises(InternalInvariantError):
                 CoordinateSolver(rows, cols)
             continue

@@ -404,6 +404,32 @@ def test_witness_certifier_disagreement_names_graph_k_and_phase(monkeypatch):
     )
 
 
+def test_two_step_certificate_errors_name_graph_k_and_phase(monkeypatch):
+    import graphlie.rigidity as rigidity
+
+    class Blind(Subspace):
+        def contains(self, vec):
+            return True
+
+    star = from_graph6("CF")  # K1,3, not_rigid by a two-step witness
+    phase = "(graph6 CF, k = 2, phase: two-step witness certificate)"
+    # a center that misses the brackets of the witness pair
+    with monkeypatch.context() as patch:
+        patch.setattr(rigidity, "center", lambda algebra: Subspace(algebra.n))
+        with pytest.raises(InternalInvariantError) as caught:
+            classify(star, 2)
+        assert str(caught.value) == f"bracket image escapes the center {phase}"
+        with pytest.raises(InternalInvariantError) as caught:
+            sweep(4, 2)
+        assert str(caught.value).startswith("bracket image escapes the center (graph6 ")
+        assert str(caught.value).endswith(", k = 2, phase: two-step witness certificate)")
+    # a proper span of the brackets that claims to contain the whole center
+    monkeypatch.setattr(rigidity, "Subspace", Blind)
+    with pytest.raises(InternalInvariantError) as caught:
+        classify(star, 2)
+    assert str(caught.value) == f"proper subspace contains every basis vector {phase}"
+
+
 def test_sweep_4_2():
     rows = sweep(4, 2)
     assert len(rows) == 17
