@@ -195,17 +195,16 @@ def _mobius(n: int) -> int:
 
 
 def clique_polynomial(graph: SimpleGraph) -> list:
-    """Coefficients [c_0, c_1, ...] counting cliques of each size (c_0 = 1)."""
-    counts = [1]
-    verts = range(1, graph.m + 1)
-    for size in verts:
-        found = sum(
-            all(graph.adjacent(a, b) for a, b in combinations(subset, 2))
-            for subset in combinations(verts, size)
-        )
-        if not found:
-            break
-        counts.append(found)
+    """Coefficients [c_0, c_1, ...] counting cliques of each size (c_0 = 1).
+
+    A clique is held as the mask of its common neighbours above its largest
+    vertex and extended by each of them, so each clique is made once."""
+    m = graph.m
+    up = [sum(1 << b for b in range(a + 1, m) if graph.adjacent(a + 1, b + 1)) for a in range(m)]
+    counts, level = [1], up
+    while level:
+        counts.append(len(level))
+        level = [mask & up[b] for mask in level for b in range(m) if mask >> b & 1]
     return counts
 
 

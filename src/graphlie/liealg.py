@@ -2,6 +2,7 @@
 
 Structure constants are stored once per unordered basis pair: sc maps
 (i, j) with i < j to a sparse dict {l: c} meaning [e_i, e_j] = sum c e_l.
+An int constant stays an int; others go through linalg.frac (no floats, bools).
 A GradedLieAlgebra additionally knows a grading (block sizes by degree)
 and, when it was built from a graph, a label and a multidegree for every
 basis element. All three are read-only (sc and adjacency() are mapping
@@ -45,7 +46,8 @@ def _clean_sc(n: int, sc: dict) -> dict:
         for l, c in terms.items():
             if not 0 <= l < n:
                 raise ValueError(f"structure constant target {l} out of range")
-            c = frac(c)
+            if type(c) is not int:
+                c = frac(c)
             if c:
                 cleaned[l] = c
         if cleaned:

@@ -31,11 +31,12 @@ def is_int(value) -> bool:
 def frac(value) -> Fraction:
     """Coerce an int, a Fraction, or a string like "3" or "-2/7".
 
-    Floats are rejected so that inexact values cannot leak in.
+    Floats are rejected so that inexact values cannot leak in, and bools
+    so that a JSON true or false is never read as 1 or 0.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)

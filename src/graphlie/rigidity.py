@@ -12,6 +12,8 @@ Witness shapes:
   graded (k >= 3)   non-adjacent vertices a1, a2 and a degree-k basis
                     element y outside [g', g'] + [a1, g'] + [a2, g'],
                     preferring multidegree (k-1, 1, 0, ...) up to order.
+                    The search reduces only the brackets of y's
+                    multidegree; the certifier rebuilds the span itself.
   two-step (k = 2)  non-adjacent vertices v, w whose bracket images
                     [v, g] + [w, g] miss part of the center; any central
                     vector z outside that span certifies non-rigidity.
@@ -34,7 +36,7 @@ from .errors import InternalInvariantError, invariant_error
 from .graphs import SimpleGraph, analyze, enumerate_graphs, to_graph6
 from .liealg import GradedLieAlgebra, LieAlgebra, center
 from .limits import check_vertices
-from .linalg import ONE, ZERO, Subspace, axpy, frac, frac_str, vec_to_dict
+from .linalg import ONE, ZERO, RowReducer, Subspace, axpy, frac, frac_str, vec_to_dict
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,12 @@ def deform_check(deformed: DeformedAlgebra, exhaustive: bool = False) -> DeformC
 
 def certify_graded_witness(algebra: GradedLieAlgebra, a1: int, a2: int, y) -> bool:
     """Degree-k witness conditions: [a1,a2] = 0, y in the top slice, and
-    y outside [g',g'] + [a1,g'] + [a2,g']."""
+    y outside [g',g'] + [a1,g'] + [a2,g'].
+
+    The span is that of the stored brackets (i, j) with deg i >= 2, or deg
+    j >= 2 and i in (a1, a2). Rows avoiding the top block are left out only
+    if no row meets both it and another block, checked on the rows, not
+    taken from the grading: then the span splits along the top block."""
     _check_directions(algebra, a1, a2, y)
     k = len(algebra.grading)
     if k < 3:
@@ -175,25 +182,17 @@ def certify_graded_witness(algebra: GradedLieAlgebra, a1: int, a2: int, y) -> bo
         return False
     if algebra.bracket_basis(a1, a2):
         return False
-    top = algebra.degree_block(k)
-    if any(i not in top for i in y_sparse):
+    top, degrees = set(algebra.degree_block(k)), algebra.degrees
+    if not top.issuperset(y_sparse):
         return False
-    obstruction = _graded_obstruction(algebra, a1, a2)
-    return not obstruction.contains(y_sparse)
-
-
-def _graded_obstruction(algebra: GradedLieAlgebra, a1: int, a2: int) -> Subspace:
-    """[g', g'] + [a1, g'] + [a2, g'], spanned by stored brackets (i, j).
-
-    Degree-one indices come first, so i < j and deg i >= 2 means [g', g'].
-    """
-    degrees = algebra.degrees
     rows = [
-        dict(terms)
-        for (i, j), terms in algebra.sc.items()
+        terms for (i, j), terms in algebra.sc.items()
         if degrees[i] >= 2 or (degrees[j] >= 2 and i in (a1, a2))
     ]
-    return Subspace(algebra.n, rows)
+    meet = [row for row in rows if not top.isdisjoint(row)]
+    if all(map(top.issuperset, meet)):
+        rows = meet
+    return not Subspace(algebra.n, map(dict, rows)).contains(y_sparse)
 
 
 def certify_2step_witness(algebra: LieAlgebra, v, w):
@@ -236,6 +235,24 @@ def _unit(n: int, i: int) -> list:
     return out
 
 
+def _slice_rows(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int, mds: list) -> dict:
+    """The brackets landing in degree k by multidegree md: [g', g'] rows under
+    (None, md), [a, g'] rows under (a, md) for each degree-one a."""
+    degrees = algebra.degrees
+    out: dict = {}
+    for (i, j), terms in algebra.sc.items():
+        if degrees[j] >= 2:
+            md, *rest = set(map(mds.__getitem__, terms))
+            if rest:
+                raise invariant_error(
+                    "a bracket spans more than one multidegree",
+                    to_graph6(graph), k, "graded witness search by multidegree block",
+                )
+            if sum(md) == k:
+                out.setdefault((i if degrees[i] == 1 else None, md), []).append(terms)
+    return out
+
+
 def find_witness(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int):
     """Deterministic search over non-adjacent vertex pairs; returns a
     certificate dict or None. For k >= 3 the degree-k candidates with
@@ -248,24 +265,25 @@ def find_witness(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int):
         return None
     n = algebra.n
     if k >= 3:
-        top = list(algebra.degree_block(k))
-        shaped = [
-            i for i in top
-            if sorted(algebra.labels[i].multidegree, reverse=True)[:2] == [k - 1, 1]
-        ]
-        others = [i for i in top if i not in set(shaped)]
-        obstructions: dict = {}
+        mds = [label.multidegree for label in algebra.labels]
+        top = algebra.degree_block(k)
+        shaped = [i for i in top if sorted(mds[i], reverse=True)[:2] == [k - 1, 1]]
+        others = sorted(set(top) - set(shaped))
+        rows = _slice_rows(graph, algebra, k, mds)
+        blocks: dict = {}  # (a1, a2, md) -> reducer of the rows of md that y must avoid
         for candidates in (shaped, others):
             for (u, w) in nonadj:
                 a1, a2 = u - 1, w - 1
-                key = (a1, a2)
-                if key not in obstructions:
-                    obstructions[key] = _graded_obstruction(algebra, a1, a2)
-                blocked = obstructions[key]
                 if algebra.bracket_basis(a1, a2):
                     continue
                 for y_idx in candidates:
-                    if blocked.contains({y_idx: ONE}):
+                    md = mds[y_idx]
+                    if (a1, a2, md) not in blocks:
+                        blocks[a1, a2, md] = red = RowReducer()
+                        for owner in (None, a1, a2):
+                            for row in rows.get((owner, md), ()):
+                                red.add(row)
+                    if blocks[a1, a2, md].contains({y_idx: 1}):
                         continue
                     y = _unit(n, y_idx)
                     if not certify_graded_witness(algebra, a1, a2, y):

@@ -293,6 +293,29 @@ def test_clique_polynomial():
     assert clique_polynomial(SimpleGraph.make(1, [])) == [1, 1]
 
 
+def _brute_clique_counts(graph):
+    """[1, c_1, ...] from testing every vertex subset for pairwise adjacency."""
+    counts = [1]
+    for size in range(1, graph.m + 1):
+        found = sum(
+            all(graph.adjacent(a, b) for a, b in combinations(subset, 2))
+            for subset in combinations(range(1, graph.m + 1), size)
+        )
+        if not found:
+            break
+        counts.append(found)
+    return counts
+
+
+def test_clique_polynomial_matches_brute_force():
+    # every class on at most six vertices and its complement (the dimension
+    # count reads the complement's cliques)
+    for m in range(1, 7):
+        for graph in enumerate_graphs(m):
+            for g in (graph, graph.complement()):
+                assert clique_polynomial(g) == _brute_clique_counts(g), to_graph6(graph)
+
+
 def test_series_counts_trace_classes():
     # the word count of the trace monoid in each length is the coefficient
     # of 1 / C(-t) for the clique polynomial of the complement
@@ -704,30 +727,25 @@ def test_expansions_are_plain_ints():
 
 
 def test_structure_constants_solve_builds_no_fraction(monkeypatch, fresh_types):
-    # Up to the algebra constructor, whose _clean_sc turns every constant
-    # into a Fraction, K5 at k = 4 runs on ints: the dimension count, the
-    # expansions, the greedy basis and every coordinate solve. The memo is
-    # empty, so K5's types are filled here, under the patch.
+    # K5 at k = 4 runs on ints from the dimension count to the finished
+    # algebra: the expansions, the greedy basis, every coordinate solve and
+    # the constructor, whose _clean_sc keeps int constants as ints. The memo
+    # is empty, so K5's types are filled here, under the patch.
     counts = _count_calls(monkeypatch, (CoordinateSolver, "add"), (CoordinateSolver, "solve"))
     made = []
-    built = {}
     original = Fraction.__new__
 
     def counted(cls, *args, **kwargs):
         made.append(args)
         return original(cls, *args, **kwargs)
 
-    def record(n, sc, grading, labels=None, k=None):
-        built.update(sc)
-
-    monkeypatch.setattr(basis, "GradedLieAlgebra", record)
     monkeypatch.setattr(Fraction, "__new__", counted)
-    basis.structure_constants.__wrapped__(K5, 4)
+    alg = basis.structure_constants.__wrapped__(K5, 4)
     monkeypatch.undo()
     assert counts == {"CoordinateSolver.add": 24, "CoordinateSolver.solve": 13}
     assert made == []
-    assert built and all(type(c) is int for terms in built.values() for c in terms.values())
-    assert structure_constants(K5, 4).sc == built
+    assert alg.sc and all(type(c) is int for terms in alg.sc.values() for c in terms.values())
+    assert structure_constants(K5, 4).sc == alg.sc
 
 
 def _no_candidates(m, maxlen):

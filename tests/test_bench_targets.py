@@ -91,12 +91,15 @@ def test_traced_k4_sweep_spans_are_pinned():
     # reducer would leave the benchmark's RowReducer.add span empty.
     spans = _traced_sweep(4)["spans"]
     assert spans["basis.structure_constants"][0] == 33
-    # the 2,970 rows of Subspace; the basis stores its kept rows through
+    # 43 rows reduced by the witness search, which reduces only the brackets
+    # of each tried y's multidegree, and 1,233 by the certifiers, which keep
+    # the degree-k rows; the basis stores its kept rows through
     # RowReducer.store, once per support type, never through add
-    assert spans["linalg.RowReducer.add"][0] == 2970
+    assert spans["linalg.RowReducer.add"][0] == 1276
     for name in (
         "linalg.RowReducer.add",
         "basis.graded_basis",
+        "rigidity.find_witness",
         "rigidity.certify_graded_witness",
     ):
         assert spans[name][0] >= 1, name

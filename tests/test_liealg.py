@@ -280,6 +280,16 @@ def test_json_malformed():
             )
 
 
+def test_constants_keep_ints_and_refuse_bools_and_floats():
+    alg = LieAlgebra(3, {(0, 1): {2: 3, 0: 0}, (1, 2): {0: "-2/7"}, (0, 2): {1: Fraction(4, 2)}})
+    assert alg.sc == {(0, 1): {2: 3}, (1, 2): {0: Fraction(-2, 7)}, (0, 2): {1: 2}}
+    assert type(alg.sc[(0, 1)][2]) is int
+    assert type(alg.sc[(0, 2)][1]) is Fraction
+    for c in (True, False, 0.5, 2.0):
+        with pytest.raises(TypeError):
+            LieAlgebra(3, {(0, 1): {2: c}})
+
+
 def test_components_never_mix():
     for graph, k in ((SimpleGraph.make(4, [(1, 2), (3, 4)]), 4), (K2_PLUS_POINT, 3)):
         alg = structure_constants(graph, k)

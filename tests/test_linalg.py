@@ -24,6 +24,9 @@ def test_frac_coercion():
     assert frac(Fraction(1, 2)) == Fraction(1, 2)
     with pytest.raises(TypeError):
         frac(0.5)
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            frac(flag)
 
 
 def test_frac_str_reduced():

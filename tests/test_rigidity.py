@@ -484,3 +484,53 @@ def test_sweep_graded_witnesses_reverify():
         assert deform_check(deformed)
         base_dims = [s.dim for s in lower_central_series(alg)]
         assert [s.dim for s in lower_central_series(deformed.at_t(1))] == base_dims
+
+
+def test_search_without_the_a1_arm_rows_meets_the_certifier(monkeypatch):
+    # Seeded mutation: a search that forgets [a1, g'] takes [v1,[v1,v3]] as
+    # a witness, and the certifier, which builds its own span, refuses it.
+    import graphlie.rigidity as rigidity
+
+    graph = from_graph6("BW")  # v1 - v3 - v2, so (v1, v2) is the only pair
+    a1 = graph.nonedges()[0][0] - 1
+    original = rigidity._slice_rows
+
+    def without_a1_arms(*args):
+        return {key: rows for key, rows in original(*args).items() if key[0] != a1}
+
+    monkeypatch.setattr(rigidity, "_slice_rows", without_a1_arms)
+    with pytest.raises(InternalInvariantError) as caught:
+        find_witness(graph, structure_constants(graph, 3), 3)
+    assert str(caught.value) == (
+        "witness search and certifier disagree "
+        "(graph6 BW, k = 3, phase: graded witness search against the certifier)"
+    )
+
+
+def test_search_refuses_a_bracket_spanning_two_multidegrees():
+    alg = structure_constants(STAR, 3)
+    sc = {pair: dict(terms) for pair, terms in alg.sc.items()}
+    sc[(0, 3)][9] = 1  # [v1,[v1,v2]] gains a term of multidegree (1, 0, 2)
+    assert alg.labels[9].multidegree != alg.labels[next(iter(alg.sc[(0, 3)]))].multidegree
+    bad = GradedLieAlgebra(alg.n, sc, alg.grading, labels=alg.labels)
+    with pytest.raises(InternalInvariantError) as caught:
+        find_witness(STAR, bad, 3)
+    assert str(caught.value) == (
+        "a bracket spans more than one multidegree "
+        "(graph6 Bo, k = 3, phase: graded witness search by multidegree block)"
+    )
+
+
+def test_certifier_keeps_every_row_when_a_bracket_straddles_the_top_block():
+    # Seeded mutation target: degrees (1, 1, 2, 3, 3), [e2, e3] = e2 + e3
+    # meets degrees 2 and 3 = k at once and [e2, e4] = e2 avoids the top.
+    # Dropping the second row would leave e3 outside the span; keeping every
+    # row puts it inside, so e3 is no witness.
+    alg = GradedLieAlgebra(5, {(2, 3): {2: 1, 3: 1}, (2, 4): {2: 1}}, (2, 1, 2))
+    assert not certify_graded_witness(alg, 0, 1, _unit(5, 3))
+    assert certify_graded_witness(alg, 0, 1, _unit(5, 4))
+    # with no straddling row the rows avoiding the top block are dropped,
+    # and the answer is the same as with them
+    split = GradedLieAlgebra(5, {(2, 3): {3: 1}, (2, 4): {2: 1}}, (2, 1, 2))
+    assert not certify_graded_witness(split, 0, 1, _unit(5, 3))
+    assert certify_graded_witness(split, 0, 1, _unit(5, 4))
