@@ -115,16 +115,12 @@ def from_graph6(code: str) -> SimpleGraph:
 def to_graph6(graph: SimpleGraph) -> str:
     if graph.m > 62:
         raise ValueError("graph6 codes with more than 62 vertices are not supported")
-    bits = [int(graph.adjacent(i + 1, j + 1)) for j in range(1, graph.m) for i in range(j)]
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(graph.m + 63)]
-    for pos in range(0, len(bits), 6):
-        val = 0
-        for b in bits[pos:pos + 6]:
-            val = (val << 1) | b
-        out.append(chr(val + 63))
-    return "".join(out)
+    # pair (i, j), i < j, is bit (j-1)(j-2)/2 + i - 1 of the payload, most significant first
+    top = 6 * -(-graph.m * (graph.m - 1) // 12) - 1
+    val = 0
+    for i, j in graph.edges:
+        val |= 1 << (top - (j - 1) * (j - 2) // 2 - i + 1)
+    return chr(graph.m + 63) + "".join(chr((val >> s & 63) + 63) for s in range(top - 5, -1, -6))
 
 
 def analyze(graph: SimpleGraph) -> GraphAnalysis:
@@ -164,13 +160,16 @@ def canonical_form(graph: SimpleGraph) -> str:
     neighbours, which gives v its least row. A level keeps only the
     partitions reached with the least row over all candidates, and each of
     them once: the rest of the string depends on the partition alone.
+
+    Once v is tried, its twins are skipped (see ``_twin_classes``): a twin
+    u shares v's cell, and the automorphism (u v) fixes every placed vertex
+    and carries the partition reached by placing v, and its row, onto the
+    one reached by placing u, so the least string is unchanged.
     """
     check_vertices("canonical_form", graph.m)
     m = graph.m
-    adj = [0] * m
-    for i, j in graph.edges:
-        adj[i - 1] |= 1 << (j - 1)
-        adj[j - 1] |= 1 << (i - 1)
+    adj = _adjacency(graph)
+    twins = _twin_classes(m, adj)
     partitions = {((1 << m) - 1,)}
     rows = []
     for width in range(m - 1, 0, -1):
@@ -180,8 +179,9 @@ def canonical_form(graph: SimpleGraph) -> str:
             left = first
             while left:
                 bit = left & -left
-                left ^= bit
-                adj_v = adj[bit.bit_length() - 1]
+                v = bit.bit_length() - 1
+                left &= ~twins[v]
+                adj_v = adj[v]
                 row, split = 0, []
                 for cell in (first ^ bit,) + later:
                     near = cell & adj_v
@@ -200,6 +200,31 @@ def canonical_form(graph: SimpleGraph) -> str:
     return "".join(rows)
 
 
+def _adjacency(graph: SimpleGraph) -> list:
+    """adj[v]: the bitmask of the neighbours of vertex v + 1, on bits 0..m-1."""
+    adj = [0] * graph.m
+    for i, j in graph.edges:
+        adj[i - 1] |= 1 << (j - 1)
+        adj[j - 1] |= 1 << (i - 1)
+    return adj
+
+
+def _twin_classes(m: int, adj: list) -> list:
+    """twins[v]: the bitmask of the twin class of bit v.
+
+    u and v are twins when adj[u] - {v} == adj[v] - {u}, so that the
+    transposition (u v) is an automorphism: non-adjacent twins have equal
+    neighbourhoods, adjacent twins equal closed ones. Twins of twins are
+    twins (a vertex never has both an adjacent and a non-adjacent twin), so
+    the classes partition the vertices, each class is v's group under one of
+    the two keys, and every permutation inside a class is an automorphism."""
+    groups: dict = {}  # closed neighbourhoods keyed complemented, below every open key
+    for v in range(m):
+        for key in (adj[v], ~(adj[v] | 1 << v)):
+            groups[key] = groups.get(key, 0) | 1 << v
+    return [groups[adj[v]] | groups[~(adj[v] | 1 << v)] for v in range(m)]
+
+
 def graph_from_canonical(m: int, form: str) -> SimpleGraph:
     """The graph that a canonical_form string encodes; its pairs are valid by construction."""
     check_vertices("canonical_form", m)
@@ -212,9 +237,12 @@ def graph_from_canonical(m: int, form: str) -> SimpleGraph:
 def enumerate_graphs(n: int) -> list:
     """One representative per isomorphism class on n vertices, sorted by canonical string.
 
-    Builds up from n-1 vertices by attaching a new vertex with every possible
-    neighbor set, which reaches every class because deleting a vertex of any
-    n-vertex graph lands in some (n-1)-vertex class.
+    Builds up from n-1 vertices by attaching a new vertex to a neighbor set
+    of each (n-1)-vertex class, which reaches every class because deleting a
+    vertex of any n-vertex graph lands in some (n-1)-vertex class. Only the
+    sets that take a prefix (the lowest-numbered vertices) of each twin
+    class are tried: permuting inside the classes, an automorphism of the
+    base, turns any set into one of these and fixes the new vertex.
     """
     check_vertices("enumerate_graphs", n)
     reps = {canonical_form(SimpleGraph(1, frozenset()))}
@@ -224,11 +252,12 @@ def enumerate_graphs(n: int) -> list:
         next_reps = set()
         for form in reps:
             base = graph_from_canonical(size - 1, form)
-            for mask in range(1 << (size - 1)):
-                edges = set(base.edges)
-                for v in range(1, size):
-                    if mask >> (v - 1) & 1:
-                        edges.add((v, size))
-                next_reps.add(canonical_form(SimpleGraph(size, frozenset(edges))))
+            masks = {0}
+            for cls in set(_twin_classes(size - 1, _adjacency(base))):
+                # cls & ((1 << b) - 1) runs over the prefixes of cls
+                masks = {mask | (cls & ((1 << b) - 1)) for mask in masks for b in range(size)}
+            for mask in masks:
+                edges = base.edges.union((v, size) for v in range(1, size) if mask >> (v - 1) & 1)
+                next_reps.add(canonical_form(SimpleGraph(size, edges)))
         reps = next_reps
     return [graph_from_canonical(n, form) for form in sorted(reps)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 # operation: (least, greatest) number of vertices it accepts
 VERTEX_LIMITS = {
     "canonical_form": (1, 8),
-    "enumerate_graphs": (1, 7),
+    "enumerate_graphs": (1, 8),
     "sweep": (2, 7),
 }
 

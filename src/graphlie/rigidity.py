@@ -170,9 +170,9 @@ def certify_graded_witness(algebra: GradedLieAlgebra, a1: int, a2: int, y) -> bo
     y outside [g',g'] + [a1,g'] + [a2,g'].
 
     The span is that of the stored brackets (i, j) with deg i >= 2, or deg
-    j >= 2 and i in (a1, a2). Rows avoiding the top block are left out only
-    if no row meets both it and another block, checked on the rows, not
-    taken from the grading: then the span splits along the top block."""
+    j >= 2 and i in (a1, a2). Only the rows joined to y's columns through
+    shared columns are reduced, grown to a fixed point: the span splits
+    along those components, so the test is exact for any input."""
     _check_directions(algebra, a1, a2, y)
     k = len(algebra.grading)
     if k < 3:
@@ -189,10 +189,12 @@ def certify_graded_witness(algebra: GradedLieAlgebra, a1: int, a2: int, y) -> bo
         terms for (i, j), terms in algebra.sc.items()
         if degrees[i] >= 2 or (degrees[j] >= 2 and i in (a1, a2))
     ]
-    meet = [row for row in rows if not top.isdisjoint(row)]
-    if all(map(top.issuperset, meet)):
-        rows = meet
-    return not Subspace(algebra.n, map(dict, rows)).contains(y_sparse)
+    cols, joined = set(y_sparse), []
+    while near := [row for row in rows if not cols.isdisjoint(row)]:
+        rows = [row for row in rows if cols.isdisjoint(row)]
+        joined += near
+        cols.update(*near)
+    return not Subspace(algebra.n, map(dict, joined)).contains(y_sparse)
 
 
 def certify_2step_witness(algebra: LieAlgebra, v, w):

@@ -46,9 +46,9 @@ def test_cochain_matrices_keep_the_fields_the_spans_read():
         assert len(matrix.entries) > 0
 
 
-def _traced_sweep(k: int) -> dict:
-    # The benchmark's tracer report for `rigidity sweep --n 5 --k <k>`. The
-    # tracer patches module globals, so it runs in a child.
+def _traced(*argv: str) -> dict:
+    # The benchmark's tracer report for one CLI command. The tracer patches
+    # module globals, so it runs in a child.
     root = Path(__file__).resolve().parents[1]
     script = (
         "import contextlib, io, json, sys\n"
@@ -58,7 +58,7 @@ def _traced_sweep(k: int) -> dict:
         "tracer = spans.Tracer()\n"
         "tracer.install()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.run_command(['rigidity', 'sweep', '--n', '5', '--k', '{k}'])\n"
+        f"    code = cli.run_command({list(argv)!r})\n"
         "print(json.dumps({'code': code, **tracer.report()}))\n"
     )
     done = subprocess.run(
@@ -68,6 +68,10 @@ def _traced_sweep(k: int) -> dict:
     report = json.loads(done.stdout)
     assert report["code"] == 0
     return report
+
+
+def _traced_sweep(k: int) -> dict:
+    return _traced("rigidity", "sweep", "--n", "5", "--k", str(k))
 
 
 def test_traced_sweep_counts_are_pinned():
@@ -92,10 +96,11 @@ def test_traced_k4_sweep_spans_are_pinned():
     spans = _traced_sweep(4)["spans"]
     assert spans["basis.structure_constants"][0] == 33
     # 43 rows reduced by the witness search, which reduces only the brackets
-    # of each tried y's multidegree, and 1,233 by the certifiers, which keep
-    # the degree-k rows; the basis stores its kept rows through
-    # RowReducer.store, once per support type, never through add
-    assert spans["linalg.RowReducer.add"][0] == 1276
+    # of each tried y's multidegree, and none by the certifiers, which keep
+    # only the rows joined to y's columns and find none on these witnesses;
+    # the basis stores its kept rows through RowReducer.store, once per
+    # support type, never through add
+    assert spans["linalg.RowReducer.add"][0] == 43
     for name in (
         "linalg.RowReducer.add",
         "basis.graded_basis",
@@ -103,3 +108,13 @@ def test_traced_k4_sweep_spans_are_pinned():
         "rigidity.certify_graded_witness",
     ):
         assert spans[name][0] >= 1, name
+
+
+def test_traced_enumerate_spans_are_pinned():
+    # enumerate6 expects these spans. One canonical form per neighbour set
+    # tried: 1 + 2 + 6 + 20 + 102 + 652 under the twin prefix rule, each
+    # through the module global, so a rewrite around it fails here.
+    report = _traced("graphs", "enumerate", "--n", "6")
+    assert report["spans"]["graphs.enumerate_graphs"][0] == 1
+    assert report["spans"]["graphs.canonical_form"][0] == 783
+    assert report["counts"]["graphs.classes"] == 156

@@ -145,7 +145,9 @@ def test_golden_outputs(capsys, name):
 def test_stdout_digests(capsys):
     # sha256 of the stdout of commands too large to keep as golden files,
     # recorded before the change they guard; a few seconds in all at six
-    # vertices, and about 8 s for the 1,251 classes on at most seven at k = 4
+    # vertices, about 8 s for the 1,251 classes on at most seven at k = 4,
+    # and about 5 s for the 12,346 classes on eight vertices, the only run
+    # of that size, whose digest pins the count
     digests = json.loads((REPO_ROOT / "tests" / "data" / "stdout_digests.json").read_text())
     for command, digest in digests.items():
         code, out, err = _run(capsys, *command.split())

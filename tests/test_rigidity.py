@@ -522,10 +522,10 @@ def test_search_refuses_a_bracket_spanning_two_multidegrees():
 
 
 def test_certifier_keeps_every_row_when_a_bracket_straddles_the_top_block():
-    # Seeded mutation target: degrees (1, 1, 2, 3, 3), [e2, e3] = e2 + e3
-    # meets degrees 2 and 3 = k at once and [e2, e4] = e2 avoids the top.
-    # Dropping the second row would leave e3 outside the span; keeping every
-    # row puts it inside, so e3 is no witness.
+    # Degrees (1, 1, 2, 3, 3), [e2, e3] = e2 + e3 meets degrees 2 and 3 = k
+    # at once and [e2, e4] = e2 avoids the top. Dropping the second row
+    # would leave e3 outside the span; keeping it puts e3 inside, so e3 is
+    # no witness.
     alg = GradedLieAlgebra(5, {(2, 3): {2: 1, 3: 1}, (2, 4): {2: 1}}, (2, 1, 2))
     assert not certify_graded_witness(alg, 0, 1, _unit(5, 3))
     assert certify_graded_witness(alg, 0, 1, _unit(5, 4))
@@ -534,3 +534,19 @@ def test_certifier_keeps_every_row_when_a_bracket_straddles_the_top_block():
     split = GradedLieAlgebra(5, {(2, 3): {3: 1}, (2, 4): {2: 1}}, (2, 1, 2))
     assert not certify_graded_witness(split, 0, 1, _unit(5, 3))
     assert certify_graded_witness(split, 0, 1, _unit(5, 4))
+
+
+def test_certifier_grows_the_rows_joined_to_y_to_a_fixed_point():
+    # Seeded mutation target: the obstruction rows e_y + e_a, e_a + e_b and
+    # e_b reach y's column in one, two and three hops. Only all three put
+    # e_y in their span; a certifier that stopped growing the rows joined to
+    # y's columns after one or two hops would accept e_y.
+    # Degrees (1, 1, 2, 2, 3, 3): y = e5, a = e4 and b = e3.
+    alg = GradedLieAlgebra(
+        6, {(2, 3): {5: 1, 4: 1}, (2, 4): {4: 1, 3: 1}, (2, 5): {3: 1}}, (2, 2, 2)
+    )
+    assert not certify_graded_witness(alg, 0, 1, _unit(6, 5))
+    # rows avoiding every column joined to y stay out, and change nothing:
+    # with e_b's row cut from the chain e_y is outside the span again
+    cut = GradedLieAlgebra(6, {(2, 3): {5: 1, 4: 1}, (2, 5): {3: 1}}, (2, 2, 2))
+    assert certify_graded_witness(cut, 0, 1, _unit(6, 5))
