@@ -35,7 +35,6 @@ from .basis import (
     lyndon_words,
     standard_bracketing,
     structure_constants,
-    trace_normal_form,
 )
 from .liealg import (
     BasisLabel,
@@ -43,17 +42,14 @@ from .liealg import (
     LieAlgebra,
     algebra_from_json_dict,
     algebra_to_json_dict,
-    associated_graded,
     bracket_subspaces,
     center,
-    grading_support_check,
     jacobi_report,
     lower_central_series,
 )
 from .cohomology import (
     CochainCoordinates,
     H2Report,
-    complex_identity_holds,
     delta1_matrix,
     delta2_matrix,
     eta2_matrix,

@@ -50,7 +50,7 @@ from .linalg import CoordinateSolver
 
 
 class TraceContext:
-    """Commutation masks of a graph plus a normal form memo, shared by every caller.
+    """Commutation masks of a graph plus a normal form memo.
 
     Every normal form is made by one routine, _place, which inserts letters
     into a normal form one at a time: normal_form starts from the empty
@@ -129,13 +129,6 @@ class TraceContext:
                 else:
                     out.pop(w, None)
         return out
-
-
-_context = lru_cache(maxsize=128)(TraceContext)
-
-
-def trace_normal_form(word, graph: SimpleGraph) -> tuple:
-    return _context(graph).normal_form(tuple(word))
 
 
 def lyndon_words(m: int, maxlen: int) -> list:
@@ -299,7 +292,7 @@ def _support_type(s: int, edges: tuple, k: int) -> _SupportType:
         coords, ref = {}, None
         if expansion:
             columns, indices, solver = blocks.setdefault(
-                multidegree_of_leaves(word, s), ({}, [], CoordinateSolver([], s ** len(word)))
+                multidegree_of_leaves(word, s), ({}, [], CoordinateSolver(s ** len(word)))
             )
             try:
                 coords = solver.add({columns.setdefault(w, len(columns)): c for w, c in expansion.items()})
@@ -381,12 +374,6 @@ class GradedBasis:
     elements: list
     # set of at most k vertices -> (its support type, the element index of each type position)
     supports: dict
-
-    def elements_of_degree(self, degree: int) -> list:
-        return [e for e in self.elements if e.degree == degree]
-
-    def multidegrees_of_degree(self, degree: int) -> list:
-        return sorted(e.multidegree for e in self.elements_of_degree(degree))
 
 
 def graded_basis(graph: SimpleGraph, k: int) -> GradedBasis:

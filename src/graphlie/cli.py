@@ -27,11 +27,11 @@ from .liealg import (
 )
 from .rigidity import (
     DeformedAlgebra,
-    algebra_dim,
     build_sigma,
     classify,
     deform_check,
     find_witness,
+    report_row,
     sweep,
 )
 
@@ -183,15 +183,7 @@ def _cmd_h2nil(args) -> int:
 def _cmd_classify(args) -> int:
     graph, algebra = _load_input(args)
     graph = _require_graph(graph)
-    verdict = classify(graph, args.k)
-    row = {
-        "graph6": to_graph6(graph),
-        "m": graph.m,
-        "k": args.k,
-        "dim": algebra_dim(graph, args.k),
-    }
-    row.update(verdict.to_json_dict())
-    _emit(_dump_json(row), args.out)
+    _emit(_dump_json(report_row(graph, args.k, classify(graph, args.k))), args.out)
     return 0
 
 

@@ -235,9 +235,3 @@ def h2_nil(algebra: LieAlgebra) -> H2Report:
     ker_eta2, ker_delta2 = cols - eta2.rank, cols - delta2.rank
     meet = cols - eta2.stacked_rank(delta2)
     return H2Report(ker_eta2, ker_delta2, meet, image, meet - image, meet == ker_eta2)
-
-
-def complex_identity_holds(algebra: LieAlgebra) -> bool:
-    """delta2 composed with delta1 vanishes (true for any Lie algebra)."""
-    coords = CochainCoordinates(algebra.n)
-    return delta2_matrix(algebra, coords).matmul(delta1_matrix(algebra, coords)).is_zero()

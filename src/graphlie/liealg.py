@@ -14,10 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import InternalInvariantError
 from .linalg import (
-    ONE,
-    CoordinateSolver,
     RatMatrix,
     RowReducer,
     Subspace,
@@ -119,9 +116,6 @@ class GradedLieAlgebra(LieAlgebra):
                     raise ValueError("label degree disagrees with the grading")
         self.labels = labels
 
-    def degree_of(self, idx: int) -> int:
-        return self.degrees[idx]
-
     def degree_block(self, degree: int) -> range:
         start = sum(self.grading[: degree - 1])
         return range(start, start + self.grading[degree - 1])
@@ -153,10 +147,6 @@ def lower_central_series(algebra: LieAlgebra) -> list:
         if nxt.dim == 0:
             break
     return chain
-
-
-def is_nilpotent(algebra: LieAlgebra) -> bool:
-    return lower_central_series(algebra)[-1].dim == 0
 
 
 def center(algebra: LieAlgebra) -> Subspace:
@@ -193,81 +183,6 @@ def jacobi_report(algebra: LieAlgebra) -> list:
         if acc:
             bad.append((i, j, l))
     return bad
-
-
-def grading_support_check(algebra: GradedLieAlgebra) -> bool:
-    """Every nonzero c_{ij}^l satisfies deg l = deg i + deg j, same for multidegrees."""
-    if not isinstance(algebra, GradedLieAlgebra):
-        raise ValueError("grading support check needs a graded algebra")
-    if algebra.labels is None:
-        raise ValueError("grading support check needs labeled basis elements")
-    for (i, j), terms in algebra.sc.items():
-        degree = algebra.degrees[i] + algebra.degrees[j]
-        mi, mj = algebra.labels[i].multidegree, algebra.labels[j].multidegree
-        md = tuple(a + b for a, b in zip(mi, mj))
-        for l in terms:
-            if algebra.degrees[l] != degree or algebra.labels[l].multidegree != md:
-                return False
-    return True
-
-
-def associated_graded(algebra: LieAlgebra) -> GradedLieAlgebra:
-    """Associated graded algebra of the lower central series filtration.
-
-    The adapted basis extends a basis of g^i to g^{i-1} using original basis
-    vectors first, in index order; when the original basis is already adapted
-    the output therefore equals the input basis for basis, including labels.
-    """
-    chain = lower_central_series(algebra)
-    if chain[-1].dim != 0:
-        raise ValueError("associated graded requires a nilpotent algebra")
-    depth = len(chain) - 1
-    red = RowReducer()
-    chosen = []
-    for level in range(depth, 0, -1):
-        target = chain[level - 1]
-        for i in range(algebra.n):
-            if red.rank == target.dim:
-                break
-            unit = {i: ONE}
-            if target.contains(unit) and red.add(unit):
-                chosen.append((level, unit))
-        for row in target.basis_rows():
-            if red.rank == target.dim:
-                break
-            if red.add(row):
-                chosen.append((level, dict(row)))
-    if red.rank != algebra.n:
-        raise InternalInvariantError("adapted basis does not span the algebra")
-    chosen.sort(key=lambda pair: pair[0])
-    levels = [lv for lv, _ in chosen]
-    vectors = [v for _, v in chosen]
-    grading = [levels.count(d) for d in range(1, depth + 1)]
-
-    identity_basis = all(v == {idx: ONE} for idx, v in enumerate(vectors))
-    solver = None if identity_basis else CoordinateSolver(vectors, algebra.n)
-
-    sc = {}
-    for i in range(algebra.n):
-        for j in range(i + 1, algebra.n):
-            w = algebra.bracket_sparse(vectors[i], vectors[j])
-            if not w:
-                continue
-            coords = dict(w) if solver is None else solver.solve(w)
-            d = levels[i] + levels[j]
-            terms = {}
-            for l, c in coords.items():
-                if levels[l] == d:
-                    terms[l] = c
-                elif levels[l] < d:
-                    raise InternalInvariantError("bracket escapes its lower central series level")
-            if terms:
-                sc[(i, j)] = terms
-    labels = None
-    if identity_basis and isinstance(algebra, GradedLieAlgebra):
-        if algebra.labels is not None and list(algebra.degrees) == levels:
-            labels = algebra.labels
-    return GradedLieAlgebra(algebra.n, sc, grading, labels=labels, k=depth)
 
 
 def algebra_to_json_dict(algebra: LieAlgebra) -> dict:

@@ -329,21 +329,17 @@ class PeeledRows:
 
 
 class CoordinateSolver:
-    """Coordinates of vectors in the span of independent rows.
+    """Coordinates of vectors in the span of independent rows, added one by one.
 
     Row i is stored with the unit column offset + i appended, so reducing a
     vector v of the span leaves -sum_i x_i e_{offset+i} with v = sum_i x_i
     row_i. offset must exceed every column the rows use.
     """
 
-    def __init__(self, rows, offset: int):
+    def __init__(self, offset: int):
         self.offset = offset
         self.red = RowReducer()
         self.size = 0
-        for i, row in enumerate(rows):
-            self.add(row)
-            if self.size == i:
-                raise InternalInvariantError("basis rows are dependent")
 
     def add(self, row: dict) -> dict:
         """{position: coefficient} of row, kept as the next position if it is independent.

@@ -9,9 +9,9 @@ coefficient identities of that statement triple by triple.
 
 Witness shapes:
 
-  graded (k >= 3)   non-adjacent vertices a1, a2 and a degree-k basis
-                    element y outside [g', g'] + [a1, g'] + [a2, g'],
-                    preferring multidegree (k-1, 1, 0, ...) up to order.
+  graded (k >= 3)   the first sorted non-edge {a1, a2} and y = ad_u^{k-1} w
+                    for an edge u - w with u outside {a1, a2}, a degree-k
+                    basis element outside [g', g'] + [a1, g'] + [a2, g'].
                     The search reduces only the brackets of y's
                     multidegree; the certifier rebuilds the span itself.
   two-step (k = 2)  non-adjacent vertices v, w whose bracket images
@@ -21,16 +21,15 @@ Witness shapes:
 classify runs, in order: the abelian shortcut, the abelian-factor
 shortcut, the witness search, the cohomological criterion h2 = 0 (only
 meaningful for k = 2), and the complete-graph citation, before giving up
-with unknown. A witness together with h2 = 0, whenever both happen to be
+with unknown. A not_rigid verdict together with h2 = 0, whenever both are
 computed, is a contradiction and aborts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, replace
 
-from .basis import structure_constants
+from .basis import dimension_oracle, structure_constants
 from .cohomology import H2Report, h2_nil, is_at_most_two_step
 from .errors import InternalInvariantError, invariant_error
 from .graphs import SimpleGraph, analyze, enumerate_graphs, to_graph6
@@ -134,21 +133,16 @@ def _candidate_triples(deformed: DeformedAlgebra) -> list:
     return sorted(cands)
 
 
-def deform_check(deformed: DeformedAlgebra, exhaustive: bool = False) -> DeformCheckResult:
+def deform_check(deformed: DeformedAlgebra) -> DeformCheckResult:
     """Both coefficient identities of mu + t sigma, checked on basis triples.
 
     The t^1 identity is the cyclic sum of mu(sigma(x,y),z) + sigma(mu(x,y),z),
-    the t^2 identity the cyclic sum of sigma(sigma(x,y),z). The default
-    candidate set provably covers every triple with a nonzero term;
-    exhaustive=True loops over all of them anyway.
+    the t^2 identity the cyclic sum of sigma(sigma(x,y),z). The candidate
+    set provably covers every triple with a nonzero term.
     """
     base = deformed.base
     sigma = deformed.cocycle
-    if exhaustive:
-        triples = combinations(range(base.n), 3)
-    else:
-        triples = _candidate_triples(deformed)
-    for (x, y, z) in triples:
+    for (x, y, z) in _candidate_triples(deformed):
         t1: dict = {}
         t2: dict = {}
         for (p, q, r) in ((x, y, z), (y, z, x), (z, x, y)):
@@ -257,57 +251,53 @@ def _slice_rows(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int, mds: list
 
 def find_witness(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int):
     """Deterministic search over non-adjacent vertex pairs; returns a
-    certificate dict or None. For k >= 3 the degree-k candidates with
-    multidegree (k-1, 1, 0, ...) up to order are tried for every pair
-    before any other candidate is considered."""
+    certificate dict, or None when the graph has no edge or no non-edge.
+    For k >= 3 only the first sorted non-edge is searched, and only the
+    degree-k candidates of multidegree (k-1, 1, 0, ...) up to order: one of
+    them is a witness, so finding none is an invariant failure."""
     if k != len(algebra.grading):
         raise ValueError("k does not match the algebra grading")
     nonadj = sorted(graph.nonedges())
-    if not nonadj:
+    if not nonadj or not graph.edges:
         return None
     n = algebra.n
     if k >= 3:
         mds = [label.multidegree for label in algebra.labels]
-        top = algebra.degree_block(k)
-        shaped = [i for i in top if sorted(mds[i], reverse=True)[:2] == [k - 1, 1]]
-        others = sorted(set(top) - set(shaped))
         rows = _slice_rows(graph, algebra, k, mds)
-        blocks: dict = {}  # (a1, a2, md) -> reducer of the rows of md that y must avoid
-        for candidates in (shaped, others):
-            for (u, w) in nonadj:
-                a1, a2 = u - 1, w - 1
-                if algebra.bracket_basis(a1, a2):
-                    continue
-                for y_idx in candidates:
-                    md = mds[y_idx]
-                    if (a1, a2, md) not in blocks:
-                        blocks[a1, a2, md] = red = RowReducer()
-                        for owner in (None, a1, a2):
-                            for row in rows.get((owner, md), ()):
-                                red.add(row)
-                    if blocks[a1, a2, md].contains({y_idx: 1}):
-                        continue
-                    y = _unit(n, y_idx)
-                    if not certify_graded_witness(algebra, a1, a2, y):
-                        raise invariant_error(
-                            "witness search and certifier disagree",
-                            to_graph6(graph), k, "graded witness search against the certifier",
-                        )
-                    return {
-                        "kind": "graded_witness",
-                        "a1": f"v{u}",
-                        "a2": f"v{w}",
-                        "a1_index": a1,
-                        "a2_index": a2,
-                        "y_index": y_idx,
-                        "y_label": algebra.labels[y_idx].label,
-                        "y_multidegree": list(algebra.labels[y_idx].multidegree),
-                        "y": [frac_str(c) for c in y],
-                    }
-        return None
+        u, w = nonadj[0]
+        a1, a2 = u - 1, w - 1
+        for y_idx in algebra.degree_block(k):
+            md = mds[y_idx]
+            if sorted(md, reverse=True)[:2] != [k - 1, 1]:
+                continue
+            red = RowReducer()  # the rows of md that y must avoid
+            for owner in (None, a1, a2):
+                for row in rows.get((owner, md), ()):
+                    red.add(row)
+            if red.contains({y_idx: 1}):
+                continue
+            y = _unit(n, y_idx)
+            if not certify_graded_witness(algebra, a1, a2, y):
+                raise invariant_error(
+                    "witness search and certifier disagree",
+                    to_graph6(graph), k, "graded witness search against the certifier",
+                )
+            return {
+                "kind": "graded_witness",
+                "a1": f"v{u}",
+                "a2": f"v{w}",
+                "a1_index": a1,
+                "a2_index": a2,
+                "y_index": y_idx,
+                "y_label": algebra.labels[y_idx].label,
+                "y_multidegree": list(md),
+                "y": [frac_str(c) for c in y],
+            }
+        raise invariant_error(
+            "the first non-edge has no witness of multidegree (k-1, 1)",
+            to_graph6(graph), k, "graded witness search at the first non-edge",
+        )
     if k == 2:
-        if not graph.edges:
-            return None
         for (u, w) in nonadj:
             v_vec = _unit(n, u - 1)
             w_vec = _unit(n, w - 1)
@@ -349,12 +339,6 @@ class RigidityVerdict:
         return out
 
 
-def _witness_with_zero_h2(graph: SimpleGraph, k: int, phase: str) -> InternalInvariantError:
-    return invariant_error(
-        "a deformation witness and vanishing h2 cannot both hold", to_graph6(graph), k, phase
-    )
-
-
 def _h2(graph: SimpleGraph, algebra: LieAlgebra, k: int) -> H2Report:
     """h2_nil, with an invariant failure re-raised naming the graph and k."""
     try:
@@ -363,12 +347,8 @@ def _h2(graph: SimpleGraph, algebra: LieAlgebra, k: int) -> H2Report:
         raise invariant_error(exc.message, to_graph6(graph), k, exc.phase or "h2_nil") from exc
 
 
-def classify(graph: SimpleGraph, k: int, with_cohomology: bool = False) -> RigidityVerdict:
-    """Rigidity verdict for the k-step algebra of a graph with at least 2 vertices."""
-    if graph.m < 2:
-        raise ValueError("classification needs at least two vertices")
-    if k < 2:
-        raise ValueError("classification needs k >= 2")
+def _shortcut(graph: SimpleGraph, k: int) -> RigidityVerdict | None:
+    """The verdicts read off the graph alone: abelian, abelian factor, cited."""
     if not graph.edges:
         if graph.m == 2:
             return RigidityVerdict(
@@ -387,57 +367,72 @@ def classify(graph: SimpleGraph, k: int, with_cohomology: bool = False) -> Rigid
             "not_rigid",
             {"kind": "abelian_factor", "isolated": sorted(info.isolated)},
         )
-    algebra = structure_constants(graph, k)
-    witness = find_witness(graph, algebra, k)
-    h2 = None
-    if k == 2 and (with_cohomology or witness is None):
-        h2 = _h2(graph, algebra, k)
-    if witness is not None:
-        if h2 is not None and h2.h2_dim == 0:
-            raise _witness_with_zero_h2(graph, k, "classify, witness against h2")
-        return RigidityVerdict("not_rigid", witness, h2)
-    if h2 is not None and h2.h2_dim == 0:
-        return RigidityVerdict("rigid", {"kind": "h2_nil_zero"}, h2)
-    if graph.is_complete():
-        return RigidityVerdict(
-            "rigid", {"kind": "cited_result", "name": "free k-step nilpotent"}, h2
+    return None
+
+
+def classify(graph: SimpleGraph, k: int, with_cohomology: bool = False) -> RigidityVerdict:
+    """Rigidity verdict for the k-step algebra of a graph with at least 2 vertices.
+
+    At k = 2, h2 is computed when neither a shortcut nor a witness decides,
+    and for every verdict when with_cohomology is set.
+    """
+    if graph.m < 2:
+        raise ValueError("classification needs at least two vertices")
+    if k < 2:
+        raise ValueError("classification needs k >= 2")
+    verdict = _shortcut(graph, k)
+    if verdict is None:
+        algebra = structure_constants(graph, k)
+        witness = find_witness(graph, algebra, k)
+        h2 = None
+        if k == 2 and (with_cohomology or witness is None):
+            h2 = _h2(graph, algebra, k)
+        if witness is not None:
+            verdict = RigidityVerdict("not_rigid", witness, h2)
+        elif h2 is not None and h2.h2_dim == 0:
+            verdict = RigidityVerdict("rigid", {"kind": "h2_nil_zero"}, h2)
+        elif graph.is_complete():
+            verdict = RigidityVerdict(
+                "rigid", {"kind": "cited_result", "name": "free k-step nilpotent"}, h2
+            )
+        else:
+            verdict = RigidityVerdict("unknown", {"kind": "none"}, h2)
+    elif k == 2 and with_cohomology:
+        verdict = replace(verdict, h2=_h2(graph, structure_constants(graph, k), k))
+    if verdict.verdict == "not_rigid" and verdict.h2 is not None and verdict.h2.h2_dim == 0:
+        raise invariant_error(
+            "a deformation witness and vanishing h2 cannot both hold",
+            to_graph6(graph), k, "classify, not_rigid verdict against h2",
         )
-    return RigidityVerdict("unknown", {"kind": "none"}, h2)
+    return verdict
 
 
 def algebra_dim(graph: SimpleGraph, k: int) -> int:
-    from .basis import dimension_oracle
-
     return sum(dimension_oracle(graph, k))
+
+
+def report_row(graph: SimpleGraph, k: int, verdict: RigidityVerdict) -> dict:
+    """The report entry of one graph: its graph6 code, sizes and verdict."""
+    return {
+        "graph6": to_graph6(graph),
+        "m": graph.m,
+        "k": k,
+        "dim": algebra_dim(graph, k),
+        **verdict.to_json_dict(),
+    }
 
 
 def sweep(n_max: int, k: int) -> list:
     """Classify every isomorphism class on 2..n_max vertices.
 
     For k = 2 the cohomology report is attached to every entry, which also
-    cross-checks every witness against h2 = 0.
+    cross-checks every not_rigid verdict against h2 = 0.
     """
     check_vertices("sweep", n_max)
     if k < 2:
         raise ValueError("sweep needs k >= 2")
-    rows = []
-    for m in range(2, n_max + 1):
-        for graph in enumerate_graphs(m):
-            verdict = classify(graph, k, with_cohomology=k == 2)
-            h2 = verdict.h2
-            if k == 2 and h2 is None:
-                h2 = _h2(graph, structure_constants(graph, k), k)
-                if verdict.verdict == "not_rigid" and h2.h2_dim == 0:
-                    raise _witness_with_zero_h2(graph, k, "sweep, shortcut verdict against h2")
-            row = {
-                "graph6": to_graph6(graph),
-                "m": m,
-                "k": k,
-                "dim": algebra_dim(graph, k),
-                "verdict": verdict.verdict,
-                "certificate": dict(verdict.certificate),
-            }
-            if h2 is not None:
-                row["h2"] = h2.to_json_dict()
-            rows.append(row)
-    return rows
+    return [
+        report_row(graph, k, classify(graph, k, with_cohomology=k == 2))
+        for m in range(2, n_max + 1)
+        for graph in enumerate_graphs(m)
+    ]

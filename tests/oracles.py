@@ -1,0 +1,60 @@
+"""Reference checkers that only the tests use.
+
+Each one recomputes a property the package relies on by a slower or more
+direct route than the package itself, so the tests can compare the two.
+"""
+
+from functools import lru_cache
+from itertools import combinations
+
+from graphlie.basis import TraceContext
+from graphlie.cohomology import CochainCoordinates, delta1_matrix, delta2_matrix
+from graphlie.liealg import GradedLieAlgebra
+from graphlie.linalg import ONE, axpy
+
+# one context per graph, so that its normal form memo outlives a single call
+context = lru_cache(maxsize=128)(TraceContext)
+
+
+def trace_normal_form(word, graph) -> tuple:
+    return context(graph).normal_form(tuple(word))
+
+
+def grading_support_check(algebra: GradedLieAlgebra) -> bool:
+    """Every nonzero c_{ij}^l satisfies deg l = deg i + deg j, same for multidegrees."""
+    if not isinstance(algebra, GradedLieAlgebra):
+        raise ValueError("grading support check needs a graded algebra")
+    if algebra.labels is None:
+        raise ValueError("grading support check needs labeled basis elements")
+    for (i, j), terms in algebra.sc.items():
+        degree = algebra.degrees[i] + algebra.degrees[j]
+        mi, mj = algebra.labels[i].multidegree, algebra.labels[j].multidegree
+        md = tuple(a + b for a, b in zip(mi, mj))
+        for l in terms:
+            if algebra.degrees[l] != degree or algebra.labels[l].multidegree != md:
+                return False
+    return True
+
+
+def complex_identity_holds(algebra) -> bool:
+    """delta2 composed with delta1 vanishes (true for any Lie algebra)."""
+    coords = CochainCoordinates(algebra.n)
+    return delta2_matrix(algebra, coords).matmul(delta1_matrix(algebra, coords)).is_zero()
+
+
+def deform_violation(deformed):
+    """The first basis triple, over all of them, where either coefficient
+    identity of mu + t sigma fails, or None when both hold everywhere."""
+    base, sigma = deformed.base, deformed.cocycle
+    for (x, y, z) in combinations(range(base.n), 3):
+        t1: dict = {}
+        t2: dict = {}
+        for (p, q, r) in ((x, y, z), (y, z, x), (z, x, y)):
+            ep, eq, er = {p: ONE}, {q: ONE}, {r: ONE}
+            s_pq = sigma.apply_sparse(ep, eq)
+            axpy(t1, ONE, base.bracket_sparse(s_pq, er))
+            axpy(t2, ONE, sigma.apply_sparse(s_pq, er))
+            axpy(t1, ONE, sigma.apply_sparse(base.bracket_basis(p, q), er))
+        if t1 or t2:
+            return (x, y, z)
+    return None

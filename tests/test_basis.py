@@ -10,7 +10,6 @@ import pytest
 from graphlie import basis
 from graphlie.basis import (
     TraceContext,
-    _context,
     bracket_word_label,
     clique_polynomial,
     dimension_oracle,
@@ -19,13 +18,13 @@ from graphlie.basis import (
     multidegree_of_leaves,
     standard_bracketing,
     structure_constants,
-    trace_normal_form,
 )
 from graphlie.errors import InternalInvariantError
 from graphlie.graphs import SimpleGraph, enumerate_graphs, to_graph6
-from graphlie.liealg import BasisLabel, algebra_to_json_dict, grading_support_check, jacobi_report
+from graphlie.liealg import BasisLabel, algebra_to_json_dict, jacobi_report
 from graphlie.limits import MAX_DIM
 from graphlie.linalg import CoordinateSolver, RowReducer
+from oracles import context, grading_support_check, trace_normal_form
 
 STAR = SimpleGraph.make(3, [(1, 2), (1, 3)])
 K2 = SimpleGraph.make(2, [(1, 2)])
@@ -68,7 +67,7 @@ def expand_bracket_word(tree, graph, k):
     for v in leaves:
         if not (isinstance(v, int) and 1 <= v <= graph.m):
             raise ValueError(f"leaf {v!r} is not a vertex of the graph")
-    ctx = _context(graph)
+    ctx = context(graph)
 
     def rec(node):
         if isinstance(node, int):
@@ -114,7 +113,7 @@ def _direct_basis(graph, k):
         if expansion:
             md = multidegree_of_leaves(word, graph.m)
             columns, indices, solver = blocks.setdefault(
-                (degree, md), ({}, [], CoordinateSolver([], graph.m**degree))
+                (degree, md), ({}, [], CoordinateSolver(graph.m**degree))
             )
             coords = solver.add({columns.setdefault(w, len(columns)): c for w, c in expansion.items()})
             if len(indices) < solver.size:
@@ -434,9 +433,9 @@ def test_dimensions_equal_rank_of_all_bracket_words():
 def test_graded_basis_running_example():
     gb = graded_basis(STAR, 4)
     assert gb.dims == (3, 2, 5, 10)
-    assert [e.label for e in gb.elements_of_degree(1)] == ["v1", "v2", "v3"]
-    assert [e.label for e in gb.elements_of_degree(2)] == ["[v1,v2]", "[v1,v3]"]
-    assert gb.multidegrees_of_degree(4) == sorted([
+    assert [e.label for e in gb.elements if e.degree == 1] == ["v1", "v2", "v3"]
+    assert [e.label for e in gb.elements if e.degree == 2] == ["[v1,v2]", "[v1,v3]"]
+    assert sorted(e.multidegree for e in gb.elements if e.degree == 4) == sorted([
         (3, 1, 0), (3, 0, 1), (1, 3, 0), (1, 2, 1), (1, 1, 2),
         (1, 0, 3), (2, 2, 0), (2, 1, 1), (2, 1, 1), (2, 0, 2),
     ])
@@ -683,11 +682,8 @@ def test_structure_constants_cached():
         structure_constants(K2, 0)
 
 
-def test_trace_contexts_cached_with_a_bound():
-    assert _context.cache_info().maxsize == 128
-    assert _context(STAR) is _context(SimpleGraph.make(3, [(1, 3), (2, 1)]))
-    assert _context(STAR) is not _context(PATH3)
-    masks = _context(STAR).blocks  # shared by every caller, so read-only
+def test_trace_context_masks_are_read_only():
+    masks = context(STAR).blocks  # shared through the test cache, so read-only
     # 2 and 3 commute, 1 and 2 do not
     assert not masks[2] >> 3 & 1 and masks[1] >> 2 & 1
     with pytest.raises(TypeError):

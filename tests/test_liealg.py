@@ -11,15 +11,13 @@ from graphlie.liealg import (
     LieAlgebra,
     algebra_from_json_dict,
     algebra_to_json_dict,
-    associated_graded,
     bracket_subspaces,
     center,
-    grading_support_check,
-    is_nilpotent,
     jacobi_report,
     lower_central_series,
 )
 from graphlie.linalg import ONE, ZERO, full_space
+from oracles import grading_support_check
 
 STAR = SimpleGraph.make(3, [(1, 2), (1, 3)])
 K2 = SimpleGraph.make(2, [(1, 2)])
@@ -96,12 +94,6 @@ def test_lower_central_series_matches_grading_tails():
                 while len(expected) > 1 and expected[-2] == 0:
                     expected.pop()
                 assert [s.dim for s in chain] == expected
-
-
-def test_is_nilpotent():
-    assert is_nilpotent(HEISENBERG)
-    assert is_nilpotent(LieAlgebra(4, {}))
-    assert not is_nilpotent(AFFINE_LINE)
 
 
 def test_center_fixed_cases():
@@ -199,40 +191,21 @@ def test_degree_accessors():
     assert alg.degrees[:6] == (1, 1, 1, 2, 2, 3)
     assert alg.degree_block(1) == range(0, 3)
     assert alg.degree_block(2) == range(3, 5)
-    assert alg.degree_of(3) == 2
 
 
-def test_associated_graded_is_identity_on_graph_algebras():
-    for graph, k in ((STAR, 4), (C4, 2), (K2, 3)):
-        alg = structure_constants(graph, k)
-        gr = associated_graded(alg)
-        assert gr.sc == alg.sc
-        assert gr.grading == alg.grading
-        assert gr.labels == alg.labels
-
-
-def test_associated_graded_of_deformed_bracket():
-    # [v1,v2] = e3 plus the deformation [v1,v3] = e3: still 2-step
-    sc = {(0, 1): {3: 1}, (0, 2): {3: 1}}
-    gr = associated_graded(LieAlgebra(4, sc))
-    assert gr.grading == (3, 1)
-    assert gr.sc == {(0, 1): {3: ONE}, (0, 2): {3: ONE}}
-
-
-def test_associated_graded_change_of_basis():
-    # heisenberg written in the basis f0, f1, f0 - f2 of x, y, x + z
-    sc = {(0, 1): {0: -1, 2: 1}, (1, 2): {0: 1, 2: -1}}
-    alg = LieAlgebra(3, sc)
-    assert jacobi_report(alg) == []
-    gr = associated_graded(alg)
-    assert gr.grading == (2, 1)
-    assert list(gr.sc) == [(0, 1)]
-    assert set(gr.sc[(0, 1)]) == {2}
-
-
-def test_associated_graded_needs_nilpotent():
-    with pytest.raises(ValueError):
-        associated_graded(AFFINE_LINE)
+def test_graph_algebras_are_naturally_graded():
+    # each term g^i of the lower central series is the span of the degree
+    # blocks above i, so the grading by word length is the filtration's own
+    for m in range(1, 6):
+        for graph in enumerate_graphs(m):
+            for k in (2, 3, 4):
+                alg = structure_constants(graph, k)
+                chain = lower_central_series(alg)
+                assert chain[-1].dim == 0
+                for i, term in enumerate(chain):
+                    above = [{l: ONE} for l in range(alg.n) if alg.degrees[l] > i]
+                    assert term.dim == len(above), (graph.edges, k, i)
+                    assert all(term.contains(unit) for unit in above), (graph.edges, k, i)
 
 
 def test_bracket_subspaces():

@@ -7,7 +7,7 @@ import pytest
 from graphlie.basis import structure_constants
 from graphlie.cohomology import H2Report
 from graphlie.errors import InternalInvariantError
-from graphlie.graphs import SimpleGraph, from_graph6
+from graphlie.graphs import SimpleGraph, enumerate_graphs, from_graph6, to_graph6
 from graphlie.liealg import (
     GradedLieAlgebra,
     LieAlgebra,
@@ -28,6 +28,7 @@ from graphlie.rigidity import (
     find_witness,
     sweep,
 )
+from oracles import deform_violation
 
 STAR = SimpleGraph.make(3, [(1, 2), (1, 3)])
 K2 = SimpleGraph.make(2, [(1, 2)])
@@ -103,7 +104,7 @@ def test_deform_check_accepts_witness():
     sigma = build_sigma(alg, 1, 2, _unit(alg.n, 5))
     deformed = DeformedAlgebra(alg, sigma)
     assert deform_check(deformed)
-    assert deform_check(deformed, exhaustive=True)
+    assert deform_violation(deformed) is None
     assert jacobi_report(deformed.at_t(1)) == []
     assert jacobi_report(deformed.at_t(Fraction(-2, 3))) == []
 
@@ -138,7 +139,8 @@ def test_pruned_check_matches_exhaustive():
         a1, a2 = rng.sample(range(m), 2)
         y = [Fraction(rng.randint(-2, 2)) for _ in range(alg.n)]
         deformed = DeformedAlgebra(alg, DeformationCocycle(alg.n, a1, a2, tuple(y)))
-        assert deform_check(deformed) == deform_check(deformed, exhaustive=True)
+        result, violation = deform_check(deformed), deform_violation(deformed)
+        assert (result.ok, result.violation) == (violation is None, violation)
 
 
 def test_at_t_materialization():
@@ -238,6 +240,44 @@ def test_find_witness_prefers_shaped_multidegree():
             assert all(c == 0 for c in shape[2:])
 
 
+def test_graded_witness_sits_at_the_first_non_edge():
+    # the paper's construction: y = ad_u^{k-1} w for an edge u - w with u
+    # outside the first sorted non-edge, on every class with an edge and a
+    # non-edge, isolated vertices included
+    checked = 0
+    for k, top in ((3, 6), (4, 6), (5, 5)):
+        for m in range(3, top + 1):
+            for graph in enumerate_graphs(m):
+                nonadj = sorted(graph.nonedges())
+                if not graph.edges or not nonadj:
+                    continue
+                cert = find_witness(graph, structure_constants(graph, k), k)
+                pair = nonadj[0]
+                assert (cert["a1"], cert["a2"]) == (f"v{pair[0]}", f"v{pair[1]}")
+                md = cert["y_multidegree"]
+                u, w = md.index(k - 1) + 1, md.index(1) + 1
+                assert sum(md) == k and u not in pair, (to_graph6(graph), k)
+                assert graph.adjacent(u, w), (to_graph6(graph), k)
+                checked += 1
+    assert checked == 437
+
+
+def test_first_non_edge_without_a_witness_names_graph_k_and_phase(monkeypatch):
+    import graphlie.rigidity as rigidity
+
+    class Blocking(rigidity.RowReducer):
+        def contains(self, row):
+            return True
+
+    monkeypatch.setattr(rigidity, "RowReducer", Blocking)
+    with pytest.raises(InternalInvariantError) as caught:
+        find_witness(STAR, structure_constants(STAR, 3), 3)
+    assert str(caught.value) == (
+        "the first non-edge has no witness of multidegree (k-1, 1) "
+        "(graph6 Bo, k = 3, phase: graded witness search at the first non-edge)"
+    )
+
+
 def test_classify_fixed_verdicts():
     a2 = SimpleGraph.make(2, [])
     for k in (2, 3, 4):
@@ -264,6 +304,17 @@ def test_classify_fixed_verdicts():
     v = classify(K3, 3)
     assert v.verdict == "rigid"
     assert v.certificate["name"] == "free k-step nilpotent"
+
+
+def test_with_cohomology_attaches_h2_to_every_k2_verdict():
+    # shortcut verdicts included; without it only an undecided search computes h2
+    for graph in (SimpleGraph.make(2, []), SimpleGraph.make(3, []), K2_PLUS_POINT, P4, C4):
+        plain, full = classify(graph, 2), classify(graph, 2, with_cohomology=True)
+        assert full.h2 is not None
+        assert (full.verdict, full.certificate) == (plain.verdict, plain.certificate)
+        assert plain.h2 in (None, full.h2)
+    assert classify(SimpleGraph.make(3, []), 2).h2 is None
+    assert classify(STAR, 3, with_cohomology=True).h2 is None
 
 
 def test_classify_guards():
@@ -361,12 +412,12 @@ def test_witness_with_zero_h2_names_graph_k_and_phase(monkeypatch):
     assert "graph6 CF," in message
     assert "k = 2" in message and "phase: classify" in message
     # In a sweep the empty graph on three vertices is not_rigid by the
-    # abelian shortcut, before classify computes any h2.
+    # abelian shortcut; classify checks that verdict against h2 as well.
     with pytest.raises(InternalInvariantError) as caught:
         sweep(3, 2)
     message = str(caught.value)
     assert "cannot both hold" in message
-    assert "graph6 B?," in message and "k = 2" in message and "phase: sweep" in message
+    assert "graph6 B?," in message and "k = 2" in message and "phase: classify" in message
 
 
 def test_h2_containment_failure_names_graph_k_and_phase(monkeypatch):
