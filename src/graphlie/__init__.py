@@ -20,7 +20,6 @@ from .graphs import (
 )
 from .linalg import (
     RatMatrix,
-    Subspace,
     frac,
     frac_str,
     kernel_basis,
@@ -42,7 +41,6 @@ from .liealg import (
     LieAlgebra,
     algebra_from_json_dict,
     algebra_to_json_dict,
-    bracket_subspaces,
     center,
     jacobi_report,
     lower_central_series,

@@ -17,7 +17,7 @@ from . import __version__
 from .basis import structure_constants
 from .cohomology import h2_nil
 from .errors import InternalInvariantError, invariant_error
-from .graphs import SimpleGraph, enumerate_graphs, parse_graph, to_graph6
+from .graphs import SimpleGraph, enumerate_graphs, from_graph6, parse_graph, to_graph6
 from .liealg import (
     LieAlgebra,
     algebra_from_json_dict,
@@ -57,9 +57,9 @@ def _add_graph_flags(parser, k_default=None):
 def _load_input(args):
     """Returns (graph, algebra); at least one is not None."""
     if args.edges is not None:
-        return parse_graph(args.edges, "edge-list-json"), None
+        return parse_graph(args.edges), None
     if args.graph6 is not None:
-        return parse_graph(args.graph6, "graph6"), None
+        return from_graph6(args.graph6), None
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -71,7 +71,7 @@ def _load_input(args):
         raise ValueError(f"input file is not valid JSON: {exc}") from exc
     if isinstance(data, dict) and "brackets" in data:
         return None, _checked_algebra(algebra_from_json_dict(data))
-    return parse_graph(text, "edge-list-json"), None
+    return parse_graph(text), None
 
 
 def _checked_algebra(algebra: LieAlgebra) -> LieAlgebra:
@@ -79,7 +79,7 @@ def _checked_algebra(algebra: LieAlgebra) -> LieAlgebra:
     bad = jacobi_report(algebra)
     if bad:
         raise ValueError(f"loaded algebra violates the Jacobi identity at basis triple {bad[0]}")
-    stable = lower_central_series(algebra)[-1].dim
+    stable = lower_central_series(algebra)[-1].rank
     if stable:
         raise ValueError(
             f"loaded algebra is not nilpotent: its lower central series stops at dimension {stable}"

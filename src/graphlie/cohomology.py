@@ -43,6 +43,7 @@ from math import lcm
 
 from .errors import InternalInvariantError
 from .liealg import LieAlgebra, lower_central_series
+from .limits import check_h2_dim
 from .linalg import RatMatrix, drop_zeros
 
 
@@ -191,7 +192,7 @@ def is_at_most_two_step(algebra: LieAlgebra) -> bool:
     """Whether [g, [g, g]] = 0; the lower central series runs once per algebra object."""
     if algebra._two_step is None:
         chain = lower_central_series(algebra)
-        algebra._two_step = chain[-1].dim == 0 and len(chain) <= 3
+        algebra._two_step = chain[-1].rank == 0 and len(chain) <= 3
     return algebra._two_step
 
 
@@ -211,12 +212,14 @@ class H2Report:
 def h2_nil(algebra: LieAlgebra) -> H2Report:
     """Dimension data of (ker delta2 intersect ker eta2) / im delta1.
 
-    Raises ValueError, from eta2_matrix and before any other matrix is
-    built, unless the algebra is at most 2-step. Raises
+    Raises ValueError before any cochain is indexed if the algebra has more
+    than limits.MAX_H2_DIM basis elements, and, from eta2_matrix and before
+    any other matrix is built, unless it is at most 2-step. Raises
     InternalInvariantError if im delta1 is not inside ker eta2; for an at
     most 2-step algebra that containment is a theorem, so a violation can
     only mean the matrices are wrong.
     """
+    check_h2_dim(algebra.n)
     coords = CochainCoordinates(algebra.n)
     e2 = eta2_matrix(algebra, coords)
     d1 = delta1_matrix(algebra, coords)

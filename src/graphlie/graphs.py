@@ -58,27 +58,23 @@ class GraphAnalysis:
     complete: bool
 
 
-def parse_graph(text: str, fmt: str = "edge-list-json") -> SimpleGraph:
-    """Parse "edge-list-json" ({"m": int, "edges": [[i, j], ...]}) or "graph6"."""
-    if fmt == "edge-list-json":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed edge list JSON: {exc}") from exc
-        if not isinstance(data, dict) or "m" not in data or "edges" not in data:
-            raise ValueError('edge list JSON must be {"m": int, "edges": [[i, j], ...]}')
-        edges = data["edges"]
-        if not isinstance(edges, list):
-            raise ValueError("edges must be a list of pairs")
-        pairs = []
-        for e in edges:
-            if not isinstance(e, (list, tuple)) or len(e) != 2:
-                raise ValueError(f"edge {e!r} is not a pair")
-            pairs.append((e[0], e[1]))
-        return SimpleGraph.make(data["m"], pairs)
-    if fmt == "graph6":
-        return from_graph6(text)
-    raise ValueError(f"unknown graph format {fmt!r}")
+def parse_graph(text: str) -> SimpleGraph:
+    """Parse edge-list JSON, {"m": int, "edges": [[i, j], ...]}."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed edge list JSON: {exc}") from exc
+    if not isinstance(data, dict) or "m" not in data or "edges" not in data:
+        raise ValueError('edge list JSON must be {"m": int, "edges": [[i, j], ...]}')
+    edges = data["edges"]
+    if not isinstance(edges, list):
+        raise ValueError("edges must be a list of pairs")
+    pairs = []
+    for e in edges:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
+            raise ValueError(f"edge {e!r} is not a pair")
+        pairs.append((e[0], e[1]))
+    return SimpleGraph.make(data["m"], pairs)
 
 
 def from_graph6(code: str) -> SimpleGraph:

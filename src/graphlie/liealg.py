@@ -14,17 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .linalg import (
-    RatMatrix,
-    RowReducer,
-    Subspace,
-    axpy,
-    frac,
-    frac_str,
-    full_space,
-    is_int,
-    kernel_basis,
-)
+from .linalg import RatMatrix, RowReducer, axpy, frac, frac_str, is_int, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -121,35 +111,29 @@ class GradedLieAlgebra(LieAlgebra):
         return range(start, start + self.grading[degree - 1])
 
 
-def bracket_subspaces(algebra: LieAlgebra, s: Subspace, t: Subspace) -> Subspace:
-    """Span of [x, y] over x in S, y in T."""
-    if s.ambient_dim != algebra.n or t.ambient_dim != algebra.n:
-        raise ValueError("subspace ambient dimension does not match the algebra")
-    red = RowReducer()
-    for srow in s.basis_rows():
-        for trow in t.basis_rows():
-            out = algebra.bracket_sparse(srow, trow)
-            if out:
-                red.add(out)
-    return Subspace(algebra.n, red.rows_sorted())
-
-
 def lower_central_series(algebra: LieAlgebra) -> list:
-    """Descending chain g^0 = g, g^{i+1} = [g, g^i], stopping at stabilization."""
-    chain = [full_space(algebra.n)]
-    while True:
-        nxt = bracket_subspaces(algebra, chain[0], chain[-1])
-        if nxt.dim == chain[-1].dim:
-            if nxt.dim != 0:
-                chain.append(nxt)
-            break
+    """Descending chain g^0 = g, g^{i+1} = [g, g^i] of RowReducers, stopping at stabilization.
+
+    g^{i+1} spans the nonzero [e_a, r] over basis vectors e_a and echelon
+    rows r of g^i. A nonzero stable term is kept: it flags non-nilpotency.
+    """
+    chain = [RowReducer({i: 1} for i in range(algebra.n))]
+    while chain[-1].rank:
+        rows = chain[-1].rows_sorted()
+        nxt = RowReducer()
+        for a in sorted(algebra.adjacency()):  # the e_a with a nonzero bracket
+            for row in rows:
+                out = algebra.bracket_sparse({a: 1}, row)
+                if out:
+                    nxt.add(out)
+        stable = nxt.rank == chain[-1].rank
         chain.append(nxt)
-        if nxt.dim == 0:
+        if stable:
             break
     return chain
 
 
-def center(algebra: LieAlgebra) -> Subspace:
+def center(algebra: LieAlgebra) -> RowReducer:
     """Kernel of the stacked adjoint maps x -> ([x, e_j])_j."""
     n = algebra.n
     # Row j*n + l holds the e_l coefficients of [x, e_j]; pairs are stored

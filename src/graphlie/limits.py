@@ -2,7 +2,8 @@
 
 Every vertex bound lives in ``VERTEX_LIMITS``, and every operation checks
 its input with ``check_vertices``; ``MAX_DIM`` bounds the basis that
-``graded_basis`` builds. The README's limits table has this one source.
+``graded_basis`` builds, and ``MAX_H2_DIM`` the algebra that ``h2_nil``
+ranks. The README's limits table has this one source.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ VERTEX_LIMITS = {
 # the most basis elements graded_basis builds; (6, 5) on K6 needs 1960
 MAX_DIM = 2000
 
+# the most basis elements h2_nil takes; K10 at k = 2 (55) needs 1.3 s, 118 MB
+MAX_H2_DIM = 55
+
 
 def check_vertices(operation: str, m: int) -> None:
     """Raise ValueError unless m lies in the operation's vertex range."""
@@ -29,3 +33,9 @@ def check_dim(dims: list) -> None:
     """Raise ValueError if the per-degree dimensions add up to more than MAX_DIM."""
     if sum(dims) > MAX_DIM:
         raise ValueError(f"the algebra has {sum(dims)} basis elements; the budget is {MAX_DIM}")
+
+
+def check_h2_dim(n: int) -> None:
+    """Raise ValueError if an algebra of n basis elements is over MAX_H2_DIM."""
+    if n > MAX_H2_DIM:
+        raise ValueError(f"the algebra has {n} basis elements; the h2_nil budget is {MAX_H2_DIM}")

@@ -4,6 +4,7 @@ Every coefficient is exact, an int or a fractions.Fraction; there is no
 floating point and no tolerance anywhere. A sparse vector, and each row of
 a RatMatrix, is a dict mapping an index to a nonzero coefficient; integer
 input stays int until a division makes a Fraction. Dense vectors are lists.
+RowReducer is the one span type; a kernel or a center is a RowReducer.
 PeeledRows and IntRowReducer rank integer rows without ever dividing.
 """
 
@@ -171,18 +172,21 @@ class RatMatrix:
 
 
 class RowReducer:
-    """Incremental exact row reduction.
+    """The span of sparse rows, by incremental exact row reduction.
 
-    Rows are sparse dicts. Stored pivot rows are normalized to a unit pivot
-    and mutually reduced, so rows_sorted() is the reduced row echelon basis
-    of everything added so far. The pivot of a row is its least nonzero
-    column, which makes the result deterministic. A pivot of 1 or -1 is
-    normalized by keeping or negating the row, so int rows stay int; only
-    another pivot divides and makes Fractions.
+    Stored pivot rows are normalized to a unit pivot and mutually reduced,
+    so rows_sorted() is the reduced row echelon basis of the span and rank
+    its dimension. The pivot of a row is its least nonzero column, which
+    makes the result deterministic. A pivot of 1 or -1 is normalized by
+    keeping or negating the row, so int rows stay int; only another pivot
+    divides and makes Fractions. Rows are not checked against any ambient
+    dimension: the functions that take outside vectors check them.
     """
 
-    def __init__(self):
+    def __init__(self, rows=()):
         self.pivots: dict = {}
+        for row in rows:
+            self.add(row)
 
     def reduce(self, row: dict) -> dict:
         row = {c: v for c, v in row.items() if v}
@@ -367,58 +371,12 @@ class CoordinateSolver:
         return {c - self.offset: -v for c, v in rem.items()}
 
 
-def kernel_basis(matrix: RatMatrix) -> "Subspace":
-    """Right kernel {x : Mx = 0} as a subspace of dimension cols - rank."""
-    red = RowReducer()
-    for row in matrix._data.values():
-        red.add(row)
+def kernel_basis(matrix: RatMatrix) -> RowReducer:
+    """Right kernel {x : Mx = 0}, a span of rank cols - rank M."""
+    red = RowReducer(matrix._data.values())
     pivots = red.pivots
-    basis = [
+    return RowReducer(
         {f: ONE, **{p: -row[f] for p, row in pivots.items() if f in row}}
         for f in range(matrix.cols)
         if f not in pivots
-    ]
-    return Subspace(matrix.cols, basis)
-
-
-class Subspace:
-    """A subspace of Q^n held as a reduced row echelon basis. Immutable."""
-
-    def __init__(self, ambient_dim: int, rows=None):
-        if ambient_dim < 0:
-            raise ValueError("ambient dimension must be nonnegative")
-        self.ambient_dim = ambient_dim
-        self._red = RowReducer()
-        for row in rows or []:
-            if not isinstance(row, dict):
-                row = vec_to_dict(row)
-            for c in row:
-                if not 0 <= c < ambient_dim:
-                    raise ValueError("vector does not fit the ambient dimension")
-            self._red.add(row)
-
-    @property
-    def dim(self) -> int:
-        return self._red.rank
-
-    def basis_rows(self) -> list:
-        return self._red.rows_sorted()
-
-    def contains(self, vec) -> bool:
-        if not isinstance(vec, dict):
-            if len(vec) != self.ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-            vec = vec_to_dict(vec)
-        return self._red.contains(vec)
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return (self.ambient_dim, self._red.pivots) == (other.ambient_dim, other._red.pivots)
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def full_space(n: int) -> Subspace:
-    return Subspace(n, [{i: ONE} for i in range(n)])
+    )

@@ -12,11 +12,14 @@ Witness shapes:
   graded (k >= 3)   the first sorted non-edge {a1, a2} and y = ad_u^{k-1} w
                     for an edge u - w with u outside {a1, a2}, a degree-k
                     basis element outside [g', g'] + [a1, g'] + [a2, g'].
-                    The search reduces only the brackets of y's
-                    multidegree; the certifier rebuilds the span itself.
-  two-step (k = 2)  non-adjacent vertices v, w whose bracket images
-                    [v, g] + [w, g] miss part of the center; any central
-                    vector z outside that span certifies non-rigidity.
+                    [g', g'] misses y's multidegree, so the search reduces
+                    only the [a1, e_j], [a2, e_j] there; the certifier
+                    rebuilds the span itself.
+  two-step (k = 2)  the first sorted non-edge {v, w} that some edge avoids,
+                    or the first non-edge if a vertex is isolated: [v, g] +
+                    [w, g] spans the edges at v or w, so it misses that edge
+                    or vertex in the center. z is the first central basis
+                    vector outside the span; the pair is certified once.
 
 classify runs, in order: the abelian shortcut, the abelian-factor
 shortcut, the witness search, the cohomological criterion h2 = 0 (only
@@ -35,7 +38,7 @@ from .errors import InternalInvariantError, invariant_error
 from .graphs import SimpleGraph, analyze, enumerate_graphs, to_graph6
 from .liealg import GradedLieAlgebra, LieAlgebra, center
 from .limits import check_vertices
-from .linalg import ONE, ZERO, RowReducer, Subspace, axpy, frac, frac_str, vec_to_dict
+from .linalg import ONE, ZERO, RowReducer, axpy, frac, frac_str, vec_to_dict
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,7 @@ def certify_graded_witness(algebra: GradedLieAlgebra, a1: int, a2: int, y) -> bo
         rows = [row for row in rows if cols.isdisjoint(row)]
         joined += near
         cols.update(*near)
-    return not Subspace(algebra.n, map(dict, joined)).contains(y_sparse)
+    return not RowReducer(joined).contains(y_sparse)
 
 
 def certify_2step_witness(algebra: LieAlgebra, v, w):
@@ -202,8 +205,7 @@ def certify_2step_witness(algebra: LieAlgebra, v, w):
         raise ValueError("witness vectors must match the algebra dimension")
     v_sparse, w_sparse = vec_to_dict(v), vec_to_dict(w)
     z_sub = center(algebra)
-    mod_center = Subspace(n, z_sub.basis_rows() + [v_sparse, w_sparse])
-    if mod_center.dim != z_sub.dim + 2:
+    if RowReducer(z_sub.rows_sorted() + [v_sparse, w_sparse]).rank != z_sub.rank + 2:
         raise ValueError("witness vectors are dependent modulo the center")
     if algebra.bracket_sparse(v_sparse, w_sparse):
         return None
@@ -213,13 +215,13 @@ def certify_2step_witness(algebra: LieAlgebra, v, w):
             out = algebra.bracket_sparse(x, {i: ONE})
             if out:
                 rows.append(out)
-    span = Subspace(n, rows)
-    for row in span.basis_rows():
+    span = RowReducer(rows)
+    for row in span.rows_sorted():
         if not z_sub.contains(row):
             raise InternalInvariantError("bracket image escapes the center")
-    if span.dim >= z_sub.dim:
+    if span.rank >= z_sub.rank:
         return None
-    for row in z_sub.basis_rows():
+    for row in z_sub.rows_sorted():
         if not span.contains(row):
             return [row.get(i, ZERO) for i in range(n)]
     raise InternalInvariantError("proper subspace contains every basis vector")
@@ -231,30 +233,29 @@ def _unit(n: int, i: int) -> list:
     return out
 
 
-def _slice_rows(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int, mds: list) -> dict:
-    """The brackets landing in degree k by multidegree md: [g', g'] rows under
-    (None, md), [a, g'] rows under (a, md) for each degree-one a."""
+def _arm_rows(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int, mds: list, arms) -> dict:
+    """The brackets [a, e_j] with a in arms and deg j = k - 1, grouped by
+    multidegree md, in the order of algebra.sc."""
     degrees = algebra.degrees
     out: dict = {}
     for (i, j), terms in algebra.sc.items():
-        if degrees[j] >= 2:
+        if i in arms and degrees[j] == k - 1:
             md, *rest = set(map(mds.__getitem__, terms))
             if rest:
                 raise invariant_error(
                     "a bracket spans more than one multidegree",
                     to_graph6(graph), k, "graded witness search by multidegree block",
                 )
-            if sum(md) == k:
-                out.setdefault((i if degrees[i] == 1 else None, md), []).append(terms)
+            out.setdefault(md, []).append(terms)
     return out
 
 
 def find_witness(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int):
-    """Deterministic search over non-adjacent vertex pairs; returns a
-    certificate dict, or None when the graph has no edge or no non-edge.
-    For k >= 3 only the first sorted non-edge is searched, and only the
-    degree-k candidates of multidegree (k-1, 1, 0, ...) up to order: one of
-    them is a witness, so finding none is an invariant failure."""
+    """The certificate dict of the witness at the pair the module docstring
+    predicts, certified once; None when there is no edge or no such pair.
+    For k >= 3 only the degree-k candidates of multidegree (k-1, 1, 0, ...)
+    up to order are tried. A witness exists at the predicted pair, so
+    finding none, or a refusal by the certifier, is an invariant failure."""
     if k != len(algebra.grading):
         raise ValueError("k does not match the algebra grading")
     nonadj = sorted(graph.nonedges())
@@ -263,18 +264,14 @@ def find_witness(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int):
     n = algebra.n
     if k >= 3:
         mds = [label.multidegree for label in algebra.labels]
-        rows = _slice_rows(graph, algebra, k, mds)
         u, w = nonadj[0]
         a1, a2 = u - 1, w - 1
+        rows = _arm_rows(graph, algebra, k, mds, (a1, a2))
         for y_idx in algebra.degree_block(k):
             md = mds[y_idx]
             if sorted(md, reverse=True)[:2] != [k - 1, 1]:
                 continue
-            red = RowReducer()  # the rows of md that y must avoid
-            for owner in (None, a1, a2):
-                for row in rows.get((owner, md), ()):
-                    red.add(row)
-            if red.contains({y_idx: 1}):
+            if RowReducer(rows.get(md, ())).contains({y_idx: 1}):
                 continue
             y = _unit(n, y_idx)
             if not certify_graded_witness(algebra, a1, a2, y):
@@ -298,31 +295,36 @@ def find_witness(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int):
             to_graph6(graph), k, "graded witness search at the first non-edge",
         )
     if k == 2:
+        isolated = len(set().union(*graph.edges)) < graph.m
         for (u, w) in nonadj:
-            v_vec = _unit(n, u - 1)
-            w_vec = _unit(n, w - 1)
-            try:
-                z = certify_2step_witness(algebra, v_vec, w_vec)
-            except InternalInvariantError as exc:
-                phase = "two-step witness certificate"
-                raise invariant_error(exc.message, to_graph6(graph), k, phase) from exc
-            if z is not None:
-                z_sparse = vec_to_dict(z)
-                z_label = None
-                if len(z_sparse) == 1:
-                    (idx, coef), = z_sparse.items()
-                    if coef == ONE and algebra.labels is not None:
-                        z_label = algebra.labels[idx].label
-                return {
-                    "kind": "two_step_witness",
-                    "v": f"v{u}",
-                    "w": f"v{w}",
-                    "v_index": u - 1,
-                    "w_index": w - 1,
-                    "z_label": z_label,
-                    "z": [frac_str(c) for c in z],
-                }
-        return None
+            if isolated or any(u not in e and w not in e for e in graph.edges):
+                break
+        else:
+            return None
+        phase = "two-step witness certificate"
+        try:
+            z = certify_2step_witness(algebra, _unit(n, u - 1), _unit(n, w - 1))
+        except InternalInvariantError as exc:
+            raise invariant_error(exc.message, to_graph6(graph), k, phase) from exc
+        if z is None:
+            raise invariant_error(
+                f"the certifier refuses the predicted pair (v{u}, v{w})", to_graph6(graph), k, phase
+            )
+        z_sparse = vec_to_dict(z)
+        z_label = None
+        if len(z_sparse) == 1:
+            (idx, coef), = z_sparse.items()
+            if coef == ONE and algebra.labels is not None:
+                z_label = algebra.labels[idx].label
+        return {
+            "kind": "two_step_witness",
+            "v": f"v{u}",
+            "w": f"v{w}",
+            "v_index": u - 1,
+            "w_index": w - 1,
+            "z_label": z_label,
+            "z": [frac_str(c) for c in z],
+        }
     raise ValueError("witness search needs k >= 2")
 
 

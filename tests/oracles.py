@@ -10,7 +10,8 @@ from itertools import combinations
 from graphlie.basis import TraceContext
 from graphlie.cohomology import CochainCoordinates, delta1_matrix, delta2_matrix
 from graphlie.liealg import GradedLieAlgebra
-from graphlie.linalg import ONE, axpy
+from graphlie.linalg import ONE, ZERO, axpy, frac_str, vec_to_dict
+from graphlie.rigidity import certify_2step_witness
 
 # one context per graph, so that its normal form memo outlives a single call
 context = lru_cache(maxsize=128)(TraceContext)
@@ -57,4 +58,34 @@ def deform_violation(deformed):
             axpy(t1, ONE, sigma.apply_sparse(base.bracket_basis(p, q), er))
         if t1 or t2:
             return (x, y, z)
+    return None
+
+
+def two_step_witness_scan(graph, algebra):
+    """The k = 2 witness search by the certifier alone: every sorted non-edge
+    is certified in turn, and the certificate of the first one accepted is
+    returned, or None when there is no edge or no pair is accepted."""
+    n = algebra.n
+    if not graph.edges:
+        return None
+    for (u, w) in sorted(graph.nonedges()):
+        v_vec, w_vec = [ZERO] * n, [ZERO] * n
+        v_vec[u - 1] = w_vec[w - 1] = ONE
+        z = certify_2step_witness(algebra, v_vec, w_vec)
+        if z is not None:
+            z_sparse = vec_to_dict(z)
+            z_label = None
+            if len(z_sparse) == 1:
+                (idx, coef), = z_sparse.items()
+                if coef == ONE and algebra.labels is not None:
+                    z_label = algebra.labels[idx].label
+            return {
+                "kind": "two_step_witness",
+                "v": f"v{u}",
+                "w": f"v{w}",
+                "v_index": u - 1,
+                "w_index": w - 1,
+                "z_label": z_label,
+                "z": [frac_str(c) for c in z],
+            }
     return None

@@ -247,9 +247,9 @@ def _verify_deformation(graph, k, a1, a2, y_strs):
     sigma = build_sigma(alg, a1, a2, y)
     deformed = DeformedAlgebra(alg, sigma)
     assert deform_check(deformed), (to_graph6(graph), k)
-    base_dims = [s.dim for s in lower_central_series(alg)]
+    base_dims = [s.rank for s in lower_central_series(alg)]
     moved = deformed.at_t(1)
-    assert [s.dim for s in lower_central_series(moved)] == base_dims, (to_graph6(graph), k)
+    assert [s.rank for s in lower_central_series(moved)] == base_dims, (to_graph6(graph), k)
 
 
 def test_criterion_09_deformation_validity():

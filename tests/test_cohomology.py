@@ -642,3 +642,31 @@ def test_ranks_match_sympy():
         assert report.dim_ker_delta2 == cols - ranks[1]
         assert report.dim_ker_eta2 == cols - ranks[2]
         assert report.dim_intersection == cols - ranks[3]
+
+
+def test_h2_budget_refuses_before_indexing(monkeypatch, capsys, tmp_path):
+    # the budget is checked before any cochain is indexed, so an oversized
+    # request never reaches the cochain coordinates
+    import graphlie.cohomology as cohomology
+    from graphlie.basis import dimension_oracle
+    from graphlie.cli import run_command
+    from graphlie.limits import MAX_H2_DIM
+
+    k8 = SimpleGraph.make(8, [(i, j) for i in range(1, 9) for j in range(i + 1, 9)])
+    assert sum(dimension_oracle(k8, 2)) == 36 <= MAX_H2_DIM < 300
+
+    def no_coordinates(n):
+        raise AssertionError("an oversized request reached the cochain coordinates")
+
+    monkeypatch.setattr(cohomology, "CochainCoordinates", no_coordinates)
+    message = f"the algebra has 1000 basis elements; the h2_nil budget is {MAX_H2_DIM}"
+    with pytest.raises(ValueError, match=message):
+        h2_nil(LieAlgebra(1000, {}))
+    path = tmp_path / "abelian.json"
+    path.write_text('{"n": 1000, "brackets": []}', encoding="utf-8")
+    assert run_command(["cohomology", "h2nil", "--in", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # the budget is read when h2_nil is called
+    monkeypatch.setattr("graphlie.limits.MAX_H2_DIM", 4)
+    with pytest.raises(ValueError, match="has 5 basis elements; the h2_nil budget is 4"):
+        h2_nil(structure_constants(PATH3, 2))

@@ -16,7 +16,7 @@ from graphlie.graphs import (
     parse_graph,
     to_graph6,
 )
-from graphlie.limits import MAX_DIM, VERTEX_LIMITS
+from graphlie.limits import MAX_DIM, MAX_H2_DIM, VERTEX_LIMITS
 
 STAR_GRAPH = SimpleGraph.make(3, [(1, 2), (1, 3)])
 
@@ -45,11 +45,6 @@ def test_parse_edge_list():
 def test_parse_edge_list_errors(text):
     with pytest.raises(ValueError):
         parse_graph(text)
-
-
-def test_parse_unknown_format():
-    with pytest.raises(ValueError):
-        parse_graph("A_", "adjacency")
 
 
 def test_graph6_k4():
@@ -395,6 +390,7 @@ def test_limits_table_in_readme():
     for name, (low, high) in VERTEX_LIMITS.items():
         assert f"| `{name}` | {low}..{high} vertices |" in readme
     assert f"| `graded_basis` | at most {MAX_DIM} basis elements |" in readme
+    assert f"| `h2_nil` | at most {MAX_H2_DIM} basis elements |" in readme
 
 
 def test_enumerate_range_errors():

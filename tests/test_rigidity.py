@@ -15,7 +15,7 @@ from graphlie.liealg import (
     jacobi_report,
     lower_central_series,
 )
-from graphlie.linalg import ONE, ZERO, Subspace, frac, vec_to_dict
+from graphlie.linalg import ONE, ZERO, RowReducer, frac, vec_to_dict
 from graphlie.rigidity import (
     DeformationCocycle,
     DeformedAlgebra,
@@ -28,7 +28,7 @@ from graphlie.rigidity import (
     find_witness,
     sweep,
 )
-from oracles import deform_violation
+from oracles import deform_violation, two_step_witness_scan
 
 STAR = SimpleGraph.make(3, [(1, 2), (1, 3)])
 K2 = SimpleGraph.make(2, [(1, 2)])
@@ -278,6 +278,58 @@ def test_first_non_edge_without_a_witness_names_graph_k_and_phase(monkeypatch):
     )
 
 
+def _outcome(search):
+    try:
+        return search()
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_two_step_pair_prediction_matches_the_scan(monkeypatch):
+    # find_witness certifies only the predicted pair; the oracle certifies
+    # every sorted non-edge in turn. They agree on every class of 2..6
+    # vertices and on labelled graphs with isolated vertices, where the
+    # first non-edge may hold a central vertex (a ValueError).
+    import graphlie.rigidity as rigidity
+
+    graphs = [g for m in range(2, 7) for g in enumerate_graphs(m)]
+    rng = random.Random(20261019)
+    for _ in range(100):
+        m = rng.randint(3, 7)
+        graphs.append(
+            SimpleGraph.make(m, [e for e in combinations(range(1, m + 1), 2) if rng.random() < 0.5])
+        )
+    calls = []
+    certify = rigidity.certify_2step_witness
+    monkeypatch.setattr(
+        rigidity, "certify_2step_witness", lambda *args: calls.append(1) or certify(*args)
+    )
+    kinds = []
+    for graph in graphs:
+        alg = structure_constants(graph, 2)
+        del calls[:]
+        got = _outcome(lambda: find_witness(graph, alg, 2))
+        assert got == _outcome(lambda: two_step_witness_scan(graph, alg)), graph.edges
+        kind = "none" if got is None else got[0] if isinstance(got, tuple) else "witness"
+        assert len(calls) == (kind != "none"), graph.edges  # one certificate per answer
+        kinds.append(kind)
+    assert {kind: kinds.count(kind) for kind in set(kinds)} == {
+        "witness": 220, "none": 26, "ValueError": 61
+    }
+
+
+def test_refused_predicted_pair_names_graph_k_and_phase(monkeypatch):
+    import graphlie.rigidity as rigidity
+
+    monkeypatch.setattr(rigidity, "certify_2step_witness", lambda *args: None)
+    with pytest.raises(InternalInvariantError) as caught:
+        classify(from_graph6("CF"), 2)  # K1,3: edge v3 - v4 avoids the pair (v1, v2)
+    assert str(caught.value) == (
+        "the certifier refuses the predicted pair (v1, v2) "
+        "(graph6 CF, k = 2, phase: two-step witness certificate)"
+    )
+
+
 def test_classify_fixed_verdicts():
     a2 = SimpleGraph.make(2, [])
     for k in (2, 3, 4):
@@ -458,7 +510,7 @@ def test_witness_certifier_disagreement_names_graph_k_and_phase(monkeypatch):
 def test_two_step_certificate_errors_name_graph_k_and_phase(monkeypatch):
     import graphlie.rigidity as rigidity
 
-    class Blind(Subspace):
+    class Blind(RowReducer):
         def contains(self, vec):
             return True
 
@@ -466,7 +518,7 @@ def test_two_step_certificate_errors_name_graph_k_and_phase(monkeypatch):
     phase = "(graph6 CF, k = 2, phase: two-step witness certificate)"
     # a center that misses the brackets of the witness pair
     with monkeypatch.context() as patch:
-        patch.setattr(rigidity, "center", lambda algebra: Subspace(algebra.n))
+        patch.setattr(rigidity, "center", lambda algebra: RowReducer())
         with pytest.raises(InternalInvariantError) as caught:
             classify(star, 2)
         assert str(caught.value) == f"bracket image escapes the center {phase}"
@@ -475,7 +527,7 @@ def test_two_step_certificate_errors_name_graph_k_and_phase(monkeypatch):
         assert str(caught.value).startswith("bracket image escapes the center (graph6 ")
         assert str(caught.value).endswith(", k = 2, phase: two-step witness certificate)")
     # a proper span of the brackets that claims to contain the whole center
-    monkeypatch.setattr(rigidity, "Subspace", Blind)
+    monkeypatch.setattr(rigidity, "RowReducer", Blind)
     with pytest.raises(InternalInvariantError) as caught:
         classify(star, 2)
     assert str(caught.value) == f"proper subspace contains every basis vector {phase}"
@@ -514,7 +566,7 @@ def test_sweep_witnesses_reverify():
                 out = alg.bracket_sparse(x, {i: ONE})
                 if out:
                     rows.append(out)
-        assert not Subspace(alg.n, rows).contains(z)
+        assert not RowReducer(rows).contains(z)
 
 
 def _edges_of_graph6(code):
@@ -533,8 +585,8 @@ def test_sweep_graded_witnesses_reverify():
         sigma = build_sigma(alg, cert["a1_index"], cert["a2_index"], y)
         deformed = DeformedAlgebra(alg, sigma)
         assert deform_check(deformed)
-        base_dims = [s.dim for s in lower_central_series(alg)]
-        assert [s.dim for s in lower_central_series(deformed.at_t(1))] == base_dims
+        base_dims = [s.rank for s in lower_central_series(alg)]
+        assert [s.rank for s in lower_central_series(deformed.at_t(1))] == base_dims
 
 
 def test_search_without_the_a1_arm_rows_meets_the_certifier(monkeypatch):
@@ -544,12 +596,12 @@ def test_search_without_the_a1_arm_rows_meets_the_certifier(monkeypatch):
 
     graph = from_graph6("BW")  # v1 - v3 - v2, so (v1, v2) is the only pair
     a1 = graph.nonedges()[0][0] - 1
-    original = rigidity._slice_rows
+    original = rigidity._arm_rows
 
-    def without_a1_arms(*args):
-        return {key: rows for key, rows in original(*args).items() if key[0] != a1}
+    def without_a1_arms(graph, algebra, k, mds, arms):
+        return original(graph, algebra, k, mds, [a for a in arms if a != a1])
 
-    monkeypatch.setattr(rigidity, "_slice_rows", without_a1_arms)
+    monkeypatch.setattr(rigidity, "_arm_rows", without_a1_arms)
     with pytest.raises(InternalInvariantError) as caught:
         find_witness(graph, structure_constants(graph, 3), 3)
     assert str(caught.value) == (
@@ -561,8 +613,10 @@ def test_search_without_the_a1_arm_rows_meets_the_certifier(monkeypatch):
 def test_search_refuses_a_bracket_spanning_two_multidegrees():
     alg = structure_constants(STAR, 3)
     sc = {pair: dict(terms) for pair, terms in alg.sc.items()}
-    sc[(0, 3)][9] = 1  # [v1,[v1,v2]] gains a term of multidegree (1, 0, 2)
-    assert alg.labels[9].multidegree != alg.labels[next(iter(alg.sc[(0, 3)]))].multidegree
+    # the search reads [v2, g'] and [v3, g'], the arms of the non-edge (v2, v3);
+    # [v2,[v1,v2]] gains a term of multidegree (1, 0, 2)
+    sc[(1, 3)][9] = 1
+    assert alg.labels[9].multidegree != alg.labels[next(iter(alg.sc[(1, 3)]))].multidegree
     bad = GradedLieAlgebra(alg.n, sc, alg.grading, labels=alg.labels)
     with pytest.raises(InternalInvariantError) as caught:
         find_witness(STAR, bad, 3)
