@@ -32,18 +32,39 @@ peeled once: most cochain rows have one entry, and peeling those settles
 their columns, so only the few rows left over go through fraction-free
 elimination. The stacked rank of eta2 over delta2 continues from eta2's
 peeled state and its reducer, so no row is eliminated twice for eta2.
+
+Torus weights and twin orbits. With md the multidegree of a labelled basis
+element, the column f_{a,b} has weight md(b) - md(a) and sigma_{(a<b),c}
+has weight md(c) - md(a) - md(b). When md is a grading of the brackets,
+each row of delta1, delta2 and eta2 has entries in columns of one weight
+only, so each matrix is block diagonal by weight and its rank is the sum
+of the ranks of its weight blocks. The twin classes of the graph (vertices
+with the same neighbours apart from each other) are graph automorphisms,
+and swapping two twins maps each block onto the block of the swapped
+weight, of equal rank. So h2_nil builds and ranks only the representative
+weights, those whose entries do not increase along each twin class, and
+counts each block as many times as its orbit has weights. The builders
+take one multiplicity per column, 0 for the columns they skip, and the
+peeled ranks add up multiplicities. Nothing is assumed of the labels:
+twin_classes certifies, in one pass over the brackets each, that md is a
+grading and that each swap of consecutive twins is a signed-permutation
+automorphism, and otherwise falls back to the trivial group, in which
+every multiplicity is 1 and nothing is skipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from functools import lru_cache
+from itertools import chain, combinations, groupby
+from math import factorial, lcm
+from operator import add
 
 from .errors import InternalInvariantError
+from .graphs import _twin_classes
 from .liealg import LieAlgebra, lower_central_series
-from .limits import check_h2_dim
+from .limits import check_h2_constants, check_h2_dim
 from .linalg import RatMatrix, drop_zeros
 
 
@@ -80,9 +101,12 @@ class _CochainRows:
     their denominators, and matrix() divides by L only when L != 1. Each
     block is checked against the nrows x ncols shape once, when it is added,
     so matrix() hands the rows to RatMatrix.adopt without a per-entry scan.
+    With mult, one multiplicity per column, the entries of the columns whose
+    multiplicity is 0 are dropped, and a row left empty is never made.
     """
 
-    def __init__(self, algebra: LieAlgebra, nrows: int, ncols: int):
+    def __init__(self, algebra: LieAlgebra, nrows: int, ncols: int, mult=None):
+        self.mult = mult
         self.scale = scale = lcm(*{c.denominator for t in algebra.sc.values() for c in t.values()})
         self.n, self.nrows, self.ncols = algebra.n, nrows, ncols
         # [e_a, e_b] times L as (l, int) terms, a < b; pairs that bracket to zero are absent
@@ -105,10 +129,12 @@ class _CochainRows:
             raise InternalInvariantError(
                 f"a block at ({base}, {col_base}) leaves the {self.nrows}x{self.ncols} matrix"
             )
-        rows = self.rows
+        rows, mult = self.rows, self.mult
         for d, u, v in terms:
-            row = rows.setdefault(base + d, {})
             col = col_base + u
+            if mult is not None and not mult[col]:
+                continue
+            row = rows.setdefault(base + d, {})
             if col in row:
                 row[col] += coef * v
                 self.overlap = True
@@ -127,10 +153,12 @@ class _CochainRows:
         return RatMatrix.adopt(self.nrows, self.ncols, rows, scale == 1)
 
 
-def delta1_matrix(algebra: LieAlgebra, coords: CochainCoordinates | None = None) -> RatMatrix:
+def delta1_matrix(
+    algebra: LieAlgebra, coords: CochainCoordinates | None = None, mult=None
+) -> RatMatrix:
     n = algebra.n
     coords = coords or CochainCoordinates(n)
-    out = _CochainRows(algebra, len(coords.pairs) * n, coords.dim_hom)
+    out = _CochainRows(algebra, len(coords.pairs) * n, coords.dim_hom, mult)
     leads = out.leads
     for p, (a, b) in enumerate(coords.pairs):
         base = p * n
@@ -146,10 +174,12 @@ def delta1_matrix(algebra: LieAlgebra, coords: CochainCoordinates | None = None)
     return out.matrix()
 
 
-def delta2_matrix(algebra: LieAlgebra, coords: CochainCoordinates | None = None) -> RatMatrix:
+def delta2_matrix(
+    algebra: LieAlgebra, coords: CochainCoordinates | None = None, mult=None
+) -> RatMatrix:
     n = algebra.n
     coords = coords or CochainCoordinates(n)
-    out = _CochainRows(algebra, len(coords.triples) * n, coords.dim_two_cochains)
+    out = _CochainRows(algebra, len(coords.triples) * n, coords.dim_two_cochains, mult)
     leads = out.leads
     for t, (x, y, z) in enumerate(coords.triples):
         base = t * n
@@ -166,12 +196,14 @@ def delta2_matrix(algebra: LieAlgebra, coords: CochainCoordinates | None = None)
     return out.matrix()
 
 
-def eta2_matrix(algebra: LieAlgebra, coords: CochainCoordinates | None = None) -> RatMatrix:
+def eta2_matrix(
+    algebra: LieAlgebra, coords: CochainCoordinates | None = None, mult=None
+) -> RatMatrix:
     if not is_at_most_two_step(algebra):
         raise ValueError("eta2 is only defined for at most 2-step algebras")
     n = algebra.n
     coords = coords or CochainCoordinates(n)
-    out = _CochainRows(algebra, len(coords.pairs) * n * n, coords.dim_two_cochains)
+    out = _CochainRows(algebra, len(coords.pairs) * n * n, coords.dim_two_cochains, mult)
     leads = out.leads
     for p, (a, b) in enumerate(coords.pairs):
         ab = out.brackets.get((a, b), ())
@@ -196,6 +228,160 @@ def is_at_most_two_step(algebra: LieAlgebra) -> bool:
     return algebra._two_step
 
 
+def twin_classes(algebra: LieAlgebra) -> list:
+    """The certified twin classes of the graph behind algebra's labels, as sorted vertex lists.
+
+    The vertices are the coordinates of the multidegrees, and each
+    degree-two element of multidegree e_u + e_v is an edge u - v, as in a
+    graph algebra. The twin classes of that graph (graphs._twin_classes) are
+    used only if the multidegrees are a grading of sc and swapping each two
+    consecutive members of a class is a signed-permutation automorphism
+    (swap_is_automorphism). Otherwise, and for an algebra without labels,
+    there are none: the trivial group.
+    """
+    labels = getattr(algebra, "labels", None)
+    if not labels:
+        return []
+    md = [label.multidegree for label in labels]
+    m = len(md[0])
+    if any(len(x) != m for x in md):
+        return []
+    for (i, j), terms in algebra.sc.items():
+        total = tuple(map(add, md[i], md[j]))
+        if any(md[l] != total for l in terms):
+            return []
+    adj = [0] * m
+    for label, x in zip(labels, md):
+        if label.degree == 2 and x.count(1) == 2 and x.count(0) == m - 2:
+            u, v = (w for w, y in enumerate(x) if y)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    classes = [
+        [v for v in range(m) if mask >> v & 1]
+        for mask in sorted(set(_twin_classes(m, adj)))
+        if mask & (mask - 1)
+    ]
+    if all(swap_is_automorphism(algebra, u, v) for cls in classes for u, v in zip(cls, cls[1:])):
+        return classes
+    return []
+
+
+def swap_is_automorphism(algebra: LieAlgebra, u: int, v: int) -> bool:
+    """Whether swapping vertices u and v is a signed-permutation automorphism of a labelled algebra.
+
+    Basis element i goes to s_i times the element pi(i) whose multidegree is
+    md(i) with entries u and v swapped, which must exist and be unique. A
+    sign is +1 unless i is a bracket value; then it is read off the first
+    bracket, by degree sum, with i as a value, and every later one must
+    agree. Each stored bracket [e_i, e_j] must map term by term onto the
+    stored bracket of pi(i) and pi(j); pi is a bijection of the pairs, so
+    zero brackets then go to zero brackets. One pass over sc.
+    """
+    md = [label.multidegree for label in algebra.labels]
+    index = {x: i for i, x in enumerate(md)}
+    if len(index) < len(md):
+        return False
+    perm = list(range(len(md)))
+    for i, x in enumerate(md):
+        if x[u] != x[v]:
+            y = list(x)
+            y[u], y[v] = x[v], x[u]
+            perm[i] = index.get(tuple(y))
+    if None in perm:
+        return False
+    sc, degrees = algebra.sc, algebra.degrees
+    values = {l for terms in sc.values() for l in terms}
+    sign: dict = {}
+    by_degree = sorted(sc.items(), key=lambda item: degrees[item[0][0]] + degrees[item[0][1]])
+    for (i, j), terms in by_degree:
+        if (i in values and i not in sign) or (j in values and j not in sign):
+            return False
+        a, b, s = perm[i], perm[j], sign.get(i, 1) * sign.get(j, 1)
+        if a > b:
+            a, b, s = b, a, -s
+        image = sc.get((a, b))
+        if image is None or len(image) != len(terms):
+            return False
+        for l, c in terms.items():
+            x = image.get(perm[l])
+            t = 1 if x == s * c else -1 if x == -s * c else 0
+            if not t or sign.setdefault(l, t) != t:
+                return False
+    return True
+
+
+def _run_orbit(fields: int, count: int, width: int) -> int:
+    """Orbit size of count entries packed width bits each, entry 0 lowest; 0 if one increases."""
+    run = [fields >> width * pos & (1 << width) - 1 for pos in range(count)]
+    if any(a < b for a, b in zip(run, run[1:])):
+        return 0
+    size = factorial(count)
+    for _, same in groupby(run):
+        size //= factorial(len(list(same)))
+    return size
+
+
+class _OrbitSizes(dict):
+    """Packed weight -> its orbit size, or 0 if it is no representative; each computed once.
+
+    The class sizes and the field width fix the packing, so one table
+    serves every algebra with the same class sizes (see _orbit_sizes).
+    """
+
+    def __init__(self, sizes: tuple, width: int):
+        super().__init__()
+        self.parts, start = [], 0  # (first bit, bit mask, member count) of each class
+        for count in sizes:
+            self.parts.append((width * start, (1 << width * count) - 1, count))
+            start += count
+        self.width = width
+
+    def __missing__(self, weight: int) -> int:
+        size = 1
+        for shift, mask, count in self.parts:
+            size *= _run_orbit(weight >> shift & mask, count, self.width)
+        self[weight] = size
+        return size
+
+
+# one table per packing; k = 2 graph algebras pack into 2-bit fields
+_orbit_sizes = lru_cache(maxsize=32)(_OrbitSizes)
+
+
+def orbit_multiplicities(algebra: LieAlgebra, coords: CochainCoordinates, classes: list) -> tuple:
+    """One multiplicity per 1-cochain column and one per 2-cochain column, each by its weight.
+
+    The weight of f_{a,b} is md(b) - md(a), that of sigma_{(a<b),c} is
+    md(c) - md(a) - md(b). A weight is a representative when its entries do
+    not increase along each class; it then gets the size of its orbit under
+    the permutations inside the classes, the product over the classes of the
+    multinomial of its runs, and every other weight gets 0. Only the
+    coordinates of twin vertices matter. They are packed into one int, each
+    in a field wide enough that no weight borrows across fields, so a column
+    costs an addition and a lookup, and each distinct weight is decoded once
+    per packing. Columns whose offsets agree share one list of n.
+    """
+    md = [label.multidegree for label in algebra.labels]
+    twins = [v for cls in classes for v in cls]
+    values = [x[v] for x in md for v in twins]
+    lo, hi = min(0, *values), max(0, *values)
+    width = max(1, (3 * (hi - lo)).bit_length())
+    packed = [sum(x[v] << width * pos for pos, v in enumerate(twins)) for x in md]
+    bias = sum((2 * hi - lo) << width * pos for pos in range(len(twins)))
+    get = _orbit_sizes(tuple(map(len, classes)), width).__getitem__
+    rows: dict = {}  # offset -> the multiplicities of the n columns it leads, shared
+
+    def row(offset: int) -> list:
+        out = rows.get(offset)
+        if out is None:
+            out = rows[offset] = list(map(get, map(offset.__add__, packed)))
+        return out
+
+    f_mult = list(chain.from_iterable(row(bias - p) for p in packed))
+    s_mult = list(chain.from_iterable(row(bias - packed[a] - packed[b]) for a, b in coords.pairs))
+    return f_mult, s_mult
+
+
 @dataclass(frozen=True)
 class H2Report:
     dim_ker_eta2: int
@@ -213,16 +399,22 @@ def h2_nil(algebra: LieAlgebra) -> H2Report:
     """Dimension data of (ker delta2 intersect ker eta2) / im delta1.
 
     Raises ValueError before any cochain is indexed if the algebra has more
-    than limits.MAX_H2_DIM basis elements, and, from eta2_matrix and before
-    any other matrix is built, unless it is at most 2-step. Raises
-    InternalInvariantError if im delta1 is not inside ker eta2; for an at
-    most 2-step algebra that containment is a theorem, so a violation can
-    only mean the matrices are wrong.
+    than limits.MAX_H2_DIM basis elements or limits.MAX_H2_CONSTANTS nonzero
+    structure constants, and, from eta2_matrix and before any other matrix
+    is built, unless it is at most 2-step. Raises InternalInvariantError if
+    im delta1 is not inside ker eta2; for an at most 2-step algebra that
+    containment is a theorem, so a violation can only mean the matrices are
+    wrong. Only the blocks of representative weights are built and ranked,
+    each counted with its orbit's size (see the module docstring).
     """
-    check_h2_dim(algebra.n)
-    coords = CochainCoordinates(algebra.n)
-    e2 = eta2_matrix(algebra, coords)
-    d1 = delta1_matrix(algebra, coords)
+    n = algebra.n
+    check_h2_dim(n)
+    check_h2_constants(sum(map(len, algebra.sc.values())))
+    coords = CochainCoordinates(n)
+    classes = twin_classes(algebra)
+    f_mult, s_mult = orbit_multiplicities(algebra, coords, classes) if classes else (None, None)
+    e2 = eta2_matrix(algebra, coords, s_mult)
+    d1 = delta1_matrix(algebra, coords, f_mult)
     if not e2.matmul(d1).is_zero():
         raise InternalInvariantError(
             "im delta1 is not contained in ker eta2", "h2_nil, containment of im delta1 in ker eta2"
@@ -230,10 +422,10 @@ def h2_nil(algebra: LieAlgebra) -> H2Report:
     # Each matrix is peeled once. The stacked rank of eta2 over delta2
     # continues from both peeled states, eta2's reducer included. delta2 is
     # built only after the other two matrices are released.
-    eta2 = e2.peeled()
-    image = d1.peeled().rank
+    eta2 = e2.peeled(s_mult)
+    image = d1.peeled(f_mult).rank
     del d1, e2
-    delta2 = delta2_matrix(algebra, coords).peeled()
+    delta2 = delta2_matrix(algebra, coords, s_mult).peeled(s_mult)
     cols = coords.dim_two_cochains
     ker_eta2, ker_delta2 = cols - eta2.rank, cols - delta2.rank
     meet = cols - eta2.stacked_rank(delta2)

@@ -2,8 +2,8 @@
 
 Every vertex bound lives in ``VERTEX_LIMITS``, and every operation checks
 its input with ``check_vertices``; ``MAX_DIM`` bounds the basis that
-``graded_basis`` builds, and ``MAX_H2_DIM`` the algebra that ``h2_nil``
-ranks. The README's limits table has this one source.
+``graded_basis`` builds, and ``MAX_H2_DIM`` and ``MAX_H2_CONSTANTS`` the
+algebra that ``h2_nil`` ranks. The README's limits table has this one source.
 """
 
 from __future__ import annotations
@@ -18,8 +18,15 @@ VERTEX_LIMITS = {
 # the most basis elements graded_basis builds; (6, 5) on K6 needs 1960
 MAX_DIM = 2000
 
-# the most basis elements h2_nil takes; K10 at k = 2 (55) needs 1.3 s, 118 MB
+# the most basis elements h2_nil takes; K10 at k = 2 (55) needs 0.2 s, 21 MB
 MAX_H2_DIM = 55
+
+# the most nonzero structure constants h2_nil takes: elimination slows with
+# the density of the brackets, not only with n. K10 at k = 2 has 45, the
+# most of any graph algebra within MAX_H2_DIM; a 2-step algebra with 6
+# generators, 6 central vectors and all 6 central terms in every bracket
+# (90) needs 18 s, and with 14 + 14 (1274) more than 120 s and 300 MB
+MAX_H2_CONSTANTS = 45
 
 
 def check_vertices(operation: str, m: int) -> None:
@@ -39,3 +46,12 @@ def check_h2_dim(n: int) -> None:
     """Raise ValueError if an algebra of n basis elements is over MAX_H2_DIM."""
     if n > MAX_H2_DIM:
         raise ValueError(f"the algebra has {n} basis elements; the h2_nil budget is {MAX_H2_DIM}")
+
+
+def check_h2_constants(count: int) -> None:
+    """Raise ValueError if count nonzero structure constants are over MAX_H2_CONSTANTS."""
+    if count > MAX_H2_CONSTANTS:
+        raise ValueError(
+            f"the algebra has {count} nonzero structure constants; "
+            f"the h2_nil budget is {MAX_H2_CONSTANTS}"
+        )

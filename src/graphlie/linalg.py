@@ -137,9 +137,9 @@ class RatMatrix:
             rows = ({c: v.numerator * (scale // v.denominator) for c, v in row.items()} for row in rows)
         return map(MappingProxyType, rows)
 
-    def peeled(self) -> "PeeledRows":
+    def peeled(self, mult=None) -> "PeeledRows":
         """PeeledRows of the rows scaled to integers, as int_rows gives them."""
-        return PeeledRows(self._data.values() if self._ints else self.int_rows())
+        return PeeledRows(self._data.values() if self._ints else self.int_rows(), mult)
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -282,9 +282,15 @@ class PeeledRows:
     rank is the number of settled columns plus the reducer's rank.
     stacked_rank continues from that state instead of peeling again. The
     given rows (columns to nonzero ints) are not changed.
+
+    With mult, a list of one int per column, each settled column and each
+    pivot counts mult[column] times instead of once: the rows are then the
+    representative blocks of a block-diagonal matrix, and mult says how many
+    blocks of equal rank each stands for (see cohomology.h2_nil).
     """
 
-    def __init__(self, rows):
+    def __init__(self, rows, mult=None):
+        self.mult = mult
         queue, live = [], []  # columns to settle, copies of the other rows
         for row in rows:
             if len(row) == 1:
@@ -310,9 +316,13 @@ class PeeledRows:
         for row in self.rest:
             self.reducer.add(row)
 
+    def _count(self, columns) -> int:
+        """How many columns, each counted mult[column] times when mult is given."""
+        return len(columns) if self.mult is None else sum(map(self.mult.__getitem__, columns))
+
     @property
     def rank(self) -> int:
-        return len(self.settled) + self.reducer.rank
+        return self._count(self.settled) + self._count(self.reducer.pivots)
 
     def stacked_rank(self, other: "PeeledRows") -> int:
         """Rank of these rows stacked with other's, from both peeled states.
@@ -321,6 +331,7 @@ class PeeledRows:
         unit row for each column only other settles, and other's leftover
         rows stripped of self's settled columns. Those go into a copy of
         self's reducer, sharing its stored rows, which are never changed.
+        Both must count their columns with the same mult.
         """
         settled = self.settled
         red = IntRowReducer()
@@ -329,7 +340,7 @@ class PeeledRows:
             red.add({c: 1})
         for row in other.rest:
             red.add({c: v for c, v in row.items() if c not in settled})
-        return len(settled) + red.rank
+        return self._count(settled) + self._count(red.pivots)
 
 
 class CoordinateSolver:

@@ -333,6 +333,7 @@ class RigidityVerdict:
     verdict: str  # "rigid" | "not_rigid" | "unknown"
     certificate: dict
     h2: H2Report | None = None
+    dim: int | None = None  # the algebra's dimension, for the report row
 
     def to_json_dict(self) -> dict:
         out = {"verdict": self.verdict, "certificate": dict(self.certificate)}
@@ -382,6 +383,7 @@ def classify(graph: SimpleGraph, k: int, with_cohomology: bool = False) -> Rigid
         raise ValueError("classification needs at least two vertices")
     if k < 2:
         raise ValueError("classification needs k >= 2")
+    algebra = None
     verdict = _shortcut(graph, k)
     if verdict is None:
         algebra = structure_constants(graph, k)
@@ -400,7 +402,10 @@ def classify(graph: SimpleGraph, k: int, with_cohomology: bool = False) -> Rigid
         else:
             verdict = RigidityVerdict("unknown", {"kind": "none"}, h2)
     elif k == 2 and with_cohomology:
-        verdict = replace(verdict, h2=_h2(graph, structure_constants(graph, k), k))
+        algebra = structure_constants(graph, k)
+        verdict = replace(verdict, h2=_h2(graph, algebra, k))
+    # graded_basis has checked a built algebra's dimension against the count
+    verdict = replace(verdict, dim=algebra_dim(graph, k) if algebra is None else algebra.n)
     if verdict.verdict == "not_rigid" and verdict.h2 is not None and verdict.h2.h2_dim == 0:
         raise invariant_error(
             "a deformation witness and vanishing h2 cannot both hold",
@@ -414,12 +419,12 @@ def algebra_dim(graph: SimpleGraph, k: int) -> int:
 
 
 def report_row(graph: SimpleGraph, k: int, verdict: RigidityVerdict) -> dict:
-    """The report entry of one graph: its graph6 code, sizes and verdict."""
+    """The report entry of one graph: its graph6 code, sizes and the verdict classify gave."""
     return {
         "graph6": to_graph6(graph),
         "m": graph.m,
         "k": k,
-        "dim": algebra_dim(graph, k),
+        "dim": verdict.dim,
         **verdict.to_json_dict(),
     }
 

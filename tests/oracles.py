@@ -8,7 +8,13 @@ from functools import lru_cache
 from itertools import combinations
 
 from graphlie.basis import TraceContext
-from graphlie.cohomology import CochainCoordinates, delta1_matrix, delta2_matrix
+from graphlie.cohomology import (
+    CochainCoordinates,
+    H2Report,
+    delta1_matrix,
+    delta2_matrix,
+    eta2_matrix,
+)
 from graphlie.liealg import GradedLieAlgebra
 from graphlie.linalg import ONE, ZERO, axpy, frac_str, vec_to_dict
 from graphlie.rigidity import certify_2step_witness
@@ -89,3 +95,19 @@ def two_step_witness_scan(graph, algebra):
                 "z": [frac_str(c) for c in z],
             }
     return None
+
+
+def whole_matrix_h2(algebra) -> H2Report:
+    """h2_nil on the whole cochain matrices, every torus weight ranked: the
+    computation before twin orbits, with the trivial group and no budget."""
+    coords = CochainCoordinates(algebra.n)
+    e2 = eta2_matrix(algebra, coords)
+    d1 = delta1_matrix(algebra, coords)
+    assert e2.matmul(d1).is_zero(), "im delta1 is not contained in ker eta2"
+    eta2 = e2.peeled()
+    image = d1.peeled().rank
+    delta2 = delta2_matrix(algebra, coords).peeled()
+    cols = coords.dim_two_cochains
+    ker_eta2, ker_delta2 = cols - eta2.rank, cols - delta2.rank
+    meet = cols - eta2.stacked_rank(delta2)
+    return H2Report(ker_eta2, ker_delta2, meet, image, meet - image, meet == ker_eta2)

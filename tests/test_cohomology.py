@@ -1,5 +1,8 @@
+import json
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,11 +15,19 @@ from graphlie.cohomology import (
     eta2_matrix,
     h2_nil,
     is_at_most_two_step,
+    orbit_multiplicities,
+    swap_is_automorphism,
+    twin_classes,
 )
 from graphlie.graphs import SimpleGraph, enumerate_graphs
-from graphlie.liealg import LieAlgebra, lower_central_series
+from graphlie.liealg import (
+    LieAlgebra,
+    algebra_from_json_dict,
+    algebra_to_json_dict,
+    lower_central_series,
+)
 from graphlie.linalg import ONE, ZERO, IntRowReducer, RatMatrix, RowReducer
-from oracles import complex_identity_holds
+from oracles import complex_identity_holds, whole_matrix_h2
 
 C4 = SimpleGraph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 TWO_K2 = SimpleGraph.make(4, [(1, 2), (3, 4)])
@@ -534,8 +545,8 @@ def test_builder_blocks_past_the_matrix_edge_raise(monkeypatch):
     # a builder that has one row fewer than its blocks need
     original = cohomology._CochainRows.__init__
 
-    def one_row_short(self, algebra, nrows, ncols):
-        original(self, algebra, nrows - 1, ncols)
+    def one_row_short(self, algebra, nrows, ncols, mult=None):
+        original(self, algebra, nrows - 1, ncols, mult)
 
     monkeypatch.setattr(cohomology._CochainRows, "__init__", one_row_short)
     coords = CochainCoordinates(alg.n)
@@ -670,3 +681,173 @@ def test_h2_budget_refuses_before_indexing(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr("graphlie.limits.MAX_H2_DIM", 4)
     with pytest.raises(ValueError, match="has 5 basis elements; the h2_nil budget is 4"):
         h2_nil(structure_constants(PATH3, 2))
+
+
+# ---------------------------------------------------------------------------
+# h2 by twin orbits against the whole-matrix engine (tests/oracles.py).
+
+
+def test_h2_matches_the_whole_matrix_oracle_on_every_class():
+    classes = [graph for m in range(2, 7) for graph in enumerate_graphs(m)]
+    assert len(classes) == 207
+    with_twins = 0
+    for graph in classes:
+        alg = structure_constants(graph, 2)
+        with_twins += bool(twin_classes(alg))
+        assert h2_nil(alg) == whole_matrix_h2(alg), graph.edges
+    assert with_twins > 150  # the orbits are used on most classes
+
+
+def _planted_twins(rng):
+    """A labelled graph on 3..7 vertices, a twin set planted in it and sometimes a second one.
+
+    The vertices of S get one neighbourhood N outside S and are pairwise all
+    adjacent or all not. A second set T lies inside N or outside S and N, so
+    S still sees it uniformly, and is planted the same way on the vertices
+    outside S and T.
+    """
+    m = rng.randint(3, 7)
+    order = list(range(1, m + 1))
+    rng.shuffle(order)
+    edges = {e for e in combinations(range(1, m + 1), 2) if rng.random() < 0.5}
+
+    def plant(cls, fixed):
+        nonlocal edges
+        outside = [v for v in range(1, m + 1) if v not in cls and v not in fixed]
+        edges = {e for e in edges if not (set(e) & set(cls)) or set(e) & set(fixed)}
+        near = {v for v in outside if rng.random() < 0.5}
+        if rng.random() < 0.5:
+            edges |= set(combinations(sorted(cls), 2))
+        edges |= {(min(s, v), max(s, v)) for s in cls for v in near}
+        return near
+
+    size = rng.randint(2, min(4, m))
+    s_set = order[:size]
+    near = plant(s_set, [])
+    rest = order[size:]
+    if len(rest) >= 2 and rng.random() < 0.5:
+        side = [v for v in rest if (v in near) == (rest[0] in near)]
+        if len(side) >= 2:
+            plant(side[: rng.randint(2, len(side))], s_set)
+    return SimpleGraph.make(m, edges), s_set
+
+
+def test_h2_matches_the_oracle_on_planted_twin_classes():
+    rng = random.Random(1812)
+    for _ in range(100):
+        graph, planted = _planted_twins(rng)
+        alg = structure_constants(graph, 2)
+        found = twin_classes(alg)
+        assert any({v - 1 for v in planted} <= set(cls) for cls in found), (graph.edges, planted)
+        assert h2_nil(alg) == whole_matrix_h2(alg), graph.edges
+
+
+def test_multiplicities_count_every_column_once():
+    # Each orbit of weights is counted once, by its representative, with its
+    # size: the multiplicities add up to the column counts.
+    for graph in (K3, C4, TWO_K2, PATH3, SimpleGraph.make(5, [(1, 2), (1, 3), (1, 4), (1, 5)])):
+        alg = structure_constants(graph, 2)
+        coords = CochainCoordinates(alg.n)
+        classes = twin_classes(alg)
+        assert classes
+        f_mult, s_mult = orbit_multiplicities(alg, coords, classes)
+        assert sum(f_mult) == coords.dim_hom and sum(s_mult) == coords.dim_two_cochains
+        assert 0 in s_mult and max(s_mult) > 1
+    k3 = structure_constants(K3, 2)
+    assert twin_classes(k3) == [[0, 1, 2]]
+    coords = CochainCoordinates(k3.n)
+    s_mult = orbit_multiplicities(k3, coords, [[0, 1, 2]])[1]
+    # sigma((v1, v2), v3) has weight (-1, -1, 1), which increases: not a representative
+    assert s_mult[coords.sigma_coord(0, 1, 2)[0]] == 0
+    # sigma((v2, v3), v1) has weight (1, -1, -1), a representative of 3 weights
+    assert s_mult[coords.sigma_coord(1, 2, 0)[0]] == 3
+
+
+def test_the_certifier_refuses_a_swap_that_is_no_automorphism():
+    path = structure_constants(PATH3, 2)  # v1 - v2 - v3: the ends are twins
+    assert swap_is_automorphism(path, 0, 2)
+    assert not swap_is_automorphism(path, 0, 1)  # an end and the middle
+    assert not swap_is_automorphism(path, 1, 2)
+    assert twin_classes(path) == [[0, 2]]
+    p4 = structure_constants(SimpleGraph.make(4, [(1, 2), (2, 3), (3, 4)]), 2)
+    assert twin_classes(p4) == []
+    assert not swap_is_automorphism(p4, 0, 3)  # equal degree, not twins
+    assert not swap_is_automorphism(p4, 1, 2)
+
+
+def test_loaded_algebras_without_a_certificate_get_the_trivial_group():
+    rng = random.Random(64)
+    graphs = [C4, TWO_K2, K3, SimpleGraph.make(5, [(1, 2), (1, 3), (2, 3), (4, 5)])]
+    for graph in graphs:
+        doc = algebra_to_json_dict(structure_constants(graph, 2))
+        assert twin_classes(algebra_from_json_dict(doc))  # round trip keeps the labels
+        unlabelled = algebra_from_json_dict(json.loads(json.dumps({**doc, "basis": None})))
+        assert twin_classes(unlabelled) == []
+        assert h2_nil(unlabelled) == whole_matrix_h2(unlabelled)
+        # exchange the multidegrees of two degree-two elements: the brackets
+        # no longer respect them, so they are no grading
+        basis = [dict(b) for b in doc["basis"]]
+        top = [i for i, b in enumerate(basis) if b["degree"] == 2]
+        i, j = rng.sample(top, 2)
+        basis[i]["multidegree"], basis[j]["multidegree"] = basis[j]["multidegree"], basis[i]["multidegree"]
+        shuffled = algebra_from_json_dict({**doc, "basis": basis})
+        assert twin_classes(shuffled) == []
+        assert h2_nil(shuffled) == whole_matrix_h2(shuffled) == h2_nil(unlabelled)
+    # multidegrees negated and doubled are still a grading; the twins read
+    # off them differ from the graph's, and the certificate sorts them out
+    for graph, twins in ((K3, [[0, 1, 2]]), (C4, [])):
+        doc = algebra_to_json_dict(structure_constants(graph, 2))
+        for b in doc["basis"]:
+            b["multidegree"] = [-2 * x for x in b["multidegree"]]
+        scaled = algebra_from_json_dict(doc)
+        assert twin_classes(scaled) == twins
+        assert h2_nil(scaled) == whole_matrix_h2(scaled) == h2_nil(structure_constants(graph, 2))
+    # a graded algebra whose brackets respect its labels but whose twin swap
+    # changes a sign pattern no signed permutation can follow: [v1, v3] = 2 [v1, v2]
+    doc = algebra_to_json_dict(structure_constants(SimpleGraph.make(3, [(1, 2), (1, 3)]), 2))
+    doc["brackets"] = [
+        {"i": 0, "j": 1, "terms": [{"l": 3, "c": "1"}]},
+        {"i": 0, "j": 2, "terms": [{"l": 4, "c": "2"}]},
+    ]
+    scaled = algebra_from_json_dict(doc)
+    assert swap_is_automorphism(scaled, 1, 2) is False
+    assert twin_classes(scaled) == []
+    assert h2_nil(scaled) == whole_matrix_h2(scaled)
+
+
+def test_the_density_budget_refuses_a_dense_algebra_at_once(monkeypatch, capsys, tmp_path):
+    import graphlie.cohomology as cohomology
+    from graphlie.cli import run_command
+    from graphlie.limits import MAX_H2_CONSTANTS, MAX_H2_DIM
+
+    def no_coordinates(n):
+        raise AssertionError("an oversized request reached the cochain coordinates")
+
+    # 14 generators and 14 central vectors, every bracket with all 14 terms
+    brackets = [
+        {"i": i, "j": j, "terms": [{"l": 14 + t, "c": str(1 + (i + j + t) % 5)} for t in range(14)]}
+        for i, j in combinations(range(14), 2)
+    ]
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"n": 28, "brackets": brackets}), encoding="utf-8")
+    start = time.perf_counter()
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "CochainCoordinates", no_coordinates)
+        assert run_command(["cohomology", "h2nil", "--in", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: the algebra has 1274 nonzero structure constants; "
+        f"the h2_nil budget is {MAX_H2_CONSTANTS}\n"
+    )
+    # the budget is read when h2_nil is called
+    with monkeypatch.context() as patch:
+        patch.setattr("graphlie.limits.MAX_H2_CONSTANTS", 1)
+        with pytest.raises(ValueError, match="has 2 nonzero structure constants; the h2_nil budget is 1"):
+            h2_nil(structure_constants(PATH3, 2))
+    # a graph algebra at k = 2 has one constant per edge and m + edges basis
+    # elements, so within MAX_H2_DIM it has at most 45 constants, K10's count
+    most = max(min(m * (m - 1) // 2, MAX_H2_DIM - m) for m in range(1, MAX_H2_DIM + 1))
+    assert most == 45 <= MAX_H2_CONSTANTS
+    k10 = SimpleGraph.make(10, combinations(range(1, 11), 2))
+    report = h2_nil(structure_constants(k10, 2))
+    assert report.h2_dim == 0 and report.dim_im_delta1 == 2475

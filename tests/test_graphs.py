@@ -16,7 +16,7 @@ from graphlie.graphs import (
     parse_graph,
     to_graph6,
 )
-from graphlie.limits import MAX_DIM, MAX_H2_DIM, VERTEX_LIMITS
+from graphlie.limits import MAX_DIM, MAX_H2_CONSTANTS, MAX_H2_DIM, VERTEX_LIMITS
 
 STAR_GRAPH = SimpleGraph.make(3, [(1, 2), (1, 3)])
 
@@ -391,6 +391,7 @@ def test_limits_table_in_readme():
         assert f"| `{name}` | {low}..{high} vertices |" in readme
     assert f"| `graded_basis` | at most {MAX_DIM} basis elements |" in readme
     assert f"| `h2_nil` | at most {MAX_H2_DIM} basis elements |" in readme
+    assert f"| `h2_nil` | at most {MAX_H2_CONSTANTS} nonzero structure constants |" in readme
 
 
 def test_enumerate_range_errors():

@@ -476,7 +476,7 @@ def test_h2_containment_failure_names_graph_k_and_phase(monkeypatch):
     import graphlie.cohomology as cohomology
     from graphlie.linalg import RatMatrix
 
-    def wrong_delta1(algebra, coords=None):
+    def wrong_delta1(algebra, coords=None, mult=None):
         # a unit entry in every column: eta2 times it is eta2's first columns
         rows, cols = algebra.n * (algebra.n - 1) // 2 * algebra.n, algebra.n * algebra.n
         return RatMatrix(rows, cols, {c % rows: {c: 1} for c in range(cols)})
@@ -655,3 +655,28 @@ def test_certifier_grows_the_rows_joined_to_y_to_a_fixed_point():
     # with e_b's row cut from the chain e_y is outside the span again
     cut = GradedLieAlgebra(6, {(2, 3): {5: 1, 4: 1}, (2, 5): {3: 1}}, (2, 2, 2))
     assert certify_graded_witness(cut, 0, 1, _unit(6, 5))
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_sweep_counts_each_dimension_once(monkeypatch, k):
+    # The row's dim comes from the algebra classify built, whose basis
+    # graded_basis has checked against the dimension count; only classes
+    # decided without an algebra count it for the row.
+    import graphlie.basis as basis
+    import graphlie.rigidity as rigidity
+
+    calls = []
+    original = basis.dimension_oracle
+
+    def counted(graph, k):
+        calls.append((graph, k))
+        return original(graph, k)
+
+    monkeypatch.setattr(basis, "dimension_oracle", counted)
+    monkeypatch.setattr(rigidity, "dimension_oracle", counted)
+    structure_constants.cache_clear()
+    rows = sweep(5, k)
+    assert len(rows) == 51
+    assert sorted(calls, key=repr) == sorted({(g, k) for g, _ in calls}, key=repr)  # once each
+    assert len(calls) == 51
+    assert all(row["dim"] == sum(original(from_graph6(row["graph6"]), k)) for row in rows)
