@@ -9,9 +9,7 @@ __version__ = "0.1.0"
 
 from .errors import InternalInvariantError
 from .graphs import (
-    GraphAnalysis,
     SimpleGraph,
-    analyze,
     canonical_form,
     enumerate_graphs,
     from_graph6,

@@ -26,14 +26,15 @@ uses: in the subalgebra those letters generate only the edges among them act
 support onto 1..s keeps lexicographic order, so it carries the Lyndon words,
 their factorizations, the normal forms, the word columns, the greedy choice
 and every coordinate over unchanged; a canonical relabel would not, since the
-Lyndon basis depends on letter order. So each support type (s, edges induced
-on 1..s, k) is built once per process, holding only its words that use every
-letter and the brackets whose factors' supports cover 1..s, and a graph's
-basis and structure constants are assembled from the types of its vertex
-sets. The sweep records the coordinates of [u, v] whenever u and v are both
-basis elements, so only the other pairs are expanded and solved. An
-independent dimension count from the clique polynomial of the complement
-cross-checks every graph.
+Lyndon basis depends on letter order. So each support type (the masks of
+the induced subgraph moved onto 1..s, k) is built once per process, holding
+only its words that use every letter and the brackets whose factors'
+supports cover 1..s, and a graph's basis and structure constants are
+assembled from the types of its vertex sets. The sweep records the
+coordinates of [u, v] whenever u and v are both basis elements, so only the
+other pairs are expanded and solved. An
+independent dimension count from the clique polynomials of the components'
+complements cross-checks every graph.
 """
 
 from __future__ import annotations
@@ -58,13 +59,9 @@ class TraceContext:
     """
 
     def __init__(self, graph: SimpleGraph):
-        self.graph = graph
         self.m = graph.m
         # bit b of blocks[a] is set when b does not commute with a (a included)
-        self.blocks = (0,) + tuple(
-            sum(1 << b for b in range(1, graph.m + 1) if b == a or graph.adjacent(a, b))
-            for a in range(1, graph.m + 1)
-        )
+        self.blocks = (0,) + tuple((a | 1 << v) << 1 for v, a in enumerate(graph.adj))
         self._cache: dict = {}
 
     def normal_form(self, word) -> tuple:
@@ -187,16 +184,18 @@ def _mobius(n: int) -> int:
     return -result if n > 1 else result
 
 
-def clique_polynomial(graph: SimpleGraph) -> list:
-    """Coefficients [c_0, c_1, ...] counting cliques of each size (c_0 = 1).
+def clique_polynomial(graph: SimpleGraph, top: int | None = None) -> list:
+    """Coefficients [c_0, c_1, ...] counting cliques of each size (c_0 = 1), up to top >= 1 if given.
 
     A clique is held as the mask of its common neighbours above its largest
     vertex and extended by each of them, so each clique is made once."""
-    m = graph.m
-    up = [sum(1 << b for b in range(a + 1, m) if graph.adjacent(a + 1, b + 1)) for a in range(m)]
+    m, top = graph.m, top or graph.m
+    up = [a >> v + 1 << v + 1 for v, a in enumerate(graph.adj)]
     counts, level = [1], up
     while level:
         counts.append(len(level))
+        if len(counts) > top:
+            break
         level = [mask & up[b] for mask in level for b in range(m) if mask >> b & 1]
     return counts
 
@@ -204,31 +203,37 @@ def clique_polynomial(graph: SimpleGraph) -> list:
 def dimension_oracle(graph: SimpleGraph, k: int) -> list:
     """Per-degree dimensions for degrees 1..k, independent of any basis.
 
-    The generating series of the trace monoid of the complement is
-    1 / C(-t) with C the clique polynomial of the complement; writing
-    log(1 / C(-t)) = sum q_n t^n, the dimensions satisfy
-    n q_n = sum_{d | n} d l_d and Moebius inversion recovers l_d.
+    The algebra of a disjoint union is the direct sum of the algebras of its
+    parts, so each connected component is counted on its own; an isolated
+    vertex adds one element of degree 1. For a component, the generating
+    series of the trace monoid of its complement is 1 / C(-t) with C the
+    clique polynomial of the complement; writing log(1 / C(-t)) = sum q_n t^n,
+    the dimensions satisfy n q_n = sum_{d | n} d l_d and Moebius inversion
+    recovers l_d. The series is cut at t^k, so only the cliques of at most k
+    vertices are listed.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    cpoly = clique_polynomial(graph.complement())
-    # a_n = coefficient of t^n in C(-t); s = 1 / C(-t) from a * s = 1
-    a = [((-1) ** n) * c for n, c in enumerate(cpoly)]
-    s = [1] + [0] * k
-    for n in range(1, k + 1):
-        s[n] = -sum(a[i] * s[n - i] for i in range(1, min(n, len(a) - 1) + 1))
-    # n q_n from the log derivative recurrence n s_n = sum j q_j s_{n-j}
-    nq = [0] * (k + 1)
-    for n in range(1, k + 1):
-        nq[n] = n * s[n] - sum(nq[j] * s[n - j] for j in range(1, n))
-    dims = []
-    for d in range(1, k + 1):
-        acc = sum(_mobius(d // e) * nq[e] for e in range(1, d + 1) if d % e == 0)
-        if acc % d != 0 or acc < 0:
-            raise invariant_error(
-                "dimension count is not a nonnegative integer", to_graph6(graph), k, "dimension count"
-            )
-        dims.append(acc // d)
+    dims = [0] * k
+    for component in graph.components():
+        masks = graph.induced(component)
+        cpoly = clique_polynomial(SimpleGraph(len(masks), masks).complement(), k)
+        # a_n = coefficient of t^n in C(-t); s = 1 / C(-t) from a * s = 1
+        a = [((-1) ** n) * c for n, c in enumerate(cpoly)]
+        s = [1] + [0] * k
+        for n in range(1, k + 1):
+            s[n] = -sum(a[i] * s[n - i] for i in range(1, min(n, len(a) - 1) + 1))
+        # n q_n from the log derivative recurrence n s_n = sum j q_j s_{n-j}
+        nq = [0] * (k + 1)
+        for n in range(1, k + 1):
+            nq[n] = n * s[n] - sum(nq[j] * s[n - j] for j in range(1, n))
+        for d in range(1, k + 1):
+            acc = sum(_mobius(d // e) * nq[e] for e in range(1, d + 1) if d % e == 0)
+            if acc % d != 0 or acc < 0:
+                raise invariant_error(
+                    "dimension count is not a nonnegative integer", to_graph6(graph), k, "dimension count"
+                )
+            dims[d - 1] += acc // d
     return dims
 
 
@@ -237,14 +242,12 @@ def _relabel(word: tuple, letters: tuple) -> tuple:
 
 
 def _supports(graph: SimpleGraph, top: int) -> list:
-    """(vertices, type key (s, edges)) of each set of s <= top vertices, its edges moved onto 1..s."""
-    out = []
-    for size in range(1, top + 1):
-        for sub in combinations(range(1, graph.m + 1), size):
-            pairs = combinations(range(1, size + 1), 2)
-            edges = tuple((i, j) for i, j in pairs if (sub[i - 1], sub[j - 1]) in graph.edges)
-            out.append((sub, (size, edges)))
-    return out
+    """(vertices, the masks of the subgraph they induce moved onto 1..s) of each set of s <= top vertices."""
+    return [
+        (sub, graph.induced(sub))
+        for size in range(1, top + 1)
+        for sub in combinations(range(1, graph.m + 1), size)
+    ]
 
 
 @dataclass(frozen=True)
@@ -268,13 +271,14 @@ def _subsets(letters: tuple) -> list:
 
 
 @lru_cache(maxsize=2048)
-def _support_type(s: int, edges: tuple, k: int) -> _SupportType:
+def _support_type(adj: tuple, k: int) -> _SupportType:
     """One support type, built once per process; words on fewer letters come from their own types."""
-    ctx = TraceContext(SimpleGraph(s, frozenset(edges)))
+    graph = SimpleGraph(len(adj), adj)
+    ctx, s = TraceContext(graph), graph.m
     made = {}  # Lyndon word on 1..s -> (expansion, (support, position) or None)
-    for sub, key in _supports(ctx.graph, s - 1):
+    for sub, masks in _supports(graph, s - 1):
         letters = (0,) + sub
-        for word, (expansion, ref) in _support_type(*key, k).made.items():
+        for word, (expansion, ref) in _support_type(masks, k).made.items():
             relabelled = {_relabel(w, letters): c for w, c in expansion.items()}
             made[_relabel(word, letters)] = relabelled, ref and (sub, ref[1])
     kept, blocks, known = [], {}, {}
@@ -383,7 +387,7 @@ def graded_basis(graph: SimpleGraph, k: int) -> GradedBasis:
     oracle = dimension_oracle(graph, k)
     check_dim(oracle)
     try:
-        supports = {sub: (_support_type(*key, k), []) for sub, key in _supports(graph, k)}
+        supports = {sub: (_support_type(masks, k), []) for sub, masks in _supports(graph, k)}
     except InternalInvariantError as exc:
         raise invariant_error(exc.message, to_graph6(graph), k, exc.phase) from exc
     found = []  # (degree, word, then what the element needs); words are distinct

@@ -62,9 +62,9 @@ from math import factorial, lcm
 from operator import add
 
 from .errors import InternalInvariantError
-from .graphs import _twin_classes
+from .graphs import SimpleGraph, _twin_classes
 from .liealg import LieAlgebra, lower_central_series
-from .limits import check_h2_constants, check_h2_dim
+from .limits import check_h2_size
 from .linalg import RatMatrix, drop_zeros
 
 
@@ -244,21 +244,20 @@ def twin_classes(algebra: LieAlgebra) -> list:
         return []
     md = [label.multidegree for label in labels]
     m = len(md[0])
-    if any(len(x) != m for x in md):
+    if not m or any(len(x) != m for x in md):
         return []
     for (i, j), terms in algebra.sc.items():
         total = tuple(map(add, md[i], md[j]))
         if any(md[l] != total for l in terms):
             return []
-    adj = [0] * m
-    for label, x in zip(labels, md):
-        if label.degree == 2 and x.count(1) == 2 and x.count(0) == m - 2:
-            u, v = (w for w, y in enumerate(x) if y)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+    graph = SimpleGraph.make(m, [
+        [w for w, y in enumerate(x, 1) if y]
+        for label, x in zip(labels, md)
+        if label.degree == 2 and x.count(1) == 2 and x.count(0) == m - 2
+    ])
     classes = [
         [v for v in range(m) if mask >> v & 1]
-        for mask in sorted(set(_twin_classes(m, adj)))
+        for mask in sorted(set(_twin_classes(m, graph.adj)))
         if mask & (mask - 1)
     ]
     if all(swap_is_automorphism(algebra, u, v) for cls in classes for u, v in zip(cls, cls[1:])):
@@ -399,17 +398,17 @@ def h2_nil(algebra: LieAlgebra) -> H2Report:
     """Dimension data of (ker delta2 intersect ker eta2) / im delta1.
 
     Raises ValueError before any cochain is indexed if the algebra has more
-    than limits.MAX_H2_DIM basis elements or limits.MAX_H2_CONSTANTS nonzero
-    structure constants, and, from eta2_matrix and before any other matrix
-    is built, unless it is at most 2-step. Raises InternalInvariantError if
+    than limits.MAX_H2_DIM basis elements, limits.MAX_H2_CONSTANTS nonzero
+    structure constants or limits.MAX_H2_BRACKET_TERMS terms in one bracket,
+    and, from eta2_matrix and before any other matrix is built, unless it is
+    at most 2-step. Raises InternalInvariantError if
     im delta1 is not inside ker eta2; for an at most 2-step algebra that
     containment is a theorem, so a violation can only mean the matrices are
     wrong. Only the blocks of representative weights are built and ranked,
     each counted with its orbit's size (see the module docstring).
     """
     n = algebra.n
-    check_h2_dim(n)
-    check_h2_constants(sum(map(len, algebra.sc.values())))
+    check_h2_size(n, list(map(len, algebra.sc.values())))
     coords = CochainCoordinates(n)
     classes = twin_classes(algebra)
     f_mult, s_mult = orbit_multiplicities(algebra, coords, classes) if classes else (None, None)

@@ -1,14 +1,19 @@
-"""Finite simple graphs: parsing, complement, components, canonical forms.
+"""Finite simple graphs: parsing, graph6, complement, components, canonical forms.
 
 Vertices are labeled 1..m and that labeling is meaningful everywhere else
 in the package (it fixes the generator order of the associated algebras).
+A graph is stored as neighbour bitmasks. ``SimpleGraph.make`` is the one
+place where edge pairs become masks; every other reader takes the masks,
+and the edge set is derived from them on demand.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import or_
 
 from .limits import check_vertices
 from .linalg import is_int
@@ -17,13 +22,13 @@ from .linalg import is_int
 @dataclass(frozen=True)
 class SimpleGraph:
     m: int
-    edges: frozenset
+    adj: tuple  # adj[v - 1]: the bitmask of v's neighbours, vertex u on bit u - 1
 
     @staticmethod
     def make(m: int, edge_pairs) -> "SimpleGraph":
         if not is_int(m) or m < 1:
             raise ValueError("vertex count must be a positive integer")
-        edges = set()
+        adj = [0] * m
         for pair in edge_pairs:
             i, j = pair
             if not (is_int(i) and is_int(j)):
@@ -32,30 +37,48 @@ class SimpleGraph:
                 raise ValueError(f"loop at vertex {i} is not allowed")
             if not (1 <= i <= m and 1 <= j <= m):
                 raise ValueError(f"edge {pair!r} outside vertex range 1..{m}")
-            edges.add((min(i, j), max(i, j)))
-        return SimpleGraph(m, frozenset(edges))
+            adj[i - 1] |= 1 << (j - 1)
+            adj[j - 1] |= 1 << (i - 1)
+        return SimpleGraph(m, tuple(adj))
+
+    @cached_property
+    def edges(self) -> frozenset:
+        """The pairs (i, j), i < j, of adjacent vertices."""
+        return frozenset(combinations(range(1, self.m + 1), 2)).difference(self.nonedges())
 
     def adjacent(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
+        return bool(self.adj[i - 1] >> (j - 1) & 1)
 
     def nonedges(self) -> list:
-        return [
-            (i, j) for i, j in combinations(range(1, self.m + 1), 2)
-            if (i, j) not in self.edges
-        ]
+        """The pairs (i, j), i < j, of non-adjacent vertices, in sorted order."""
+        return [(i + 1, j + 1) for i, j in combinations(range(self.m), 2) if not self.adj[i] >> j & 1]
 
     def complement(self) -> "SimpleGraph":
-        return SimpleGraph(self.m, frozenset(self.nonedges()))
+        full = (1 << self.m) - 1
+        return SimpleGraph(self.m, tuple(full ^ a ^ 1 << v for v, a in enumerate(self.adj)))
 
     def is_complete(self) -> bool:
-        return len(self.edges) == self.m * (self.m - 1) // 2
+        return not self.nonedges()
 
+    def induced(self, vertices: tuple) -> tuple:
+        """The masks of the subgraph induced on vertices, given in increasing order, moved onto 1..s."""
+        adj, rows = self.adj, [0] * len(vertices)
+        for p, q in combinations(range(len(vertices)), 2):
+            if adj[vertices[p] - 1] >> (vertices[q] - 1) & 1:
+                rows[p] |= 1 << q
+                rows[q] |= 1 << p
+        return tuple(rows)
 
-@dataclass(frozen=True)
-class GraphAnalysis:
-    components: tuple
-    isolated: frozenset
-    complete: bool
+    def components(self) -> list:
+        """The vertex sets of the connected components, each as an increasing tuple, by least vertex."""
+        out, left = [], (1 << self.m) - 1
+        while left:
+            comp, grown = 0, left & -left
+            while grown != comp:
+                comp, grown = grown, reduce(or_, (a for v, a in enumerate(self.adj) if grown >> v & 1), grown)
+            left ^= comp
+            out.append(tuple(v for v in range(1, self.m + 1) if comp >> (v - 1) & 1))
+        return out
 
 
 def parse_graph(text: str) -> SimpleGraph:
@@ -98,14 +121,8 @@ def from_graph6(code: str) -> SimpleGraph:
     bits = [(v >> shift) & 1 for v in vals[1:] for shift in range(5, -1, -1)]
     if len(bits) < nbits or any(bits[nbits:]):
         raise ValueError("graph6 bit payload has the wrong length")
-    edges = []
-    idx = 0
-    for j in range(1, m):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i + 1, j + 1))
-            idx += 1
-    return SimpleGraph.make(m, edges)
+    pairs = ((i, j) for j in range(2, m + 1) for i in range(1, j))  # column by column
+    return SimpleGraph.make(m, [pair for pair, bit in zip(pairs, bits) if bit])
 
 
 def to_graph6(graph: SimpleGraph) -> str:
@@ -117,27 +134,6 @@ def to_graph6(graph: SimpleGraph) -> str:
     for i, j in graph.edges:
         val |= 1 << (top - (j - 1) * (j - 2) // 2 - i + 1)
     return chr(graph.m + 63) + "".join(chr((val >> s & 63) + 63) for s in range(top - 5, -1, -6))
-
-
-def analyze(graph: SimpleGraph) -> GraphAnalysis:
-    parent = list(range(graph.m + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in graph.edges:
-        parent[find(a)] = find(b)
-    comps: dict = {}
-    for v in range(1, graph.m + 1):
-        comps.setdefault(find(v), set()).add(v)
-    components = tuple(
-        frozenset(c) for c in sorted(comps.values(), key=min)
-    )
-    isolated = frozenset(v for c in components if len(c) == 1 for v in c)
-    return GraphAnalysis(components, isolated, graph.is_complete())
 
 
 def canonical_form(graph: SimpleGraph) -> str:
@@ -163,8 +159,7 @@ def canonical_form(graph: SimpleGraph) -> str:
     one reached by placing u, so the least string is unchanged.
     """
     check_vertices("canonical_form", graph.m)
-    m = graph.m
-    adj = _adjacency(graph)
+    m, adj = graph.m, graph.adj
     twins = _twin_classes(m, adj)
     partitions = {((1 << m) - 1,)}
     rows = []
@@ -196,15 +191,6 @@ def canonical_form(graph: SimpleGraph) -> str:
     return "".join(rows)
 
 
-def _adjacency(graph: SimpleGraph) -> list:
-    """adj[v]: the bitmask of the neighbours of vertex v + 1, on bits 0..m-1."""
-    adj = [0] * graph.m
-    for i, j in graph.edges:
-        adj[i - 1] |= 1 << (j - 1)
-        adj[j - 1] |= 1 << (i - 1)
-    return adj
-
-
 def _twin_classes(m: int, adj: list) -> list:
     """twins[v]: the bitmask of the twin class of bit v.
 
@@ -224,10 +210,14 @@ def _twin_classes(m: int, adj: list) -> list:
 def graph_from_canonical(m: int, form: str) -> SimpleGraph:
     """The graph that a canonical_form string encodes; its pairs are valid by construction."""
     check_vertices("canonical_form", m)
-    pairs = list(combinations(range(1, m + 1), 2))
-    if len(form) != len(pairs):
+    if len(form) != m * (m - 1) // 2:
         raise ValueError("canonical string length does not match vertex count")
-    return SimpleGraph(m, frozenset(p for p, bit in zip(pairs, form) if bit == "1"))
+    adj = [0] * m
+    for (i, j), bit in zip(combinations(range(m), 2), form):
+        if bit == "1":
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return SimpleGraph(m, tuple(adj))
 
 
 def enumerate_graphs(n: int) -> list:
@@ -238,22 +228,24 @@ def enumerate_graphs(n: int) -> list:
     vertex of any n-vertex graph lands in some (n-1)-vertex class. Only the
     sets that take a prefix (the lowest-numbered vertices) of each twin
     class are tried: permuting inside the classes, an automorphism of the
-    base, turns any set into one of these and fixes the new vertex.
+    base, turns any set into one of these and fixes the new vertex. A child
+    is the base's masks with the new vertex's bit set on each chosen row,
+    and the set itself as the new vertex's mask.
     """
     check_vertices("enumerate_graphs", n)
-    reps = {canonical_form(SimpleGraph(1, frozenset()))}
+    reps = {canonical_form(SimpleGraph(1, (0,)))}
     size = 1
     while size < n:
         size += 1
         next_reps = set()
         for form in reps:
-            base = graph_from_canonical(size - 1, form)
+            base = graph_from_canonical(size - 1, form).adj
             masks = {0}
-            for cls in set(_twin_classes(size - 1, _adjacency(base))):
+            for cls in set(_twin_classes(size - 1, base)):
                 # cls & ((1 << b) - 1) runs over the prefixes of cls
                 masks = {mask | (cls & ((1 << b) - 1)) for mask in masks for b in range(size)}
             for mask in masks:
-                edges = base.edges.union((v, size) for v in range(1, size) if mask >> (v - 1) & 1)
-                next_reps.add(canonical_form(SimpleGraph(size, edges)))
+                adj = tuple(a | 1 << (size - 1) if mask >> v & 1 else a for v, a in enumerate(base)) + (mask,)
+                next_reps.add(canonical_form(SimpleGraph(size, adj)))
         reps = next_reps
     return [graph_from_canonical(n, form) for form in sorted(reps)]

@@ -2,8 +2,9 @@
 
 Every vertex bound lives in ``VERTEX_LIMITS``, and every operation checks
 its input with ``check_vertices``; ``MAX_DIM`` bounds the basis that
-``graded_basis`` builds, and ``MAX_H2_DIM`` and ``MAX_H2_CONSTANTS`` the
-algebra that ``h2_nil`` ranks. The README's limits table has this one source.
+``graded_basis`` builds, and ``MAX_H2_DIM``, ``MAX_H2_CONSTANTS`` and
+``MAX_H2_BRACKET_TERMS`` the algebra that ``h2_nil`` ranks. The README's
+limits table has this one source.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ MAX_H2_DIM = 55
 # (90) needs 18 s, and with 14 + 14 (1274) more than 120 s and 300 MB
 MAX_H2_CONSTANTS = 45
 
+# the most terms h2_nil takes in one bracket; a graph algebra at k = 2 has one,
+# and 3 brackets of all 15 central terms each (45), padded to n = 55, need 11 s
+MAX_H2_BRACKET_TERMS = 2
+
 
 def check_vertices(operation: str, m: int) -> None:
     """Raise ValueError unless m lies in the operation's vertex range."""
@@ -42,16 +47,18 @@ def check_dim(dims: list) -> None:
         raise ValueError(f"the algebra has {sum(dims)} basis elements; the budget is {MAX_DIM}")
 
 
-def check_h2_dim(n: int) -> None:
-    """Raise ValueError if an algebra of n basis elements is over MAX_H2_DIM."""
+def check_h2_size(n: int, sizes: list) -> None:
+    """Raise ValueError if an algebra of n basis elements whose brackets have these
+    term counts is over MAX_H2_DIM, MAX_H2_CONSTANTS or MAX_H2_BRACKET_TERMS."""
     if n > MAX_H2_DIM:
         raise ValueError(f"the algebra has {n} basis elements; the h2_nil budget is {MAX_H2_DIM}")
-
-
-def check_h2_constants(count: int) -> None:
-    """Raise ValueError if count nonzero structure constants are over MAX_H2_CONSTANTS."""
-    if count > MAX_H2_CONSTANTS:
+    if sum(sizes) > MAX_H2_CONSTANTS:
         raise ValueError(
-            f"the algebra has {count} nonzero structure constants; "
+            f"the algebra has {sum(sizes)} nonzero structure constants; "
             f"the h2_nil budget is {MAX_H2_CONSTANTS}"
+        )
+    if max(sizes, default=0) > MAX_H2_BRACKET_TERMS:
+        raise ValueError(
+            f"a bracket of the algebra has {max(sizes)} terms; "
+            f"the h2_nil budget is {MAX_H2_BRACKET_TERMS} per bracket"
         )

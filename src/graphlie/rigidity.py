@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from .basis import dimension_oracle, structure_constants
 from .cohomology import H2Report, h2_nil, is_at_most_two_step
 from .errors import InternalInvariantError, invariant_error
-from .graphs import SimpleGraph, analyze, enumerate_graphs, to_graph6
+from .graphs import SimpleGraph, enumerate_graphs, to_graph6
 from .liealg import GradedLieAlgebra, LieAlgebra, center
 from .limits import check_vertices
 from .linalg import ONE, ZERO, RowReducer, axpy, frac, frac_str, vec_to_dict
@@ -258,8 +258,8 @@ def find_witness(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int):
     finding none, or a refusal by the certifier, is an invariant failure."""
     if k != len(algebra.grading):
         raise ValueError("k does not match the algebra grading")
-    nonadj = sorted(graph.nonedges())
-    if not nonadj or not graph.edges:
+    nonadj = graph.nonedges()
+    if not nonadj or not any(graph.adj):
         return None
     n = algebra.n
     if k >= 3:
@@ -295,9 +295,11 @@ def find_witness(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int):
             to_graph6(graph), k, "graded witness search at the first non-edge",
         )
     if k == 2:
-        isolated = len(set().union(*graph.edges)) < graph.m
+        isolated = not all(graph.adj)
         for (u, w) in nonadj:
-            if isolated or any(u not in e and w not in e for e in graph.edges):
+            pair = 1 << (u - 1) | 1 << (w - 1)
+            # some edge avoids the pair: a vertex outside it has a neighbour outside it
+            if isolated or any(a & ~pair for v, a in enumerate(graph.adj) if not pair >> v & 1):
                 break
         else:
             return None
@@ -352,24 +354,21 @@ def _h2(graph: SimpleGraph, algebra: LieAlgebra, k: int) -> H2Report:
 
 def _shortcut(graph: SimpleGraph, k: int) -> RigidityVerdict | None:
     """The verdicts read off the graph alone: abelian, abelian factor, cited."""
-    if not graph.edges:
+    if not any(graph.adj):
         if graph.m == 2:
             return RigidityVerdict(
                 "rigid",
                 {"kind": "cited_result", "name": "abelian plane, low-dimensional classification"},
             )
         return RigidityVerdict("not_rigid", {"kind": "abelian", "m": graph.m})
-    info = analyze(graph)
-    if info.isolated:
-        if k == 2 and graph.m == 3 and len(graph.edges) == 1:
+    isolated = [v for v, a in enumerate(graph.adj, 1) if not a]
+    if isolated:
+        if k == 2 and graph.m == 3:  # one edge and the isolated vertex
             return RigidityVerdict(
                 "rigid",
                 {"kind": "cited_result", "name": "heisenberg plus line exception"},
             )
-        return RigidityVerdict(
-            "not_rigid",
-            {"kind": "abelian_factor", "isolated": sorted(info.isolated)},
-        )
+        return RigidityVerdict("not_rigid", {"kind": "abelian_factor", "isolated": isolated})
     return None
 
 

@@ -7,7 +7,7 @@ direct route than the package itself, so the tests can compare the two.
 from functools import lru_cache
 from itertools import combinations
 
-from graphlie.basis import TraceContext
+from graphlie.basis import TraceContext, _mobius, clique_polynomial
 from graphlie.cohomology import (
     CochainCoordinates,
     H2Report,
@@ -25,6 +25,25 @@ context = lru_cache(maxsize=128)(TraceContext)
 
 def trace_normal_form(word, graph) -> tuple:
     return context(graph).normal_form(tuple(word))
+
+
+def whole_graph_dimensions(graph, k: int) -> list:
+    """Per-degree dimensions for degrees 1..k from every clique of the whole
+    graph's complement: the count before components and the cut at t^k."""
+    cpoly = clique_polynomial(graph.complement())
+    a = [((-1) ** n) * c for n, c in enumerate(cpoly)]
+    s = [1] + [0] * k
+    for n in range(1, k + 1):
+        s[n] = -sum(a[i] * s[n - i] for i in range(1, min(n, len(a) - 1) + 1))
+    nq = [0] * (k + 1)
+    for n in range(1, k + 1):
+        nq[n] = n * s[n] - sum(nq[j] * s[n - j] for j in range(1, n))
+    dims = []
+    for d in range(1, k + 1):
+        acc = sum(_mobius(d // e) * nq[e] for e in range(1, d + 1) if d % e == 0)
+        assert acc % d == 0 and acc >= 0, (graph, k, d)
+        dims.append(acc // d)
+    return dims
 
 
 def grading_support_check(algebra: GradedLieAlgebra) -> bool:

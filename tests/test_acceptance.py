@@ -16,7 +16,6 @@ from graphlie.basis import dimension_oracle, graded_basis, structure_constants
 from graphlie.cohomology import h2_nil
 from graphlie.graphs import (
     SimpleGraph,
-    analyze,
     canonical_form,
     enumerate_graphs,
     from_graph6,
@@ -107,12 +106,11 @@ def _graded_witnesses(k: int):
         none_for = []
         for m in range(3, 6):
             for graph in enumerate_graphs(m):
-                info = analyze(graph)
                 alg = structure_constants(graph, k)
-                if info.complete:
+                if graph.is_complete():
                     none_for.append(find_witness(graph, alg, k))
                     continue
-                if not graph.edges or info.isolated:
+                if not all(graph.adj):  # no edge, or an isolated vertex
                     continue
                 found.append((graph, find_witness(graph, alg, k)))
         _cache[("graded", k)] = (found, none_for)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -24,7 +25,7 @@ from graphlie.graphs import SimpleGraph, enumerate_graphs, to_graph6
 from graphlie.liealg import BasisLabel, algebra_to_json_dict, jacobi_report
 from graphlie.limits import MAX_DIM
 from graphlie.linalg import CoordinateSolver, RowReducer
-from oracles import context, grading_support_check, trace_normal_form
+from oracles import context, grading_support_check, trace_normal_form, whole_graph_dimensions
 
 STAR = SimpleGraph.make(3, [(1, 2), (1, 3)])
 K2 = SimpleGraph.make(2, [(1, 2)])
@@ -191,13 +192,14 @@ def test_placement_is_the_class_minimum_of_the_concatenation():
     pairs = 0
     for m in range(2, 8):
         for _ in range(12):
-            ctx = TraceContext(_random_graph(rng, m))
+            graph = _random_graph(rng, m)
+            ctx = TraceContext(graph)
             for _ in range(50):
                 w1, w2 = (
-                    min(_trace_class(tuple(rng.randint(1, m) for _ in range(rng.randint(1, size))), ctx.graph))
+                    min(_trace_class(tuple(rng.randint(1, m) for _ in range(rng.randint(1, size))), graph))
                     for size in (4, 3)
                 )
-                assert ctx._place(w1, w2) == min(_trace_class(w1 + w2, ctx.graph)), (ctx.graph.edges, w1, w2)
+                assert ctx._place(w1, w2) == min(_trace_class(w1 + w2, graph)), (graph.edges, w1, w2)
                 pairs += 1
     assert pairs == 3600
 
@@ -312,7 +314,10 @@ def test_clique_polynomial_matches_brute_force():
     for m in range(1, 7):
         for graph in enumerate_graphs(m):
             for g in (graph, graph.complement()):
-                assert clique_polynomial(g) == _brute_clique_counts(g), to_graph6(graph)
+                brute = _brute_clique_counts(g)
+                assert clique_polynomial(g) == brute, to_graph6(graph)
+                for top in range(1, m + 1):
+                    assert clique_polynomial(g, top) == brute[:top + 1], (to_graph6(graph), top)
 
 
 def test_series_counts_trace_classes():
@@ -337,6 +342,25 @@ def test_dimension_oracle_fixed_cases():
     assert dimension_oracle(SimpleGraph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), 2) == [4, 4]
     with pytest.raises(ValueError):
         dimension_oracle(STAR, 0)
+
+
+def test_dimension_oracle_matches_the_whole_graph_count():
+    # components counted apart and cliques cut at k vertices, against every
+    # clique of the whole complement
+    for m in range(1, 8):
+        for graph in enumerate_graphs(m):
+            for k in range(1, 6):
+                assert dimension_oracle(graph, k) == whole_graph_dimensions(graph, k), (to_graph6(graph), k)
+
+
+def test_dimension_oracle_is_fast_on_large_sparse_graphs():
+    # one component per vertex or edge, and no clique listed beyond k vertices
+    edgeless = SimpleGraph.make(40, [])
+    matching = SimpleGraph.make(40, [(2 * i - 1, 2 * i) for i in range(1, 21)])
+    start = time.perf_counter()
+    assert dimension_oracle(edgeless, 10) == [40] + [0] * 9
+    assert dimension_oracle(matching, 10) == [20 * d for d in (2, 1, 2, 3, 6, 9, 18, 30, 56, 99)]
+    assert time.perf_counter() - start < 1
 
 
 def _mobius_local(n):
@@ -539,7 +563,7 @@ def test_dimension_count_error_names_graph_k_and_phase(monkeypatch):
     # integer clique counts always give integer dimensions, so a half count
     # stands in for a fault; a count that gives l_2 = -1 must fail the same way
     for counts in ([1, Fraction(3, 2)], [1, 1, 1]):
-        monkeypatch.setattr(basis, "clique_polynomial", lambda graph, c=counts: c)
+        monkeypatch.setattr(basis, "clique_polynomial", lambda graph, top, c=counts: c)
         with pytest.raises(InternalInvariantError) as caught:
             dimension_oracle(STAR, 3)
         message = str(caught.value)
@@ -615,7 +639,7 @@ def test_graded_basis_matches_the_per_graph_sweep():
 
 
 def test_support_types_are_shared_and_bounded():
-    # one entry per (s, induced edges on 1..s, k), whatever the vertices
+    # one entry per (masks of the induced subgraph moved onto 1..s, k), whatever the vertices
     supports = graded_basis(STAR, 4).supports
     assert supports[(1, 2)][0] is supports[(1, 3)][0] is not supports[(2, 3)][0]
     assert supports[(1, 2)][0] is graded_basis(PATH3, 4).supports[(2, 3)][0]
@@ -646,7 +670,7 @@ def test_structure_constants_expand_only_unrecorded_pairs(monkeypatch, fresh_typ
         counts.update(dict.fromkeys(counts, 0))
         basis.structure_constants.__wrapped__(graph, k)
         assert list(counts.values()) == [swept + pairs, pairs], to_graph6(graph)
-        types = {SimpleGraph(s, frozenset(edges)) for _, (s, edges) in basis._supports(graph, k)}
+        types = {SimpleGraph(len(masks), masks) for _, masks in basis._supports(graph, k)}
         assert pairs == sum(_unrecorded_full_pairs(support, k) for support in types)
 
 

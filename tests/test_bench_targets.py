@@ -90,6 +90,12 @@ def test_traced_sweep_counts_are_pinned():
     ):
         assert report["spans"][name][0] == 51, name
     assert report["spans"]["linalg.RatMatrix.matmul"][0] >= 1
+    # Both sweeps expect the enumeration spans (SWEEP_SPANS in
+    # perfbench/workloads.py): one enumerate_graphs per size 2..5, and one
+    # canonical form per neighbour set tried, 3 + 9 + 29 + 131, each through
+    # the module globals, so an enumeration that bypasses them fails here.
+    assert report["spans"]["graphs.enumerate_graphs"][0] == 4
+    assert report["spans"]["graphs.canonical_form"][0] == 172
 
 
 def test_traced_k4_sweep_spans_are_pinned():

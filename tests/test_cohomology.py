@@ -851,3 +851,36 @@ def test_the_density_budget_refuses_a_dense_algebra_at_once(monkeypatch, capsys,
     k10 = SimpleGraph.make(10, combinations(range(1, 11), 2))
     report = h2_nil(structure_constants(k10, 2))
     assert report.h2_dim == 0 and report.dim_im_delta1 == 2475
+
+
+def test_the_bracket_budget_refuses_a_loaded_bracket_at_once(monkeypatch, capsys, tmp_path):
+    # within MAX_H2_DIM and MAX_H2_CONSTANTS: 3 generators and 15 central
+    # vectors, all 15 in each of the 3 brackets (45 constants), padded with
+    # abelian generators to n = 55; h2 of it took 11 s before this budget
+    import graphlie.cohomology as cohomology
+    from graphlie.cli import run_command
+    from graphlie.limits import MAX_H2_BRACKET_TERMS, MAX_H2_CONSTANTS, MAX_H2_DIM
+
+    def no_coordinates(n):
+        raise AssertionError("an oversized request reached the cochain coordinates")
+
+    brackets = [
+        {"i": i, "j": j, "terms": [{"l": 3 + t, "c": str(1 + (i + j + t) % 5)} for t in range(15)]}
+        for i, j in combinations(range(3), 2)
+    ]
+    assert 3 * 15 <= MAX_H2_CONSTANTS and 55 <= MAX_H2_DIM
+    path = tmp_path / "loaded.json"
+    path.write_text(json.dumps({"n": 55, "brackets": brackets}), encoding="utf-8")
+    start = time.perf_counter()
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "CochainCoordinates", no_coordinates)
+        assert run_command(["cohomology", "h2nil", "--in", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        f"error: a bracket of the algebra has 15 terms; the h2_nil budget is {MAX_H2_BRACKET_TERMS} per bracket\n"
+    )
+    # the budget is read when h2_nil is called
+    with monkeypatch.context() as patch:
+        patch.setattr("graphlie.limits.MAX_H2_BRACKET_TERMS", 0)
+        with pytest.raises(ValueError, match="has 1 terms; the h2_nil budget is 0 per bracket"):
+            h2_nil(structure_constants(PATH3, 2))

@@ -6,9 +6,7 @@ import pytest
 
 from graphlie.graphs import (
     SimpleGraph,
-    _adjacency,
     _twin_classes,
-    analyze,
     canonical_form,
     enumerate_graphs,
     from_graph6,
@@ -16,7 +14,7 @@ from graphlie.graphs import (
     parse_graph,
     to_graph6,
 )
-from graphlie.limits import MAX_DIM, MAX_H2_CONSTANTS, MAX_H2_DIM, VERTEX_LIMITS
+from graphlie.limits import MAX_DIM, MAX_H2_BRACKET_TERMS, MAX_H2_CONSTANTS, MAX_H2_DIM, VERTEX_LIMITS
 
 STAR_GRAPH = SimpleGraph.make(3, [(1, 2), (1, 3)])
 
@@ -123,26 +121,57 @@ def test_complement_involution():
         assert g.complement().complement() == g
 
 
-def test_analyze():
-    info = analyze(SimpleGraph.make(3, [(1, 2)]))
-    assert info.components == (frozenset({1, 2}), frozenset({3}))
-    assert info.isolated == frozenset({3})
-    assert not info.complete
+def test_components():
+    graph = SimpleGraph.make(3, [(1, 2)])
+    assert graph.components() == [(1, 2), (3,)]
+    assert not graph.is_complete()
     k4 = from_graph6("C~")
-    info = analyze(k4)
-    assert info.complete and not info.isolated
-    two_k2 = SimpleGraph.make(4, [(1, 2), (3, 4)])
-    info = analyze(two_k2)
-    assert len(info.components) == 2 and not info.isolated
+    assert k4.components() == [(1, 2, 3, 4)] and k4.is_complete()
+    assert SimpleGraph.make(4, [(1, 3), (2, 4)]).components() == [(1, 3), (2, 4)]
 
 
-def test_analyze_components_partition():
+def _union_find_components(graph):
+    """The components by union-find over the edge set, kept as the oracle of the mask search."""
+    parent = list(range(graph.m + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in graph.edges:
+        parent[find(a)] = find(b)
+    comps = {}
+    for v in range(1, graph.m + 1):
+        comps.setdefault(find(v), []).append(v)
+    return sorted(map(tuple, comps.values()))
+
+
+def test_components_match_union_find():
     rng = random.Random(17)
     for _ in range(60):
         m = rng.randint(1, 7)
         pairs = [p for p in combinations(range(1, m + 1), 2) if rng.random() < 0.4]
-        info = analyze(SimpleGraph.make(m, pairs))
-        assert sum(len(c) for c in info.components) == m
+        graph = SimpleGraph.make(m, pairs)
+        assert graph.components() == _union_find_components(graph), graph
+
+
+def test_masks_agree_with_the_edge_set():
+    rng = random.Random(2300)
+    for _ in range(200):
+        m = rng.randint(1, 8)
+        density = rng.random()
+        g = SimpleGraph.make(m, [p for p in combinations(range(1, m + 1), 2) if rng.random() < density])
+        everything = set(combinations(range(1, m + 1), 2))
+        assert SimpleGraph.make(m, g.edges) == g
+        assert g.complement().edges == everything - g.edges
+        assert g.complement().complement() == g
+        assert set(g.nonedges()) | g.edges == everything and not set(g.nonedges()) & g.edges
+        assert g.nonedges() == sorted(g.nonedges())
+        isolated = [v for v in range(1, m + 1) if not any(v in e for e in g.edges)]
+        assert [v for v, a in enumerate(g.adj, 1) if not a] == isolated
+        assert g.is_complete() == (g.edges == everything)
+        assert from_graph6(to_graph6(g)) == g
 
 
 def test_canonical_form_isomorphic_paths():
@@ -258,7 +287,7 @@ def _graph_from_mask(m, mask):
 
 
 def _check_twin_classes(graph):
-    twins = _twin_classes(graph.m, _adjacency(graph))
+    twins = _twin_classes(graph.m, graph.adj)
     for u in range(1, graph.m + 1):
         assert twins[u - 1] >> (u - 1) & 1
         for v in range(u + 1, graph.m + 1):
@@ -314,7 +343,7 @@ def test_canonical_form_matches_permutations_with_twins():
         done = 0
         while done < count:
             g = _twin_rich_graph(rng, m)
-            sizes = [c.bit_count() for c in _twin_classes(m, _adjacency(g))]
+            sizes = [c.bit_count() for c in _twin_classes(m, g.adj)]
             if max(sizes) < 3 or 1 not in sizes:
                 continue
             assert canonical_form(g) == _permutation_canonical_form(g), g
@@ -324,7 +353,7 @@ def test_canonical_form_matches_permutations_with_twins():
 def _unpruned_enumeration(n):
     """enumerate_graphs before the twin prefix rule: every neighbour set of
     every class, kept as its oracle."""
-    reps = {canonical_form(SimpleGraph(1, frozenset()))}
+    reps = {canonical_form(SimpleGraph.make(1, []))}
     for size in range(2, n + 1):
         bases = [graph_from_canonical(size - 1, form) for form in reps]
         reps = {
@@ -340,6 +369,44 @@ def _unpruned_enumeration(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_enumerate_matches_the_unpruned_enumeration(n):
     assert enumerate_graphs(n) == _unpruned_enumeration(n)
+
+
+def _enumerated_children(monkeypatch, n):
+    """Every graph that enumerate_graphs(n) hands to canonical_form."""
+    import graphlie.graphs as graphs
+
+    seen, original = [], graphs.canonical_form
+
+    def record(graph):
+        seen.append(graph)
+        return original(graph)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "canonical_form", record)
+        enumerate_graphs(n)
+    return seen
+
+
+def _check_masks(graph):
+    assert graph == SimpleGraph.make(graph.m, graph.edges), graph
+
+
+def test_enumerated_children_have_the_masks_of_their_edges(monkeypatch):
+    children = _enumerated_children(monkeypatch, 7)
+    assert len(children) == 783 + 6412  # as traced: 783 up to six vertices
+    for child in children:
+        _check_masks(child)
+    # seeded mutation: the new vertex's bit set on the wrong row
+    rng = random.Random(1998)
+    mixed = [c for c in children if 0 < c.adj[-1].bit_count() < c.m - 1]
+    for child in rng.sample(mixed, 100):
+        rows, new = list(child.adj), 1 << (child.m - 1)
+        right = rng.choice([v for v in range(child.m - 1) if rows[v] & new])
+        wrong = rng.choice([v for v in range(child.m - 1) if not rows[v] & new])
+        rows[right] ^= new
+        rows[wrong] ^= new
+        with pytest.raises(AssertionError):
+            _check_masks(SimpleGraph(child.m, tuple(rows)))
 
 
 # OEIS A000088
@@ -392,6 +459,7 @@ def test_limits_table_in_readme():
     assert f"| `graded_basis` | at most {MAX_DIM} basis elements |" in readme
     assert f"| `h2_nil` | at most {MAX_H2_DIM} basis elements |" in readme
     assert f"| `h2_nil` | at most {MAX_H2_CONSTANTS} nonzero structure constants |" in readme
+    assert f"| `h2_nil` | at most {MAX_H2_BRACKET_TERMS} terms in one bracket |" in readme
 
 
 def test_enumerate_range_errors():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from graphlie.basis import structure_constants
-from graphlie.graphs import SimpleGraph, analyze, enumerate_graphs
+from graphlie.graphs import SimpleGraph, enumerate_graphs
 from graphlie.liealg import (
     BasisLabel,
     GradedLieAlgebra,
@@ -263,7 +263,7 @@ def test_components_never_mix():
     for graph, k in ((SimpleGraph.make(4, [(1, 2), (3, 4)]), 4), (K2_PLUS_POINT, 3)):
         alg = structure_constants(graph, k)
         comp_of = {}
-        for pos, comp in enumerate(analyze(graph).components):
+        for pos, comp in enumerate(graph.components()):
             for v in comp:
                 comp_of[v] = pos
         for (i, j), terms in alg.sc.items():
