@@ -128,11 +128,13 @@ def from_graph6(code: str) -> SimpleGraph:
 def to_graph6(graph: SimpleGraph) -> str:
     if graph.m > 62:
         raise ValueError("graph6 codes with more than 62 vertices are not supported")
-    # pair (i, j), i < j, is bit (j-1)(j-2)/2 + i - 1 of the payload, most significant first
+    # 0-based pair (i, j), i < j, is bit j(j-1)/2 + i of the payload, most significant first
     top = 6 * -(-graph.m * (graph.m - 1) // 12) - 1
     val = 0
-    for i, j in graph.edges:
-        val |= 1 << (top - (j - 1) * (j - 2) // 2 - i + 1)
+    for j, a in enumerate(graph.adj):
+        for i in range(j):
+            if a >> i & 1:
+                val |= 1 << (top - j * (j - 1) // 2 - i)
     return chr(graph.m + 63) + "".join(chr((val >> s & 63) + 63) for s in range(top - 5, -1, -6))
 
 
@@ -224,28 +226,79 @@ def enumerate_graphs(n: int) -> list:
     """One representative per isomorphism class on n vertices, sorted by canonical string.
 
     Builds up from n-1 vertices by attaching a new vertex to a neighbor set
-    of each (n-1)-vertex class, which reaches every class because deleting a
-    vertex of any n-vertex graph lands in some (n-1)-vertex class. Only the
-    sets that take a prefix (the lowest-numbered vertices) of each twin
-    class are tried: permuting inside the classes, an automorphism of the
-    base, turns any set into one of these and fixes the new vertex. A child
-    is the base's masks with the new vertex's bit set on each chosen row,
-    and the set itself as the new vertex's mask.
+    of each (n-1)-vertex class (see ``_children``), and keeps a child only
+    when its new vertex is a canonical deletion: a vertex of greatest
+    invariant whose deletion has the least canonical string (see
+    ``_accepts``; McKay, *Isomorph-free exhaustive generation*, 1998).
+    Only kept children get a canonical form.
+
+    Every class is kept. Delete a canonical deletion w from an n-vertex
+    graph G: G - w is isomorphic to some (n-1)-vertex class, and that
+    class's children include a copy of G whose new vertex is the image of
+    w. The invariant and the deletion strings are carried along by the
+    isomorphism, so that child is kept. Each class is kept from one parent
+    class: the least deletion string over the vertices of greatest
+    invariant depends on the class alone, and a kept child's parent has
+    that string. One parent can still make a class twice, from neighbour
+    sets related by an automorphism that is not a twin permutation; the
+    set of forms drops those copies.
     """
     check_vertices("enumerate_graphs", n)
     reps = {canonical_form(SimpleGraph(1, (0,)))}
-    size = 1
-    while size < n:
-        size += 1
+    for size in range(2, n + 1):
         next_reps = set()
         for form in reps:
-            base = graph_from_canonical(size - 1, form).adj
-            masks = {0}
-            for cls in set(_twin_classes(size - 1, base)):
-                # cls & ((1 << b) - 1) runs over the prefixes of cls
-                masks = {mask | (cls & ((1 << b) - 1)) for mask in masks for b in range(size)}
-            for mask in masks:
-                adj = tuple(a | 1 << (size - 1) if mask >> v & 1 else a for v, a in enumerate(base)) + (mask,)
-                next_reps.add(canonical_form(SimpleGraph(size, adj)))
+            for child in _children(graph_from_canonical(size - 1, form).adj):
+                if _accepts(child, form):
+                    next_reps.add(canonical_form(SimpleGraph(size, child)))
         reps = next_reps
     return [graph_from_canonical(n, form) for form in sorted(reps)]
+
+
+def _children(base: tuple):
+    """The masks of base plus a new last vertex, one child per neighbour set.
+
+    Only the sets that take a prefix (the lowest-numbered vertices) of each
+    twin class are tried: permuting inside the classes, an automorphism of
+    the base, turns any set into one of these and fixes the new vertex. A
+    child is the base's masks with the new vertex's bit set on each chosen
+    row, and the set itself as the new vertex's mask.
+    """
+    m, bit = len(base), 1 << len(base)
+    masks = {0}
+    for cls in set(_twin_classes(m, base)):
+        # cls & ((1 << b) - 1) runs over the prefixes of cls
+        masks = {mask | (cls & ((1 << b) - 1)) for mask in masks for b in range(m + 1)}
+    for mask in masks:
+        yield (*[a | bit if mask >> v & 1 else a for v, a in enumerate(base)], mask)
+
+
+def _accepts(adj: tuple, form: str) -> bool:
+    """Whether the last vertex of adj is a canonical deletion, given form,
+    the canonical string of adj without it.
+
+    The invariant of a vertex is its degree, then the sum of its
+    neighbours' degrees. The new vertex is rejected if another vertex has a
+    greater invariant and accepted if every other has a smaller one. On a
+    tie it is accepted when no tied vertex's deletion has a canonical string
+    below form. A tied twin of the new vertex needs no canonical form: the
+    swap of the two carries one deletion onto the other.
+    """
+    new = len(adj) - 1
+    deg = list(map(int.bit_count, adj))
+    top = deg[new]
+    if max(deg) > top:
+        return False
+    tied = [v for v in range(new) if deg[v] == top]
+    if not tied:
+        return True
+    score = [sum([d for u, d in enumerate(deg) if adj[v] >> u & 1]) for v in tied]
+    top = sum([d for u, d in enumerate(deg) if adj[new] >> u & 1])
+    if max(score) > top:
+        return False
+    for v, s in zip(tied, score):
+        if s == top and (adj[v] ^ adj[new]) & ~(1 << v | 1 << new):  # v is no twin of the new vertex
+            rest = SimpleGraph(new + 1, adj).induced(tuple(u for u in range(1, new + 2) if u != v + 1))
+            if canonical_form(SimpleGraph(new, rest)) < form:
+                return False
+    return True

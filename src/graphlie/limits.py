@@ -11,8 +11,8 @@ from __future__ import annotations
 
 # operation: (least, greatest) number of vertices it accepts
 VERTEX_LIMITS = {
-    "canonical_form": (1, 8),
-    "enumerate_graphs": (1, 8),
+    "canonical_form": (1, 9),
+    "enumerate_graphs": (1, 9),
     "sweep": (2, 7),
 }
 

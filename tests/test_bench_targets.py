@@ -92,10 +92,11 @@ def test_traced_sweep_counts_are_pinned():
     assert report["spans"]["linalg.RatMatrix.matmul"][0] >= 1
     # Both sweeps expect the enumeration spans (SWEEP_SPANS in
     # perfbench/workloads.py): one enumerate_graphs per size 2..5, and one
-    # canonical form per neighbour set tried, 3 + 9 + 29 + 131, each through
-    # the module globals, so an enumeration that bypasses them fails here.
+    # canonical form per accepted child or tie-breaking deletion,
+    # 3 + 7 + 23 + 74, each through the module globals, so an enumeration
+    # that bypasses them fails here.
     assert report["spans"]["graphs.enumerate_graphs"][0] == 4
-    assert report["spans"]["graphs.canonical_form"][0] == 172
+    assert report["spans"]["graphs.canonical_form"][0] == 107
 
 
 def test_traced_k4_sweep_spans_are_pinned():
@@ -119,10 +120,12 @@ def test_traced_k4_sweep_spans_are_pinned():
 
 
 def test_traced_enumerate_spans_are_pinned():
-    # enumerate6 expects these spans. One canonical form per neighbour set
-    # tried: 1 + 2 + 6 + 20 + 102 + 652 under the twin prefix rule, each
-    # through the module global, so a rewrite around it fails here.
+    # enumerate6 expects these spans. One canonical form for the one-vertex
+    # graph, then one per accepted child or tie-breaking deletion:
+    # 1 + 2 + 4 + 16 + 51 + 275 (783, one per twin-prefix child, before
+    # canonical deletion), each through the module global, so a rewrite
+    # around it fails here.
     report = _traced("graphs", "enumerate", "--n", "6")
     assert report["spans"]["graphs.enumerate_graphs"][0] == 1
-    assert report["spans"]["graphs.canonical_form"][0] == 783
+    assert report["spans"]["graphs.canonical_form"][0] == 349
     assert report["counts"]["graphs.classes"] == 156

@@ -188,7 +188,7 @@ def test_canonical_form_distinguishes():
 
 def test_canonical_form_size_limit():
     with pytest.raises(ValueError):
-        canonical_form(SimpleGraph.make(9, []))
+        canonical_form(SimpleGraph.make(10, []))
 
 
 def _permutation_canonical_form(graph):
@@ -366,25 +366,55 @@ def _unpruned_enumeration(n):
     return [graph_from_canonical(n, form) for form in sorted(reps)]
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_enumerate_matches_the_unpruned_enumeration(n):
     assert enumerate_graphs(n) == _unpruned_enumeration(n)
 
 
-def _enumerated_children(monkeypatch, n):
-    """Every graph that enumerate_graphs(n) hands to canonical_form."""
+def test_each_class_is_accepted_from_one_parent(monkeypatch):
+    # the canonical deletion of a class fixes the class it is accepted from;
+    # copies from one parent (an automorphism of it beyond the twins) may remain
     import graphlie.graphs as graphs
 
-    seen, original = [], graphs.canonical_form
+    parents, accepts = {}, graphs._accepts
 
-    def record(graph):
-        seen.append(graph)
-        return original(graph)
+    def record(child, form):
+        accepted = accepts(child, form)
+        if accepted:
+            parents.setdefault(canonical_form(SimpleGraph(len(child), child)), set()).add(form)
+        return accepted
 
     with monkeypatch.context() as patch:
-        patch.setattr(graphs, "canonical_form", record)
+        patch.setattr(graphs, "_accepts", record)
+        enumerate_graphs(7)
+    classes = [canonical_form(g) for n in range(2, 8) for g in enumerate_graphs(n)]
+    assert sorted(parents) == sorted(classes)
+    for form in classes:
+        assert len(parents[form]) == 1, (form, parents[form])
+
+
+def _enumerated_children(monkeypatch, n):
+    """Every child that enumerate_graphs(n) builds, rejected ones included,
+    and the number of canonical forms it takes."""
+    import graphlie.graphs as graphs
+
+    seen, calls = [], []
+    children, form = graphs._children, graphs.canonical_form
+
+    def record_children(base):
+        for child in children(base):
+            seen.append(SimpleGraph(len(child), child))
+            yield child
+
+    def record_form(graph):
+        calls.append(graph)
+        return form(graph)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "_children", record_children)
+        patch.setattr(graphs, "canonical_form", record_form)
         enumerate_graphs(n)
-    return seen
+    return seen, len(calls)
 
 
 def _check_masks(graph):
@@ -392,8 +422,12 @@ def _check_masks(graph):
 
 
 def test_enumerated_children_have_the_masks_of_their_edges(monkeypatch):
-    children = _enumerated_children(monkeypatch, 7)
-    assert len(children) == 783 + 6412  # as traced: 783 up to six vertices
+    children, calls = _enumerated_children(monkeypatch, 7)
+    # one child per twin-prefix neighbour set, 782 of them up to six
+    # vertices; only the accepted children and the deletions that break
+    # ties get a canonical form, 349 of them up to six vertices
+    assert len(children) == 782 + 6412
+    assert calls == 349 + 1789
     for child in children:
         _check_masks(child)
     # seeded mutation: the new vertex's bit set on the wrong row
@@ -433,7 +467,7 @@ def test_enumerate_sorted_and_canonical():
     for g, form in zip(graphs, forms):
         assert graph_from_canonical(4, form) == g
     with pytest.raises(ValueError):
-        graph_from_canonical(0, "")  # canonical strings exist for 1..8 vertices only
+        graph_from_canonical(0, "")  # canonical strings exist for 1..9 vertices only
 
 
 def test_every_size_check_reads_the_limits_table(monkeypatch):
@@ -466,7 +500,7 @@ def test_enumerate_range_errors():
     with pytest.raises(ValueError):
         enumerate_graphs(0)
     with pytest.raises(ValueError):
-        enumerate_graphs(9)
+        enumerate_graphs(10)
 
 
 @pytest.mark.parametrize("n", [6, 7])
