@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .errors import InternalInvariantError, invariant_error
 from .graphs import SimpleGraph, to_graph6
@@ -188,16 +189,26 @@ def clique_polynomial(graph: SimpleGraph, top: int | None = None) -> list:
     """Coefficients [c_0, c_1, ...] counting cliques of each size (c_0 = 1), up to top >= 1 if given.
 
     A clique is held as the mask of its common neighbours above its largest
-    vertex and extended by each of them, so each clique is made once."""
+    vertex and extended by each of them, so each clique is made once, or,
+    when that mask is itself a clique, its extensions are counted by binomials."""
     m, top = graph.m, top or graph.m
     up = [a >> v + 1 << v + 1 for v, a in enumerate(graph.adj)]
-    counts, level = [1], up
-    while level:
-        counts.append(len(level))
-        if len(counts) > top:
-            break
-        level = [mask & up[b] for mask in level for b in range(m) if mask >> b & 1]
-    return counts
+    counts, level, size = [1] + [0] * top, up, 1
+    while level and size <= top:
+        counts[size] += len(level)
+        grown = []
+        for mask in level:
+            if mask & (mask - 1):  # two or more candidates
+                kids = [mask & up[b] for b in range(m) if mask >> b & 1]
+                if sum(map(int.bit_count, kids)) < comb(len(kids), 2):
+                    grown += kids
+                else:  # the candidates are a clique, so each subset of them extends it
+                    for j in range(1, min(len(kids), top - size) + 1):
+                        counts[size + j] += comb(len(kids), j)
+            elif mask and size < top:
+                counts[size + 1] += 1
+        level, size = grown, size + 1
+    return counts[: max(j for j, c in enumerate(counts) if c) + 1]
 
 
 def dimension_oracle(graph: SimpleGraph, k: int) -> list:

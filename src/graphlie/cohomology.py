@@ -27,11 +27,15 @@ The matrices are built as integer rows, with the structure constants
 scaled by L, the lcm of their denominators. The builder checks each block
 against the matrix shape once, drops cancelled entries itself and hands
 its rows to RatMatrix.adopt, which scans no entry; they are divided by L
-only when L != 1. h2_nil ranks them by structured elimination, each matrix
-peeled once: most cochain rows have one entry, and peeling those settles
-their columns, so only the few rows left over go through fraction-free
-elimination. The stacked rank of eta2 over delta2 continues from eta2's
-peeled state and its reducer, so no row is eliminated twice for eta2.
+only when L != 1. Most eta2 rows are never built: for a pair with
+[e_a, e_b] = 0 they span the annihilator of the center in the pair's
+block, held there by its reduced echelon basis, and for [e_a, e_b] = v e_l
+and ad(e_c) = 0 they are v times unit rows. Unit rows are kept as settled
+columns; the row space, and so every rank, is unchanged. h2_nil ranks the
+matrices by structured elimination, each peeled once from its one-entry
+rows and settled columns, so only the few rows left over go through
+fraction-free elimination. The stacked rank of eta2 over delta2 continues
+from eta2's peeled state and its reducer, so no row is eliminated twice.
 
 Torus weights and twin orbits. With md the multidegree of a labelled basis
 element, the column f_{a,b} has weight md(b) - md(a) and sigma_{(a<b),c}
@@ -65,7 +69,7 @@ from .errors import InternalInvariantError
 from .graphs import SimpleGraph, _twin_classes
 from .liealg import LieAlgebra, lower_central_series
 from .limits import check_h2_size
-from .linalg import RatMatrix, drop_zeros
+from .linalg import RatMatrix, RowReducer, drop_zeros
 
 
 class CochainCoordinates:
@@ -103,6 +107,7 @@ class _CochainRows:
     so matrix() hands the rows to RatMatrix.adopt without a per-entry scan.
     With mult, one multiplicity per column, the entries of the columns whose
     multiplicity is 0 are dropped, and a row left empty is never made.
+    settle() keeps only the columns of a block whose rows have one entry each.
     """
 
     def __init__(self, algebra: LieAlgebra, nrows: int, ncols: int, mult=None):
@@ -121,7 +126,16 @@ class _CochainRows:
             self.leads.setdefault(b, []).extend((d, a, -v) for d, v in terms)
         self.unit = [(d, d, 1) for d in range(algebra.n)]
         self.rows: dict = {}
+        self.settled: dict = {}  # row -> the column of its unit row, never a row dict
         self.overlap = False  # an entry written twice; only then can one cancel
+
+    def settle(self, base: int, col_base: int, terms: list, coef: int) -> None:
+        """As block, for terms that each make a one-entry row; only its column is kept."""
+        self.block(base, col_base, (), coef)  # no terms: only the block's place is checked
+        mult, settled = self.mult, self.settled
+        for d, u, _ in terms:
+            if mult is None or mult[col_base + u]:
+                settled[base + d] = col_base + u
 
     def block(self, base: int, col_base: int, terms: list, coef: int) -> None:
         """Add coef * the block of (d, u, value) terms at row base + d, column col_base + u."""
@@ -150,7 +164,7 @@ class _CochainRows:
             for row in rows.values():
                 for c, v in row.items():
                     row[c] = Fraction(v, scale)
-        return RatMatrix.adopt(self.nrows, self.ncols, rows, scale == 1)
+        return RatMatrix.adopt(self.nrows, self.ncols, rows, scale == 1, self.settled)
 
 
 def delta1_matrix(
@@ -205,18 +219,35 @@ def eta2_matrix(
     coords = coords or CochainCoordinates(n)
     out = _CochainRows(algebra, len(coords.pairs) * n * n, coords.dim_two_cochains, mult)
     leads = out.leads
+    # The -ad(e_c) rows of a pair with [e_a, e_b] = 0 span the annihilator of the
+    # center; its reduced echelon basis stands for them, settled if it is unit rows.
+    ad_rows: dict = {}
+    for c, terms in leads.items():
+        for d, u, v in terms:
+            ad_rows.setdefault((c, d), {})[u] = v
+    basis = RowReducer(ad_rows.values()).rows_sorted()
+    shifted = [  # the basis rows, each scaled to integers
+        (i, u, (v * lcm(*(w.denominator for w in row.values()))).numerator)
+        for i, row in enumerate(basis) for u, v in row.items()
+    ]
+    annihilator = out.settle if all(len(row) == 1 for row in basis) else out.block
     for p, (a, b) in enumerate(coords.pairs):
-        ab = out.brackets.get((a, b), ())
+        ab = out.brackets.get((a, b))
+        if ab is None:
+            annihilator(p * n * n, p * n, shifted, 1)
+            continue
         for c in range(n):
             base = (p * n + c) * n
             # [s(e_a, e_b), e_c] = -[e_c, s(e_a, e_b)]
             if c in leads:
                 out.block(base, p * n, leads[c], -1)
-            # s([e_a, e_b], e_c)
+            # s([e_a, e_b], e_c); when ad(e_c) = 0 and [e_a, e_b] = v e_l, the
+            # rows are v times the unit rows of s(e_l, e_c), so they are settled
+            put = out.block if c in leads or len(ab) > 1 else out.settle
             for l, v in ab:
                 col, s_sign = coords.sigma_coord(l, c, 0)
                 if col is not None:
-                    out.block(base, col, out.unit, s_sign * v)
+                    put(base, col, out.unit, s_sign * v)
     return out.matrix()
 
 

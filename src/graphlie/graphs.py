@@ -3,15 +3,14 @@
 Vertices are labeled 1..m and that labeling is meaningful everywhere else
 in the package (it fixes the generator order of the associated algebras).
 A graph is stored as neighbour bitmasks. ``SimpleGraph.make`` is the one
-place where edge pairs become masks; every other reader takes the masks,
-and the edge set is derived from them on demand.
+place where edge pairs become masks; every other reader takes the masks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations
 from operator import or_
 
@@ -40,14 +39,6 @@ class SimpleGraph:
             adj[i - 1] |= 1 << (j - 1)
             adj[j - 1] |= 1 << (i - 1)
         return SimpleGraph(m, tuple(adj))
-
-    @cached_property
-    def edges(self) -> frozenset:
-        """The pairs (i, j), i < j, of adjacent vertices."""
-        return frozenset(combinations(range(1, self.m + 1), 2)).difference(self.nonedges())
-
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool(self.adj[i - 1] >> (j - 1) & 1)
 
     def nonedges(self) -> list:
         """The pairs (i, j), i < j, of non-adjacent vertices, in sorted order."""

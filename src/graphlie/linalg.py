@@ -82,10 +82,11 @@ class RatMatrix:
     """Sparse matrix over the rationals, stored by rows as {row: {col: value}}.
 
     Values are exact (ints or Fractions). Zero entries and empty rows are
-    not stored.
+    not stored. Settled rows, {row: col} for unit rows never made into row
+    dicts, are read as the rows {col: 1} everywhere.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_ints")
+    __slots__ = ("rows", "cols", "_data", "_ints", "_settled")
 
     def __init__(self, rows: int, cols: int, data: dict | None = None):
         """Adopt data, a dict {row: {col: value}}, and clean it in place.
@@ -108,20 +109,24 @@ class RatMatrix:
             raise TypeError("matrix entries must be ints or Fractions")
         if 0 in values or not all(data.values()):
             drop_zeros(data)
-        self.rows, self.cols, self._data, self._ints = rows, cols, data, Fraction not in kinds
+        self.rows, self.cols, self._data, self._settled = rows, cols, data, {}
+        self._ints = Fraction not in kinds
 
     @classmethod
-    def adopt(cls, rows: int, cols: int, data: dict, ints: bool) -> "RatMatrix":
-        """Take data with no scan: in range, clean as drop_zeros leaves it, all ints if ints."""
+    def adopt(cls, rows: int, cols: int, data: dict, ints: bool, settled: dict) -> "RatMatrix":
+        """Take data and settled ({row: col}, rows not in data) as given: in range, clean, ints if ints."""
         self = cls.__new__(cls)
-        self.rows, self.cols, self._data, self._ints = rows, cols, data, ints
+        self.rows, self.cols, self._data, self._ints, self._settled = rows, cols, data, ints, settled
         return self
+
+    def _all_rows(self) -> dict:  # the settled rows included
+        return {**self._data, **{r: {c: 1} for r, c in self._settled.items()}}
 
     @property
     def entries(self) -> MappingProxyType:
         """Read-only {(row, col): value} view of the nonzero entries, built on each call."""
         return MappingProxyType(
-            {(r, c): v for r, row in self._data.items() for c, v in row.items()}
+            {(r, c): v for r, row in self._all_rows().items() for c, v in row.items()}
         )
 
     def int_rows(self):
@@ -130,7 +135,7 @@ class RatMatrix:
         Every row is multiplied by the lcm of all denominators, so the rows
         of an integer matrix come out as stored. Scaling keeps every rank.
         """
-        data = self._data
+        data = self._all_rows()
         rows = map(data.__getitem__, sorted(data))
         if not self._ints:
             scale = lcm(*set(map(_DENOMINATOR, chain.from_iterable(map(dict.values, data.values())))))
@@ -139,16 +144,17 @@ class RatMatrix:
 
     def peeled(self, mult=None) -> "PeeledRows":
         """PeeledRows of the rows scaled to integers, as int_rows gives them."""
-        return PeeledRows(self._data.values() if self._ints else self.int_rows(), mult)
+        rows = self._data.values() if self._ints else self.int_rows()
+        return PeeledRows(rows, mult, self._settled.values())
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        # Row r of the product sums self[r, c] * (row c of other). The rows of
-        # self that meet no nonzero row of other (most of eta2 in h2_nil) are
-        # skipped at C speed before any Python loop runs.
-        right, data = other._data, self._data
-        out: dict = {}
+        # Row r of the product sums self[r, c] * (row c of other), or is row c
+        # of other if settled on c. The rows of self that meet no nonzero row
+        # of other are skipped at C speed before any Python loop runs.
+        right, data = other._all_rows(), self._data
+        out = {r: dict(right[c]) for r, c in self._settled.items() if c in right}
         for r in compress(data, map(not_, map(right.keys().isdisjoint, data.values()))):
             acc: dict = {}
             for c, v in data[r].items():
@@ -159,15 +165,15 @@ class RatMatrix:
         return RatMatrix(self.rows, other.cols, out)
 
     def is_zero(self) -> bool:
-        return not self._data
+        return not self._data and not self._settled
 
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
+        return (self.rows, self.cols, self._all_rows()) == (other.rows, other.cols, other._all_rows())
 
     def __repr__(self):
-        nnz = sum(map(len, self._data.values()))
+        nnz = sum(map(len, self._data.values())) + len(self._settled)
         return f"RatMatrix({self.rows}x{self.cols}, nnz={nnz})"
 
 
@@ -275,13 +281,13 @@ class IntRowReducer:
 class PeeledRows:
     """Integer rows after structured elimination (LaMacchia & Odlyzko, CRYPTO '90).
 
-    A one-entry row puts a unit vector in the row space, so its column is
-    settled: it adds 1 to the rank and is deleted from every other row, and
-    rows that drop to one entry settle theirs in turn, up to a fixed point.
-    The rows left over (rest) go through an IntRowReducer once, here; the
-    rank is the number of settled columns plus the reducer's rank.
-    stacked_rank continues from that state instead of peeling again. The
-    given rows (columns to nonzero ints) are not changed.
+    A one-entry row, or a column given in settled, puts a unit vector in the
+    row space, so its column is settled: it adds 1 to the rank and is deleted
+    from every other row, and rows that drop to one entry settle theirs in
+    turn, up to a fixed point. The rows left over (rest) go through an
+    IntRowReducer once, here; the rank is the number of settled columns plus
+    the reducer's rank. stacked_rank continues from that state instead of
+    peeling again. The given rows (columns to nonzero ints) are not changed.
 
     With mult, a list of one int per column, each settled column and each
     pivot counts mult[column] times instead of once: the rows are then the
@@ -289,9 +295,9 @@ class PeeledRows:
     blocks of equal rank each stands for (see cohomology.h2_nil).
     """
 
-    def __init__(self, rows, mult=None):
+    def __init__(self, rows, mult=None, settled=()):
         self.mult = mult
-        queue, live = [], []  # columns to settle, copies of the other rows
+        queue, live = list(settled), []  # columns to settle, copies of the other rows
         for row in rows:
             if len(row) == 1:
                 queue.extend(row)
@@ -384,7 +390,7 @@ class CoordinateSolver:
 
 def kernel_basis(matrix: RatMatrix) -> RowReducer:
     """Right kernel {x : Mx = 0}, a span of rank cols - rank M."""
-    red = RowReducer(matrix._data.values())
+    red = RowReducer(matrix._all_rows().values())
     pivots = red.pivots
     return RowReducer(
         {f: ONE, **{p: -row[f] for p, row in pivots.items() if f in row}}

@@ -7,30 +7,51 @@ direct route than the package itself, so the tests can compare the two.
 from functools import lru_cache
 from itertools import combinations
 
-from graphlie.basis import TraceContext, _mobius, clique_polynomial
+from graphlie.basis import TraceContext, _mobius
 from graphlie.cohomology import (
     CochainCoordinates,
     H2Report,
     delta1_matrix,
     delta2_matrix,
-    eta2_matrix,
 )
 from graphlie.liealg import GradedLieAlgebra
-from graphlie.linalg import ONE, ZERO, axpy, frac_str, vec_to_dict
+from graphlie.linalg import ONE, ZERO, RatMatrix, axpy, frac_str, vec_to_dict
 from graphlie.rigidity import certify_2step_witness
 
 # one context per graph, so that its normal form memo outlives a single call
 context = lru_cache(maxsize=128)(TraceContext)
 
 
+def adjacent(graph, i: int, j: int) -> bool:
+    """Whether vertices i and j (1-based) are adjacent, read off i's mask."""
+    return bool(graph.adj[i - 1] >> (j - 1) & 1)
+
+
+def edge_set(graph) -> frozenset:
+    """The pairs (i, j), i < j, of adjacent vertices, read off the graph's non-edges."""
+    return frozenset(combinations(range(1, graph.m + 1), 2)).difference(graph.nonedges())
+
+
 def trace_normal_form(word, graph) -> tuple:
     return context(graph).normal_form(tuple(word))
 
 
+def listed_clique_counts(graph) -> list:
+    """[1, c_1, ...] with every clique listed: each is held as the mask of
+    its common neighbours above its largest vertex and extended by each."""
+    up = [a >> v + 1 << v + 1 for v, a in enumerate(graph.adj)]
+    counts, level = [1], up
+    while level:
+        counts.append(len(level))
+        level = [mask & up[b] for mask in level for b in range(graph.m) if mask >> b & 1]
+    return counts
+
+
 def whole_graph_dimensions(graph, k: int) -> list:
     """Per-degree dimensions for degrees 1..k from every clique of the whole
-    graph's complement: the count before components and the cut at t^k."""
-    cpoly = clique_polynomial(graph.complement())
+    graph's complement, each listed: the count before components, the cut at
+    t^k and the binomial count of clique extensions."""
+    cpoly = listed_clique_counts(graph.complement())
     a = [((-1) ** n) * c for n, c in enumerate(cpoly)]
     s = [1] + [0] * k
     for n in range(1, k + 1):
@@ -91,7 +112,7 @@ def two_step_witness_scan(graph, algebra):
     is certified in turn, and the certificate of the first one accepted is
     returned, or None when there is no edge or no pair is accepted."""
     n = algebra.n
-    if not graph.edges:
+    if not edge_set(graph):
         return None
     for (u, w) in sorted(graph.nonedges()):
         v_vec, w_vec = [ZERO] * n, [ZERO] * n
@@ -116,11 +137,40 @@ def two_step_witness_scan(graph, algebra):
     return None
 
 
+def ref_eta2(algebra, coords) -> RatMatrix:
+    """eta2 from its formula, row (pair a < b, argument c, output d) of
+    [s(e_a, e_b), e_c] + s([e_a, e_b], e_c): every row of every pair and
+    argument is made, with no center read and no row settled."""
+    n = algebra.n
+    ad = {}  # (u, c) -> the terms of [e_u, e_c], both orders
+    for (i, j), terms in algebra.sc.items():
+        ad[(i, j)] = terms
+        ad[(j, i)] = {l: -v for l, v in terms.items()}
+    entries: dict = {}
+    for p, (a, b) in enumerate(coords.pairs):
+        for (u, c), terms in ad.items():
+            for d, v in terms.items():
+                key = ((p * n + c) * n + d, p * n + u)
+                entries[key] = entries.get(key, 0) + v
+        for l, v in algebra.sc.get((a, b), {}).items():
+            for c in range(n):
+                for d in range(n):
+                    col, sign = coords.sigma_coord(l, c, d)
+                    if col is not None:
+                        key = ((p * n + c) * n + d, col)
+                        entries[key] = entries.get(key, 0) + sign * v
+    rows: dict = {}
+    for (r, c), v in entries.items():
+        rows.setdefault(r, {})[c] = v
+    return RatMatrix(len(coords.pairs) * n * n, coords.dim_two_cochains, rows)
+
+
 def whole_matrix_h2(algebra) -> H2Report:
     """h2_nil on the whole cochain matrices, every torus weight ranked: the
-    computation before twin orbits, with the trivial group and no budget."""
+    computation before twin orbits, with the trivial group and no budget,
+    and eta2 made row by row by ref_eta2."""
     coords = CochainCoordinates(algebra.n)
-    e2 = eta2_matrix(algebra, coords)
+    e2 = ref_eta2(algebra, coords)
     d1 = delta1_matrix(algebra, coords)
     assert e2.matmul(d1).is_zero(), "im delta1 is not contained in ker eta2"
     eta2 = e2.peeled()

@@ -13,22 +13,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from graphlie.basis import structure_constants
 from graphlie.cohomology import delta1_matrix, delta2_matrix, eta2_matrix
 from graphlie.graphs import SimpleGraph
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("graphlie_bench_spans", SPANS)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location("graphlie_bench_" + name, PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_span_target_is_a_callable():
-    targets = _load_spans().TARGETS
+    targets = _load("spans").TARGETS
     assert targets
     for name in targets:
         module_name, attr = name.split(".", 1)
@@ -47,18 +50,23 @@ def test_cochain_matrices_keep_the_fields_the_spans_read():
 
 
 def _traced(*argv: str) -> dict:
-    # The benchmark's tracer report for one CLI command. The tracer patches
+    return _traced_commands([list(argv)])
+
+
+def _traced_commands(argvs: list) -> dict:
+    # The benchmark's tracer report for CLI commands run one after the other
+    # in one process, as a benchmark operation runs them. The tracer patches
     # module globals, so it runs in a child.
     root = Path(__file__).resolve().parents[1]
     script = (
         "import contextlib, io, json, sys\n"
-        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(PERFBENCH)!r}]\n"
         "from graphlie import cli\n"
         "import spans\n"
         "tracer = spans.Tracer()\n"
         "tracer.install()\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.run_command({list(argv)!r})\n"
+        f"    code = max(cli.run_command(argv) for argv in {argvs!r})\n"
         "print(json.dumps({'code': code, **tracer.report()}))\n"
     )
     done = subprocess.run(
@@ -77,10 +85,12 @@ def _traced_sweep(k: int) -> dict:
 def test_traced_sweep_counts_are_pinned():
     # One h2 per isomorphism class on 2..5 vertices (51), each through the
     # three module-global builders; a rewrite around them fails here. The
-    # builders keep only the columns of one torus weight per twin orbit:
-    # 37,835 of the 82,650 entries of the whole matrices.
+    # builders keep only the columns of one torus weight per twin orbit, and
+    # eta2 holds one unit entry per column it settles from the center instead
+    # of a row per (pair, argument, output): 33,015 of the 82,650 entries of
+    # the whole matrices.
     report = _traced_sweep(2)
-    assert report["counts"]["cohomology.matrix_nnz"] == 37835
+    assert report["counts"]["cohomology.matrix_nnz"] == 33015
     assert report["counts"]["cohomology.cochain_cols"] == 19750
     for name in (
         "cohomology.h2_nil",
@@ -97,6 +107,17 @@ def test_traced_sweep_counts_are_pinned():
     # that bypasses them fails here.
     assert report["spans"]["graphs.enumerate_graphs"][0] == 4
     assert report["spans"]["graphs.canonical_form"][0] == 107
+
+
+@pytest.mark.parametrize("name", ["sweep5_k2", "classify6_k2"])
+def test_every_expected_span_is_called(name):
+    # A traced benchmark run is correct only if every span its workload
+    # expects sees a call. classify6_k2 runs one seeded G(6, 1/2) graph
+    # through both of its commands, as the benchmark does.
+    workload = _load("workloads").WORKLOADS[name]
+    op = workload.make_ops(seed=11)[0]
+    spans = _traced_commands(op.argvs)["spans"]
+    assert [span for span in workload.expected_spans if not spans[span][0]] == []
 
 
 def test_traced_k4_sweep_spans_are_pinned():

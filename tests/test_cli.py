@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from graphlie.cli import _build_parser, main, run_command, write_report
 from graphlie.cohomology import h2_nil
 from graphlie.graphs import SimpleGraph, enumerate_graphs, from_graph6, to_graph6
 from graphlie.liealg import algebra_from_json_dict, jacobi_report
+from graphlie.limits import MAX_DIM
 
 STAR_EDGES = '{"m": 3, "edges": [[1, 2], [1, 3]]}'
 C4_EDGES = '{"m": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}'
@@ -251,6 +253,17 @@ def test_oversized_algebra_is_refused(capsys, monkeypatch, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: the algebra has ") and "; the budget is " in err
+
+
+def test_oversized_star_is_refused_at_once(capsys):
+    # K1,39 at k = 8: the complement of the star is K39 and a point, with
+    # about 9e7 cliques of at most 8 vertices; they are counted, not listed
+    star = json.dumps({"m": 40, "edges": [[1, j] for j in range(2, 41)]})
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "rigidity", "classify", "--edges", star, "--k", "8")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == f"error: the algebra has 332688019 basis elements; the budget is {MAX_DIM}\n"
 
 
 def test_classify_rejects_algebra_file(capsys, tmp_path):

@@ -24,10 +24,11 @@ from graphlie.liealg import (
     LieAlgebra,
     algebra_from_json_dict,
     algebra_to_json_dict,
+    center,
     lower_central_series,
 )
-from graphlie.linalg import ONE, ZERO, IntRowReducer, RatMatrix, RowReducer
-from oracles import complex_identity_holds, whole_matrix_h2
+from graphlie.linalg import ONE, ZERO, IntRowReducer, RatMatrix, RowReducer, axpy
+from oracles import complex_identity_holds, edge_set, ref_eta2, whole_matrix_h2
 
 C4 = SimpleGraph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 TWO_K2 = SimpleGraph.make(4, [(1, 2), (3, 4)])
@@ -296,10 +297,10 @@ def test_h2_dimension_arithmetic():
 # ---------------------------------------------------------------------------
 # The integer h2 engine against independent references.
 #
-# The three builders below are the original entry-by-entry Fraction
-# builders, kept verbatim as a reference for the shared integer row builder;
-# _fraction_h2 is the original four-elimination h2 over the Fraction
-# RowReducer.
+# The two builders below are the original entry-by-entry Fraction builders,
+# kept verbatim as a reference for the shared integer row builder; eta2's is
+# oracles.ref_eta2. _fraction_h2 is the original four-elimination h2 over the
+# Fraction RowReducer.
 
 
 def _ref_delta1(algebra, coords):
@@ -357,33 +358,6 @@ def _ref_delta2(algebra, coords):
     return RatMatrix(len(coords.triples) * n, coords.dim_two_cochains, _by_rows(entries))
 
 
-def _ref_eta2(algebra, coords):
-    n = algebra.n
-    entries: dict = {}
-
-    def put(row, col, val):
-        s = entries.get((row, col), ZERO) + val
-        if s:
-            entries[(row, col)] = s
-        else:
-            entries.pop((row, col), None)
-
-    for p, (a, b) in enumerate(coords.pairs):
-        for c in range(n):
-            base = (p * n + c) * n
-            for u in range(n):
-                col, s_sign = coords.sigma_coord(a, b, u)
-                for d, v in algebra.bracket_basis(u, c).items():
-                    put(base + d, col, s_sign * v)
-            for l, v in algebra.bracket_basis(a, b).items():
-                for d in range(n):
-                    col, s_sign = coords.sigma_coord(l, c, d)
-                    if col is None:
-                        continue
-                    put(base + d, col, s_sign * v)
-    return RatMatrix(len(coords.pairs) * n * n, coords.dim_two_cochains, _by_rows(entries))
-
-
 def _fraction_rank(*matrices):
     red = RowReducer()
     for matrix in matrices:
@@ -396,7 +370,7 @@ def _fraction_h2(algebra):
     coords = CochainCoordinates(algebra.n)
     d1 = _ref_delta1(algebra, coords)
     d2 = _ref_delta2(algebra, coords)
-    e2 = _ref_eta2(algebra, coords)
+    e2 = ref_eta2(algebra, coords)
     cols = coords.dim_two_cochains
     dim_ker_eta2 = cols - _fraction_rank(e2)
     dim_intersection = cols - _fraction_rank(d2, e2)
@@ -417,7 +391,7 @@ def _graph_algebras(max_m, k=2):
         structure_constants(graph, k)
         for m in range(2, max_m + 1)
         for graph in enumerate_graphs(m)
-        if graph.edges
+        if edge_set(graph)
     ]
 
 
@@ -465,12 +439,86 @@ def test_h2_matches_fraction_oracle_on_rational_constants():
         assert h2_nil(alg) == _fraction_h2(alg)
 
 
+def _loaded_two_step(rng):
+    """A 2-step algebra with rational constants, in a basis that may hide its center.
+
+    Generators x_0..x_{g-1} and central vectors z, each bracket of two
+    generators zero or a rational multiple of one z. Half the time the basis
+    vector e_z is then replaced by f_z = e_z + t e_x for a generator x, as in
+    TWISTED_HEISENBERG: the center is no longer spanned by basis vectors, and
+    each bracket keeps at most two terms.
+    """
+    g, h = rng.randint(2, 4), rng.randint(1, 3)
+    n = g + h
+    sc = {}
+    for pair in combinations(range(g), 2):
+        if rng.random() < 0.6:
+            sc[pair] = {rng.randrange(g, n): rng.choice(RATIONALS)}
+    alg = LieAlgebra(n, sc)
+    if rng.random() < 0.5:
+        return alg
+    z, x, t = rng.randrange(g, n), rng.randrange(g), rng.choice(RATIONALS)
+    image = {a: {a: ONE} for a in range(n)}
+    image[z] = {z: ONE, x: t}
+    twisted = {}
+    for a, b in combinations(range(n), 2):
+        w: dict = {}
+        for p, cp in image[a].items():
+            for q, cq in image[b].items():
+                axpy(w, cp * cq, alg.bracket_basis(p, q))
+        if z in w:  # e_z = f_z - t f_x
+            axpy(w, -t * w[z], {x: ONE})
+        if w:
+            twisted[(a, b)] = w
+    return LieAlgebra(n, twisted)
+
+
+def test_h2_matches_the_oracles_on_loaded_two_step_algebras():
+    # Both eta2 shortcuts on algebras no graph gives: a center that is not
+    # spanned by basis vectors (eta2 then writes the annihilator's basis
+    # rows), one- and two-term brackets, and central arguments.
+    rng = random.Random(2110)
+    hidden = settled = 0
+    for _ in range(60):
+        alg = _loaded_two_step(rng)
+        assert is_at_most_two_step(alg)
+        hidden += any(len(row) > 1 for row in center(alg).rows_sorted())
+        settled += bool(eta2_matrix(alg)._settled)
+        assert h2_nil(alg) == whole_matrix_h2(alg) == _fraction_h2(alg), alg.sc
+    assert hidden >= 20 and settled >= 20
+
+
+def test_containment_is_checked_on_the_settled_rows(monkeypatch):
+    # A delta1 row on a column that eta2 settles and that no built eta2 row
+    # meets: only the settled rows can see im delta1 leave ker eta2.
+    import graphlie.cohomology as cohomology
+    from graphlie.errors import InternalInvariantError
+
+    alg = structure_constants(SimpleGraph.make(4, [(1, 2), (2, 3), (3, 4)]), 2)
+    assert twin_classes(alg) == []  # every column is built, as in h2_nil
+    coords = CochainCoordinates(alg.n)
+    e2, d1 = eta2_matrix(alg, coords), delta1_matrix(alg, coords)
+    built = set().union(*e2._data.values())
+    col = min(c for c in e2._settled.values() if c not in built)
+    assert col not in d1._data
+
+    def wrong_delta1(algebra, coords=None, mult=None):
+        return RatMatrix(d1.rows, d1.cols, {**_by_rows(d1.entries), col: {0: 1}})
+
+    monkeypatch.setattr(cohomology, "delta1_matrix", wrong_delta1)
+    with pytest.raises(InternalInvariantError, match="im delta1 is not contained in ker eta2"):
+        h2_nil(alg)
+
+
 def test_builders_match_reference_builders():
     rng = random.Random(77)
     algebras = _graph_algebras(4) + [_rescaled(alg, rng) for alg in _graph_algebras(4)]
-    for alg in algebras:
+    for alg in algebras + [TWISTED_HEISENBERG]:
+        # eta2_matrix settles or replaces the rows it can write down from the
+        # center, so it matches the reference in row space, not row by row
         coords = CochainCoordinates(alg.n)
-        assert eta2_matrix(alg, coords) == _ref_eta2(alg, coords)
+        e2, ref = eta2_matrix(alg, coords), ref_eta2(alg, coords)
+        assert _int_rank(e2) == _int_rank(ref) == _int_rank(e2, ref)
     # delta1 and delta2 are defined for any Lie algebra, not only 2-step ones
     deeper = [structure_constants(K2, 3), structure_constants(PATH3, 3), structure_constants(C4, 3)]
     for alg in algebras + deeper:
@@ -518,7 +566,7 @@ def test_adopted_builder_rows_match_the_validating_constructor(monkeypatch):
         coords = CochainCoordinates(alg.n)
         for build in (delta1_matrix, delta2_matrix, eta2_matrix):
             adopted = build(alg, coords)
-            data = {r: dict(row) for r, row in adopted._data.items()}
+            data = _by_rows(adopted.entries)  # the settled rows too
             checked = RatMatrix(adopted.rows, adopted.cols, data)
             assert adopted == checked, (build.__name__, alg.n)
             assert all(adopted._data.values())  # no empty row is kept
@@ -694,7 +742,7 @@ def test_h2_matches_the_whole_matrix_oracle_on_every_class():
     for graph in classes:
         alg = structure_constants(graph, 2)
         with_twins += bool(twin_classes(alg))
-        assert h2_nil(alg) == whole_matrix_h2(alg), graph.edges
+        assert h2_nil(alg) == whole_matrix_h2(alg), edge_set(graph)
     assert with_twins > 150  # the orbits are used on most classes
 
 
@@ -738,8 +786,8 @@ def test_h2_matches_the_oracle_on_planted_twin_classes():
         graph, planted = _planted_twins(rng)
         alg = structure_constants(graph, 2)
         found = twin_classes(alg)
-        assert any({v - 1 for v in planted} <= set(cls) for cls in found), (graph.edges, planted)
-        assert h2_nil(alg) == whole_matrix_h2(alg), graph.edges
+        assert any({v - 1 for v in planted} <= set(cls) for cls in found), (edge_set(graph), planted)
+        assert h2_nil(alg) == whole_matrix_h2(alg), edge_set(graph)
 
 
 def test_multiplicities_count_every_column_once():

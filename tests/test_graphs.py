@@ -15,6 +15,7 @@ from graphlie.graphs import (
     to_graph6,
 )
 from graphlie.limits import MAX_DIM, MAX_H2_BRACKET_TERMS, MAX_H2_CONSTANTS, MAX_H2_DIM, VERTEX_LIMITS
+from oracles import adjacent, edge_set
 
 STAR_GRAPH = SimpleGraph.make(3, [(1, 2), (1, 3)])
 
@@ -22,7 +23,7 @@ STAR_GRAPH = SimpleGraph.make(3, [(1, 2), (1, 3)])
 def test_parse_edge_list():
     g = parse_graph('{"m": 3, "edges": [[1, 2], [3, 1]]}')
     assert g == STAR_GRAPH
-    assert parse_graph('{"m": 2, "edges": []}').edges == frozenset()
+    assert edge_set(parse_graph('{"m": 2, "edges": []}')) == frozenset()
 
 
 @pytest.mark.parametrize(
@@ -58,7 +59,7 @@ def test_graph6_by_hand_example():
     # (1,2) (1,3) (2,3) (1,4) (2,4) (3,4) get bits 1 1 0 0 1 1
     g = from_graph6("Dr_")
     assert g.m == 5
-    assert g.edges >= {(1, 2), (1, 3), (2, 4), (3, 4)}
+    assert edge_set(g) >= {(1, 2), (1, 3), (2, 4), (3, 4)}
 
 
 def test_graph6_round_trip_random():
@@ -78,7 +79,7 @@ def test_graph6_errors(code):
 
 def _per_pair_graph6(graph):
     """The encoder to_graph6 replaced: one adjacency lookup per pair, kept as its oracle."""
-    bits = [int(graph.adjacent(i + 1, j + 1)) for j in range(1, graph.m) for i in range(j)]
+    bits = [int(adjacent(graph, i + 1, j + 1)) for j in range(1, graph.m) for i in range(j)]
     bits += [0] * (-len(bits) % 6)
     words = [int("".join(map(str, bits[pos:pos + 6])), 2) for pos in range(0, len(bits), 6)]
     return "".join(chr(v + 63) for v in [graph.m] + words)
@@ -107,9 +108,9 @@ def test_graph6_matches_the_per_pair_encoder_up_to_62_vertices():
 
 
 def test_complement():
-    assert STAR_GRAPH.complement().edges == frozenset({(2, 3)})
+    assert edge_set(STAR_GRAPH.complement()) == frozenset({(2, 3)})
     k3 = SimpleGraph.make(3, [(1, 2), (1, 3), (2, 3)])
-    assert k3.complement().edges == frozenset()
+    assert edge_set(k3.complement()) == frozenset()
 
 
 def test_complement_involution():
@@ -139,7 +140,7 @@ def _union_find_components(graph):
             x = parent[x]
         return x
 
-    for a, b in graph.edges:
+    for a, b in edge_set(graph):
         parent[find(a)] = find(b)
     comps = {}
     for v in range(1, graph.m + 1):
@@ -163,14 +164,14 @@ def test_masks_agree_with_the_edge_set():
         density = rng.random()
         g = SimpleGraph.make(m, [p for p in combinations(range(1, m + 1), 2) if rng.random() < density])
         everything = set(combinations(range(1, m + 1), 2))
-        assert SimpleGraph.make(m, g.edges) == g
-        assert g.complement().edges == everything - g.edges
+        assert SimpleGraph.make(m, edge_set(g)) == g
+        assert edge_set(g.complement()) == everything - edge_set(g)
         assert g.complement().complement() == g
-        assert set(g.nonedges()) | g.edges == everything and not set(g.nonedges()) & g.edges
+        assert set(g.nonedges()) | edge_set(g) == everything and not set(g.nonedges()) & edge_set(g)
         assert g.nonedges() == sorted(g.nonedges())
-        isolated = [v for v in range(1, m + 1) if not any(v in e for e in g.edges)]
+        isolated = [v for v in range(1, m + 1) if not any(v in e for e in edge_set(g))]
         assert [v for v, a in enumerate(g.adj, 1) if not a] == isolated
-        assert g.is_complete() == (g.edges == everything)
+        assert g.is_complete() == (edge_set(g) == everything)
         assert from_graph6(to_graph6(g)) == g
 
 
@@ -198,7 +199,7 @@ def _permutation_canonical_form(graph):
     best = None
     for order in permutations(verts):
         bits = tuple(
-            1 if graph.adjacent(order[i], order[j]) else 0 for i, j in pairs
+            1 if adjacent(graph, order[i], order[j]) else 0 for i, j in pairs
         )
         if best is None or bits < best:
             best = bits
@@ -265,7 +266,7 @@ def test_canonical_form_matches_permutations_symmetric(graph):
     # any relabelling of a graph has the same form
     order = list(range(1, graph.m + 1))
     random.Random(graph.m).shuffle(order)
-    moved = SimpleGraph.make(graph.m, [(order[i - 1], order[j - 1]) for i, j in graph.edges])
+    moved = SimpleGraph.make(graph.m, [(order[i - 1], order[j - 1]) for i, j in edge_set(graph)])
     assert canonical_form(moved) == canonical_form(graph)
 
 
@@ -294,9 +295,9 @@ def _check_twin_classes(graph):
             swap = {u: v, v: u}
             moved = {
                 (min(a, b), max(a, b))
-                for a, b in ((swap.get(i, i), swap.get(j, j)) for i, j in graph.edges)
+                for a, b in ((swap.get(i, i), swap.get(j, j)) for i, j in edge_set(graph))
             }
-            assert bool(twins[u - 1] >> (v - 1) & 1) == (moved == graph.edges), (graph, u, v)
+            assert bool(twins[u - 1] >> (v - 1) & 1) == (moved == edge_set(graph)), (graph, u, v)
 
 
 def test_twin_classes_match_transpositions_exhaustively():
@@ -324,7 +325,7 @@ def _twin_rich_graph(rng, m):
     outside), then relabelled at random."""
     size = rng.randint(3, m - 3)
     rest = _random_graph(rng, m - size)
-    pairs = [(i + size, j + size) for i, j in rest.edges]
+    pairs = [(i + size, j + size) for i, j in edge_set(rest)]
     if rng.random() < 0.5:
         pairs += combinations(range(1, size + 1), 2)
     for v in range(size + 1, m + 1):
@@ -358,7 +359,7 @@ def _unpruned_enumeration(n):
         bases = [graph_from_canonical(size - 1, form) for form in reps]
         reps = {
             canonical_form(SimpleGraph.make(
-                size, list(base.edges) + [(v, size) for v in range(1, size) if mask >> (v - 1) & 1]
+                size, list(edge_set(base)) + [(v, size) for v in range(1, size) if mask >> (v - 1) & 1]
             ))
             for base in bases
             for mask in range(1 << (size - 1))
@@ -418,7 +419,7 @@ def _enumerated_children(monkeypatch, n):
 
 
 def _check_masks(graph):
-    assert graph == SimpleGraph.make(graph.m, graph.edges), graph
+    assert graph == SimpleGraph.make(graph.m, edge_set(graph)), graph
 
 
 def test_enumerated_children_have_the_masks_of_their_edges(monkeypatch):
@@ -515,7 +516,7 @@ def test_enumerate_matches_networkx_atlas(n):
             continue
         ours = SimpleGraph.make(n, [(i + 1, j + 1) for i, j in atlas.edges()])
         form = canonical_form(ours)
-        rep = nx.Graph(list(reps[form].edges))
+        rep = nx.Graph(list(edge_set(reps[form])))
         rep.add_nodes_from(range(1, n + 1))
         assert nx.is_isomorphic(atlas, rep)
         matched.add(form)

@@ -179,6 +179,26 @@ def test_matmul_skips_rows_that_meet_no_right_row():
     assert left.matmul(right).entries == {(1, 0): Fraction(2, 3), (1, 1): Fraction(4, 9)}
 
 
+def test_settled_rows_are_read_as_unit_rows():
+    # rows 1 and 3 are settled, unit rows held as {row: col}; plain has them as rows
+    data = {0: {0: 2, 2: Fraction(1, 2)}, 2: {1: -1, 2: 3}}
+    settled = RatMatrix.adopt(4, 3, {r: dict(row) for r, row in data.items()}, False, {1: 2, 3: 0})
+    plain = RatMatrix(4, 3, {**data, 1: {2: 1}, 3: {0: 1}})
+    assert settled == plain and plain == settled and repr(settled) == repr(plain)
+    assert settled.entries == plain.entries
+    assert [dict(row) for row in settled.int_rows()] == [dict(row) for row in plain.int_rows()]
+    right = _matrix([[1, 2], [0, 3], [4, 0]])
+    assert settled.matmul(right) == plain.matmul(right)
+    assert _dense(settled.matmul(right))[1] == [4, 0]  # settled row 1 picks right's row 2
+    left = _matrix([[1, 1, 1, 1], [0, 5, 0, 0]])
+    assert left.matmul(settled) == left.matmul(plain)
+    peeled, whole = settled.peeled(), plain.peeled()
+    assert (peeled.settled, peeled.rest, peeled.rank) == (whole.settled, whole.rest, whole.rank)
+    assert kernel_basis(settled).rows_sorted() == kernel_basis(plain).rows_sorted()
+    assert not RatMatrix.adopt(2, 2, {}, True, {0: 1}).is_zero()
+    assert RatMatrix.adopt(2, 2, {}, True, {}).is_zero()
+
+
 def test_axpy_drops_cancelled_entries():
     dst = {0: Fraction(1), 1: Fraction(2)}
     assert axpy(dst, Fraction(-1, 2), {1: Fraction(4), 2: Fraction(6)}) is dst
