@@ -40,9 +40,10 @@ complements cross-checks every graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
 from .errors import InternalInvariantError, invariant_error
 from .graphs import SimpleGraph, to_graph6
@@ -253,12 +254,21 @@ def _relabel(word: tuple, letters: tuple) -> tuple:
 
 
 def _supports(graph: SimpleGraph, top: int) -> list:
-    """(vertices, the masks of the subgraph they induce moved onto 1..s) of each set of s <= top vertices."""
-    return [
-        (sub, graph.induced(sub))
-        for size in range(1, top + 1)
-        for sub in combinations(range(1, graph.m + 1), size)
-    ]
+    """(vertices, the masks of the subgraph they induce moved onto 1..s) of each connected set of s <= top vertices.
+
+    A disconnected set adds no element or bracket. Each connected set is one
+    a vertex smaller plus a neighbour; each size comes in lexicographic order.
+    """
+    out, level = [], {1 << v for v in range(graph.m)}
+    for size in range(1, top + 1):
+        subs = sorted((tuple(v + 1 for v in range(graph.m) if mask >> v & 1), mask) for mask in level)
+        out += [(sub, graph.induced(sub)) for sub, _ in subs]
+        if size < top:
+            level = set()
+            for sub, mask in subs:
+                near = reduce(or_, (graph.adj[v - 1] for v in sub)) & ~mask
+                level.update(mask | 1 << w for w in range(graph.m) if near >> w & 1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -432,7 +442,8 @@ def structure_constants(graph: SimpleGraph, k: int) -> GradedLieAlgebra:
     gb = graded_basis(graph, k)
     sc = {}
     for sub, (entry, here) in gb.supports.items():
-        index = [gb.supports[part][1] for part in _subsets(sub)]
+        # a disconnected part is no support: it has no elements
+        index = [gb.supports.get(part, (None, ()))[1] for part in _subsets(sub)]
         for a_part, a, b_part, b, terms in entry.brackets:
             sc[index[a_part][a], index[b_part][b]] = {here[q]: c for q, c in terms.items()}
     labels = tuple(BasisLabel(e.label, e.degree, e.multidegree) for e in gb.elements)

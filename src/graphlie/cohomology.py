@@ -27,11 +27,14 @@ The matrices are built as integer rows, with the structure constants
 scaled by L, the lcm of their denominators. The builder checks each block
 against the matrix shape once, drops cancelled entries itself and hands
 its rows to RatMatrix.adopt, which scans no entry; they are divided by L
-only when L != 1. Most eta2 rows are never built: for a pair with
-[e_a, e_b] = 0 they span the annihilator of the center in the pair's
-block, held there by its reduced echelon basis, and for [e_a, e_b] = v e_l
-and ad(e_c) = 0 they are v times unit rows. Unit rows are kept as settled
-columns; the row space, and so every rank, is unchanged. h2_nil ranks the
+only when L != 1. Most eta2 and delta2 rows are never built. With c
+central when ad(e_c) = 0, the rows of an eta2 pair with [e_a, e_b] = 0, and
+those of the delta2 triples of every r with central p, q, span the
+annihilator of the center in the pair's block, held there by its reduced
+echelon basis; and the rows that no ad block reaches of a one-term bracket
+or substitution term are unit rows. Unit rows are kept as settled columns,
+each once; the row space, and so every rank, is unchanged. delta1 keeps
+every row, since the containment check reads its column space. h2_nil ranks the
 matrices by structured elimination, each peeled once from its one-entry
 rows and settled columns, so only the few rows left over go through
 fraction-free elimination. The stacked rank of eta2 over delta2 continues
@@ -107,7 +110,7 @@ class _CochainRows:
     so matrix() hands the rows to RatMatrix.adopt without a per-entry scan.
     With mult, one multiplicity per column, the entries of the columns whose
     multiplicity is 0 are dropped, and a row left empty is never made.
-    settle() keeps only the columns of a block whose rows have one entry each.
+    block() keeps only the column of each one-entry row it is given, each once.
     """
 
     def __init__(self, algebra: LieAlgebra, nrows: int, ncols: int, mult=None):
@@ -125,25 +128,39 @@ class _CochainRows:
             self.leads.setdefault(a, []).extend((d, b, v) for d, v in terms)
             self.leads.setdefault(b, []).extend((d, a, -v) for d, v in terms)
         self.unit = [(d, d, 1) for d in range(algebra.n)]
+        # an output d is free when no bracket has an e_d term, so no ad block reaches it
+        inner = {l for terms in self.brackets.values() for l, _ in terms}
+        self.free = [t for t in self.unit if t[0] not in inner]
+        self.inner = [t for t in self.unit if t[0] in inner]
         self.rows: dict = {}
-        self.settled: dict = {}  # row -> the column of its unit row, never a row dict
+        self.settled: dict = {}  # column -> the row of its first unit row, never a row dict
         self.overlap = False  # an entry written twice; only then can one cancel
 
-    def settle(self, base: int, col_base: int, terms: list, coef: int) -> None:
-        """As block, for terms that each make a one-entry row; only its column is kept."""
-        self.block(base, col_base, (), coef)  # no terms: only the block's place is checked
-        mult, settled = self.mult, self.settled
-        for d, u, _ in terms:
-            if mult is None or mult[col_base + u]:
-                settled[base + d] = col_base + u
+    def annihilator(self) -> tuple:
+        """The annihilator of the center, which the rows of every ad(e_r) span, as (terms, settle)
+        for block: its reduced echelon basis, row i as (i, u, int) terms, settled if unit rows."""
+        ad_rows: dict = {}
+        for c, terms in self.leads.items():
+            for d, u, v in terms:
+                ad_rows.setdefault((c, d), {})[u] = v
+        basis = RowReducer(ad_rows.values()).rows_sorted()
+        shifted = [
+            (i, u, (v * lcm(*(w.denominator for w in row.values()))).numerator)
+            for i, row in enumerate(basis) for u, v in row.items()
+        ]
+        return ((), shifted) if all(len(row) == 1 for row in basis) else (shifted, ())
 
-    def block(self, base: int, col_base: int, terms: list, coef: int) -> None:
-        """Add coef * the block of (d, u, value) terms at row base + d, column col_base + u."""
+    def block(self, base: int, col_base: int, terms: list, coef: int, settle=()) -> None:
+        """Add coef * the block of (d, u, value) terms at row base + d, column col_base + u.
+
+        Each (d, u, _) in settle is a one-entry row of the block: only its
+        column is kept, unless that column is settled already.
+        """
         if not (0 <= base <= self.nrows - self.n and 0 <= col_base <= self.ncols - self.n):
             raise InternalInvariantError(
                 f"a block at ({base}, {col_base}) leaves the {self.nrows}x{self.ncols} matrix"
             )
-        rows, mult = self.rows, self.mult
+        rows, mult, settled = self.rows, self.mult, self.settled
         for d, u, v in terms:
             col = col_base + u
             if mult is not None and not mult[col]:
@@ -154,6 +171,9 @@ class _CochainRows:
                 self.overlap = True
             else:
                 row[col] = coef * v
+        for d, u, _ in settle:
+            if mult is None or mult[col_base + u]:
+                settled.setdefault(col_base + u, base + d)
 
     def matrix(self) -> RatMatrix:
         """Drop cancelled entries and empty rows, divide by L when L != 1, adopt the rows."""
@@ -164,7 +184,8 @@ class _CochainRows:
             for row in rows.values():
                 for c, v in row.items():
                     row[c] = Fraction(v, scale)
-        return RatMatrix.adopt(self.nrows, self.ncols, rows, scale == 1, self.settled)
+        settled = {r: c for c, r in self.settled.items()}  # the first row of each column
+        return RatMatrix.adopt(self.nrows, self.ncols, rows, scale == 1, settled)
 
 
 def delta1_matrix(
@@ -195,18 +216,36 @@ def delta2_matrix(
     coords = coords or CochainCoordinates(n)
     out = _CochainRows(algebra, len(coords.triples) * n, coords.dim_two_cochains, mult)
     leads = out.leads
+    # A triple of r and central p, q has one term, [e_r, s(e_p, e_q)]; over all r
+    # they span the annihilator on s(e_p, e_q), written at the first non-central
+    # r. The other triples with two or three central members are skipped.
+    built, settle = out.annihilator()
+    first = min(leads, default=None)
     for t, (x, y, z) in enumerate(coords.triples):
         base = t * n
+        noncentral = (x in leads) + (y in leads) + (z in leads)
+        if noncentral < 2:
+            if noncentral and first in (x, y, z):
+                p, q = (i for i in (x, y, z) if i != first)
+                out.block(base, coords.pair_index[(p, q)] * n, built, 1, settle)
+            continue
         # adjoint terms [x, s(y,z)] - [y, s(x,z)] + [z, s(x,y)]
         for lead, (a, b), sign in ((x, (y, z), 1), (y, (x, z), -1), (z, (x, y), 1)):
             if lead in leads:
                 out.block(base, coords.pair_index[(a, b)] * n, leads[lead], sign)
         # substitution terms -s([x,y],z) + s([x,z],y) - s([y,z],x)
+        terms = []
         for (a, b), arg, sign in (((x, y), z, -1), ((x, z), y, 1), ((y, z), x, -1)):
             for l, v in out.brackets.get((a, b), ()):
                 col, s_sign = coords.sigma_coord(l, arg, 0)
                 if col is not None:
-                    out.block(base, col, out.unit, sign * s_sign * v)
+                    terms.append((col, sign * s_sign * v))
+        if len(terms) == 1:  # its free rows are unit rows
+            (col, v), = terms
+            out.block(base, col, out.inner, v, out.free)
+        else:
+            for col, v in terms:
+                out.block(base, col, out.unit, v)
     return out.matrix()
 
 
@@ -221,33 +260,29 @@ def eta2_matrix(
     leads = out.leads
     # The -ad(e_c) rows of a pair with [e_a, e_b] = 0 span the annihilator of the
     # center; its reduced echelon basis stands for them, settled if it is unit rows.
-    ad_rows: dict = {}
-    for c, terms in leads.items():
-        for d, u, v in terms:
-            ad_rows.setdefault((c, d), {})[u] = v
-    basis = RowReducer(ad_rows.values()).rows_sorted()
-    shifted = [  # the basis rows, each scaled to integers
-        (i, u, (v * lcm(*(w.denominator for w in row.values()))).numerator)
-        for i, row in enumerate(basis) for u, v in row.items()
-    ]
-    annihilator = out.settle if all(len(row) == 1 for row in basis) else out.block
+    built, settle = out.annihilator()
     for p, (a, b) in enumerate(coords.pairs):
         ab = out.brackets.get((a, b))
         if ab is None:
-            annihilator(p * n * n, p * n, shifted, 1)
+            out.block(p * n * n, p * n, built, 1, settle)
             continue
         for c in range(n):
             base = (p * n + c) * n
             # [s(e_a, e_b), e_c] = -[e_c, s(e_a, e_b)]
             if c in leads:
                 out.block(base, p * n, leads[c], -1)
-            # s([e_a, e_b], e_c); when ad(e_c) = 0 and [e_a, e_b] = v e_l, the
-            # rows are v times the unit rows of s(e_l, e_c), so they are settled
-            put = out.block if c in leads or len(ab) > 1 else out.settle
+            # s([e_a, e_b], e_c); when [e_a, e_b] = v e_l, the rows of s(e_l, e_c)
+            # that no ad block reaches, all when ad(e_c) = 0, are v times unit rows
             for l, v in ab:
                 col, s_sign = coords.sigma_coord(l, c, 0)
-                if col is not None:
-                    put(base, col, out.unit, s_sign * v)
+                if col is None:
+                    continue
+                if len(ab) > 1:
+                    out.block(base, col, out.unit, s_sign * v)
+                elif c in leads:
+                    out.block(base, col, out.inner, s_sign * v, out.free)
+                else:
+                    out.block(base, col, (), s_sign * v, out.unit)
     return out.matrix()
 
 

@@ -137,6 +137,36 @@ def two_step_witness_scan(graph, algebra):
     return None
 
 
+def ref_delta2(algebra, coords) -> RatMatrix:
+    """delta2 from its formula, row (triple x < y < z, output d) of
+    [x, s(y,z)] - [y, s(x,z)] + [z, s(x,y)] - s([x,y],z) + s([x,z],y) - s([y,z],x):
+    every row of every triple is made, with no center read and no row settled."""
+    n = algebra.n
+    ad: dict = {}  # lead -> (u, the terms of [e_lead, e_u]) for each nonzero bracket
+    for (i, j), terms in algebra.sc.items():
+        ad.setdefault(i, []).append((j, terms))
+        ad.setdefault(j, []).append((i, {l: -v for l, v in terms.items()}))
+    entries: dict = {}
+    for t, (x, y, z) in enumerate(coords.triples):
+        base = t * n
+        for lead, pair, sign in ((x, (y, z), 1), (y, (x, z), -1), (z, (x, y), 1)):
+            for u, terms in ad.get(lead, ()):
+                for d, v in terms.items():
+                    key = (base + d, coords.pair_index[pair] * n + u)
+                    entries[key] = entries.get(key, 0) + sign * v
+        for pair, arg, sign in (((x, y), z, -1), ((x, z), y, 1), ((y, z), x, -1)):
+            for l, v in algebra.sc.get(pair, {}).items():
+                for d in range(n):
+                    col, s_sign = coords.sigma_coord(l, arg, d)
+                    if col is not None:
+                        key = (base + d, col)
+                        entries[key] = entries.get(key, 0) + sign * s_sign * v
+    rows: dict = {}
+    for (r, c), v in entries.items():
+        rows.setdefault(r, {})[c] = v
+    return RatMatrix(len(coords.triples) * n, coords.dim_two_cochains, rows)
+
+
 def ref_eta2(algebra, coords) -> RatMatrix:
     """eta2 from its formula, row (pair a < b, argument c, output d) of
     [s(e_a, e_b), e_c] + s([e_a, e_b], e_c): every row of every pair and
@@ -168,14 +198,14 @@ def ref_eta2(algebra, coords) -> RatMatrix:
 def whole_matrix_h2(algebra) -> H2Report:
     """h2_nil on the whole cochain matrices, every torus weight ranked: the
     computation before twin orbits, with the trivial group and no budget,
-    and eta2 made row by row by ref_eta2."""
+    and delta2 and eta2 made row by row by ref_delta2 and ref_eta2."""
     coords = CochainCoordinates(algebra.n)
     e2 = ref_eta2(algebra, coords)
     d1 = delta1_matrix(algebra, coords)
     assert e2.matmul(d1).is_zero(), "im delta1 is not contained in ker eta2"
     eta2 = e2.peeled()
     image = d1.peeled().rank
-    delta2 = delta2_matrix(algebra, coords).peeled()
+    delta2 = ref_delta2(algebra, coords).peeled()
     cols = coords.dim_two_cochains
     ker_eta2, ker_delta2 = cols - eta2.rank, cols - delta2.rank
     meet = cols - eta2.stacked_rank(delta2)

@@ -515,13 +515,14 @@ def test_each_kept_row_is_eliminated_once(monkeypatch, fresh_types):
     )
     # (graph, k, rows the fills add, rows kept, brackets solved, commutators);
     # a support type is filled once per process, so the two edges of STAR
-    # share one, and K5 needs one per size. Every row and every solved
-    # bracket is reduced once, and a kept row is stored as it is, never
-    # through RowReducer.add. With 3 as the hub, 5 rows are dependent.
+    # share one, and K5 needs one per size. The non-edge of a path is no
+    # support, so it adds no type. Every row and every solved bracket is
+    # reduced once, and a kept row is stored as it is, never through
+    # RowReducer.add. With 3 as the hub, 5 rows are dependent.
     cases = (
         (K2, 2, 2, 2, 0, 1),
-        (STAR, 4, 12, 12, 6, 18),
-        (SimpleGraph.make(3, [(1, 3), (2, 3)]), 4, 17, 12, 3, 20),
+        (STAR, 4, 12, 12, 6, 17),
+        (SimpleGraph.make(3, [(1, 3), (2, 3)]), 4, 17, 12, 3, 19),
         (K5, 4, 24, 24, 13, 36),
     )
     for graph, k, rows, kept, solved, commutators in cases:
@@ -639,13 +640,31 @@ def test_graded_basis_matches_the_per_graph_sweep():
 
 
 def test_support_types_are_shared_and_bounded():
-    # one entry per (masks of the induced subgraph moved onto 1..s, k), whatever the vertices
+    # one entry per (masks of the induced subgraph moved onto 1..s, k), whatever
+    # the vertices; a set that induces a disconnected subgraph is no support
     supports = graded_basis(STAR, 4).supports
-    assert supports[(1, 2)][0] is supports[(1, 3)][0] is not supports[(2, 3)][0]
-    assert supports[(1, 2)][0] is graded_basis(PATH3, 4).supports[(2, 3)][0]
+    assert (2, 3) not in supports
+    assert supports[(1, 2)][0] is supports[(1, 3)][0] is graded_basis(PATH3, 4).supports[(2, 3)][0]
+    assert supports[(1, 2, 3)][0] is not graded_basis(PATH3, 4).supports[(1, 2, 3)][0]
     assert supports[(1, 2)][0] is not graded_basis(STAR, 3).supports[(1, 2)][0]
     # large enough for every labelled graph on at most 5 vertices at one k
     assert basis._support_type.cache_info().maxsize >= sum(2 ** (s * (s - 1) // 2) for s in range(1, 6))
+
+
+def test_supports_are_the_connected_vertex_sets():
+    # against every set of at most top vertices, kept when its induced
+    # subgraph has one component, in the order combinations gives them
+    for m in range(1, 6):
+        for graph in enumerate_graphs(m):
+            for top in range(1, m + 1):
+                every = [
+                    (sub, graph.induced(sub))
+                    for size in range(1, top + 1)
+                    for sub in combinations(range(1, m + 1), size)
+                ]
+                connected = [(sub, masks) for sub, masks in every
+                             if len(SimpleGraph(len(masks), masks).components()) == 1]
+                assert basis._supports(graph, top) == connected, (to_graph6(graph), top)
 
 
 def _unrecorded_full_pairs(graph, k):
@@ -660,12 +679,12 @@ def _unrecorded_full_pairs(graph, k):
 
 
 def test_structure_constants_expand_only_unrecorded_pairs(monkeypatch, fresh_types):
-    # On an empty memo each support type sweeps its candidates (one
-    # commutator for each whose two factors do not vanish) and then expands
-    # the pairs covering its support that no candidate recorded.
+    # On an empty memo each support type, a connected set's, sweeps its
+    # candidates (one commutator for each whose two factors do not vanish)
+    # and then expands the pairs covering its support that no candidate recorded.
     counts = _count_calls(monkeypatch, (TraceContext, "commutator"), (basis, "_solve_bracket"))
     hub3 = SimpleGraph.make(3, [(1, 3), (2, 3)])
-    for graph, k, swept, pairs in ((K2, 2, 1, 0), (STAR, 4, 12, 6), (hub3, 4, 17, 3), (K5, 4, 23, 13)):
+    for graph, k, swept, pairs in ((K2, 2, 1, 0), (STAR, 4, 11, 6), (hub3, 4, 16, 3), (K5, 4, 23, 13)):
         basis._support_type.cache_clear()
         counts.update(dict.fromkeys(counts, 0))
         basis.structure_constants.__wrapped__(graph, k)

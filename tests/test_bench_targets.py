@@ -86,11 +86,12 @@ def test_traced_sweep_counts_are_pinned():
     # One h2 per isomorphism class on 2..5 vertices (51), each through the
     # three module-global builders; a rewrite around them fails here. The
     # builders keep only the columns of one torus weight per twin orbit, and
-    # eta2 holds one unit entry per column it settles from the center instead
-    # of a row per (pair, argument, output): 33,015 of the 82,650 entries of
-    # the whole matrices.
+    # delta2 and eta2 hold one unit entry per column they settle from the
+    # center, or on an output outside [g, g], instead of a row per (triple,
+    # output) or (pair, argument, output), each column once: 23,695 of the
+    # 82,650 entries of the whole matrices.
     report = _traced_sweep(2)
-    assert report["counts"]["cohomology.matrix_nnz"] == 33015
+    assert report["counts"]["cohomology.matrix_nnz"] == 23695
     assert report["counts"]["cohomology.cochain_cols"] == 19750
     for name in (
         "cohomology.h2_nil",

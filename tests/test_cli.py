@@ -266,6 +266,18 @@ def test_oversized_star_is_refused_at_once(capsys):
     assert err == f"error: the algebra has 332688019 basis elements; the budget is {MAX_DIM}\n"
 
 
+def test_edgeless_graph_algebra_is_built_at_once(capsys):
+    # 40 commuting generators at k = 6: the supports are the connected vertex
+    # sets, the 40 singletons, not the 4.6e6 sets of at most 6 vertices
+    edgeless = json.dumps({"m": 40, "edges": []})
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "algebra", "build", "--edges", edgeless, "--k", "6")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    document = json.loads(out)
+    assert len(document["basis"]) == 40 and document["brackets"] == []
+
+
 def test_classify_rejects_algebra_file(capsys, tmp_path):
     _run(capsys, "algebra", "build", "--edges", STAR_EDGES, "--k", "2", "--out",
          str(tmp_path / "a.json"))

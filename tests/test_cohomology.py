@@ -28,7 +28,7 @@ from graphlie.liealg import (
     lower_central_series,
 )
 from graphlie.linalg import ONE, ZERO, IntRowReducer, RatMatrix, RowReducer, axpy
-from oracles import complex_identity_holds, edge_set, ref_eta2, whole_matrix_h2
+from oracles import complex_identity_holds, edge_set, ref_delta2, ref_eta2, whole_matrix_h2
 
 C4 = SimpleGraph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 TWO_K2 = SimpleGraph.make(4, [(1, 2), (3, 4)])
@@ -297,10 +297,10 @@ def test_h2_dimension_arithmetic():
 # ---------------------------------------------------------------------------
 # The integer h2 engine against independent references.
 #
-# The two builders below are the original entry-by-entry Fraction builders,
-# kept verbatim as a reference for the shared integer row builder; eta2's is
-# oracles.ref_eta2. _fraction_h2 is the original four-elimination h2 over the
-# Fraction RowReducer.
+# The builder below is the original entry-by-entry Fraction builder of delta1,
+# kept verbatim as a reference for the shared integer row builder; delta2's
+# and eta2's are oracles.ref_delta2 and oracles.ref_eta2. _fraction_h2 is the
+# original four-elimination h2 over the Fraction RowReducer.
 
 
 def _ref_delta1(algebra, coords):
@@ -328,36 +328,6 @@ def _ref_delta1(algebra, coords):
     return RatMatrix(len(coords.pairs) * n, coords.dim_hom, _by_rows(entries))
 
 
-def _ref_delta2(algebra, coords):
-    n = algebra.n
-    entries: dict = {}
-
-    def put(row, col, val):
-        s = entries.get((row, col), ZERO) + val
-        if s:
-            entries[(row, col)] = s
-        else:
-            entries.pop((row, col), None)
-
-    for t, (x, y, z) in enumerate(coords.triples):
-        base = t * n
-        for lead, pair, sign in ((x, (y, z), 1), (y, (x, z), -1), (z, (x, y), 1)):
-            for u in range(n):
-                col, s_sign = coords.sigma_coord(pair[0], pair[1], u)
-                if col is None:
-                    continue
-                for d, v in algebra.bracket_basis(lead, u).items():
-                    put(base + d, col, sign * s_sign * v)
-        for pair, arg, sign in (((x, y), z, -1), ((x, z), y, 1), ((y, z), x, -1)):
-            for l, v in algebra.bracket_basis(pair[0], pair[1]).items():
-                for d in range(n):
-                    col, s_sign = coords.sigma_coord(l, arg, d)
-                    if col is None:
-                        continue
-                    put(base + d, col, sign * s_sign * v)
-    return RatMatrix(len(coords.triples) * n, coords.dim_two_cochains, _by_rows(entries))
-
-
 def _fraction_rank(*matrices):
     red = RowReducer()
     for matrix in matrices:
@@ -369,7 +339,7 @@ def _fraction_rank(*matrices):
 def _fraction_h2(algebra):
     coords = CochainCoordinates(algebra.n)
     d1 = _ref_delta1(algebra, coords)
-    d2 = _ref_delta2(algebra, coords)
+    d2 = ref_delta2(algebra, coords)
     e2 = ref_eta2(algebra, coords)
     cols = coords.dim_two_cochains
     dim_ker_eta2 = cols - _fraction_rank(e2)
@@ -513,18 +483,19 @@ def test_containment_is_checked_on_the_settled_rows(monkeypatch):
 def test_builders_match_reference_builders():
     rng = random.Random(77)
     algebras = _graph_algebras(4) + [_rescaled(alg, rng) for alg in _graph_algebras(4)]
-    for alg in algebras + [TWISTED_HEISENBERG]:
-        # eta2_matrix settles or replaces the rows it can write down from the
-        # center, so it matches the reference in row space, not row by row
-        coords = CochainCoordinates(alg.n)
-        e2, ref = eta2_matrix(alg, coords), ref_eta2(alg, coords)
-        assert _int_rank(e2) == _int_rank(ref) == _int_rank(e2, ref)
     # delta1 and delta2 are defined for any Lie algebra, not only 2-step ones
     deeper = [structure_constants(K2, 3), structure_constants(PATH3, 3), structure_constants(C4, 3)]
-    for alg in algebras + deeper:
+    for alg in algebras + [TWISTED_HEISENBERG] + deeper:
+        # delta2_matrix and eta2_matrix settle or replace the rows they can
+        # write down from the center, so they match the reference in row
+        # space, not row by row; delta1 keeps every row
         coords = CochainCoordinates(alg.n)
         assert delta1_matrix(alg, coords) == _ref_delta1(alg, coords)
-        assert delta2_matrix(alg, coords) == _ref_delta2(alg, coords)
+        d2, ref = delta2_matrix(alg, coords), ref_delta2(alg, coords)
+        assert _int_rank(d2) == _int_rank(ref) == _int_rank(d2, ref)
+        if is_at_most_two_step(alg):
+            e2, ref = eta2_matrix(alg, coords), ref_eta2(alg, coords)
+            assert _int_rank(e2) == _int_rank(ref) == _int_rank(e2, ref)
 
 
 def test_matrices_hold_ints_unless_constants_have_denominators():
