@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 
 from . import __version__
@@ -25,6 +24,8 @@ from .liealg import (
     jacobi_report,
     lower_central_series,
 )
+from .limits import check_h2_size, check_k
+from .linalg import frac, frac_str
 from .rigidity import (
     DeformedAlgebra,
     build_sigma,
@@ -55,7 +56,10 @@ def _add_graph_flags(parser, k_default=None):
 
 
 def _load_input(args):
-    """Returns (graph, algebra); at least one is not None."""
+    """Returns (graph, algebra); at least one is not None. k is checked
+    against its budget first; a loaded algebra comes back unchecked, and each
+    command that takes one runs _checked_algebra."""
+    check_k(args.k)
     if args.edges is not None:
         return parse_graph(args.edges), None
     if args.graph6 is not None:
@@ -70,11 +74,11 @@ def _load_input(args):
     except json.JSONDecodeError as exc:
         raise ValueError(f"input file is not valid JSON: {exc}") from exc
     if isinstance(data, dict) and "brackets" in data:
-        return None, _checked_algebra(algebra_from_json_dict(data))
+        return None, algebra_from_json_dict(data)
     return parse_graph(text), None
 
 
-def _checked_algebra(algebra: LieAlgebra) -> LieAlgebra:
+def _checked_algebra(algebra: LieAlgebra) -> None:
     """Refuse a loaded bracket table that is not a nilpotent Lie algebra."""
     bad = jacobi_report(algebra)
     if bad:
@@ -84,7 +88,6 @@ def _checked_algebra(algebra: LieAlgebra) -> LieAlgebra:
         raise ValueError(
             f"loaded algebra is not nilpotent: its lower central series stops at dimension {stable}"
         )
-    return algebra
 
 
 def _emit(text: str, out_path):
@@ -167,6 +170,8 @@ def _cmd_algebra_build(args) -> int:
     graph, algebra = _load_input(args)
     if algebra is None:
         algebra = structure_constants(_require_graph(graph), args.k)
+    else:
+        _checked_algebra(algebra)
     _emit(_dump_json(algebra_to_json_dict(algebra)), args.out)
     return 0
 
@@ -175,14 +180,17 @@ def _cmd_h2nil(args) -> int:
     graph, algebra = _load_input(args)
     if algebra is None:
         algebra = structure_constants(_require_graph(graph), args.k)
+    else:  # the h2 budget first: the Jacobi check walks |sc| * n triples
+        check_h2_size(algebra.n, list(map(len, algebra.sc.values())))
+        _checked_algebra(algebra)
     report = h2_nil(algebra)
     _emit(_dump_json(report.to_json_dict()), args.out)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    graph, algebra = _load_input(args)
-    graph = _require_graph(graph)
+    graph = _require_graph(_load_input(args)[0])
+    to_graph6(graph)  # the report carries the graph6 code: refuse m > 62 before classifying
     _emit(_dump_json(report_row(graph, args.k, classify(graph, args.k))), args.out)
     return 0
 
@@ -195,32 +203,32 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_deform_emit(args) -> int:
-    graph, algebra = _load_input(args)
-    graph = _require_graph(graph)
-    t = Fraction(args.t)
+    graph = _require_graph(_load_input(args)[0])
+    code = to_graph6(graph)  # refuses m > 62 before any algebra is built
+    t = frac(args.t)
     base = structure_constants(graph, args.k)
     witness = find_witness(graph, base, args.k)
     if witness is None:
         raise ValueError("no deformation witness exists for this graph and k")
     if witness["kind"] == "graded_witness":
         a1, a2 = witness["a1_index"], witness["a2_index"]
-        y = [Fraction(c) for c in witness["y"]]
+        y = witness["y"]
     else:
         a1, a2 = witness["v_index"], witness["w_index"]
-        y = [Fraction(c) for c in witness["z"]]
+        y = witness["z"]
     cocycle = build_sigma(base, a1, a2, y)
     deformed = DeformedAlgebra(base, cocycle)
     check = deform_check(deformed)
     if not check:
         raise invariant_error(
             f"witness cocycle fails the deformation identities at {check.violation}",
-            to_graph6(graph), args.k, "deform emit, deformation identities",
+            code, args.k, "deform emit, deformation identities",
         )
     materialized = deformed.at_t(t)
     payload = {
-        "graph6": to_graph6(graph),
+        "graph6": code,
         "k": args.k,
-        "t": f"{t.numerator}/{t.denominator}",
+        "t": frac_str(t),
         "certificate": witness,
         "deformed_algebra": algebra_to_json_dict(materialized),
     }

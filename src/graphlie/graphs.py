@@ -80,7 +80,9 @@ def parse_graph(text: str) -> SimpleGraph:
         raise ValueError(f"malformed edge list JSON: {exc}") from exc
     if not isinstance(data, dict) or "m" not in data or "edges" not in data:
         raise ValueError('edge list JSON must be {"m": int, "edges": [[i, j], ...]}')
-    edges = data["edges"]
+    m, edges = data["m"], data["edges"]
+    if is_int(m) and m > 0:  # SimpleGraph.make refuses any other m
+        check_vertices("parse_graph", m)
     if not isinstance(edges, list):
         raise ValueError("edges must be a list of pairs")
     pairs = []
@@ -88,7 +90,7 @@ def parse_graph(text: str) -> SimpleGraph:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise ValueError(f"edge {e!r} is not a pair")
         pairs.append((e[0], e[1]))
-    return SimpleGraph.make(data["m"], pairs)
+    return SimpleGraph.make(m, pairs)
 
 
 def from_graph6(code: str) -> SimpleGraph:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
+from .limits import check_dim
 from .linalg import RatMatrix, RowReducer, axpy, frac, frac_str, is_int, kernel_basis
 
 
@@ -146,20 +147,20 @@ def center(algebra: LieAlgebra) -> RowReducer:
     return kernel_basis(RatMatrix(n * n, n, rows))
 
 
-def jacobi_report(algebra: LieAlgebra) -> list:
-    """Triples i < j < l where the Jacobi identity fails; empty means it holds.
+def jacobi_report(algebra: LieAlgebra, triples=None) -> list:
+    """The given triples i < j < l where the Jacobi identity fails, in order; empty means it holds.
 
-    Only triples meeting a stored structure constant are evaluated: if none
-    of the three inner brackets has an entry, every term is identically zero.
+    By default every triple meeting a stored structure constant is
+    evaluated: if none of the three inner brackets has an entry, every term
+    is identically zero.
     """
-    candidates = set()
-    n = algebra.n
-    for (i, j) in algebra.sc:
-        for l in range(n):
-            if l != i and l != j:
-                candidates.add(tuple(sorted((i, j, l))))
+    if triples is None:
+        n = algebra.n
+        triples = sorted({
+            tuple(sorted((i, j, l))) for (i, j) in algebra.sc for l in range(n) if l != i and l != j
+        })
     bad = []
-    for (i, j, l) in sorted(candidates):
+    for (i, j, l) in triples:
         acc: dict = {}
         for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
             for t, coef in algebra.bracket_basis(b, c).items():
@@ -191,13 +192,15 @@ def algebra_from_json_dict(data: dict) -> LieAlgebra:
     """Inverse of algebra_to_json_dict; any malformed document raises ValueError.
 
     Indices must be JSON integers (not booleans) and constants strings such
-    as "-2/7" or integers, so that no float can enter.
+    as "-2/7" or integers, so that no float can enter; n is at most
+    limits.MAX_DIM.
     """
     if not isinstance(data, dict) or "n" not in data or "brackets" not in data:
         raise ValueError('algebra JSON must be an object with "n" and "brackets"')
     n, k, brackets = data["n"], data.get("k"), data["brackets"]
     if not is_int(n):
         raise ValueError("algebra JSON: n must be an integer")
+    check_dim([n])  # before any n-sized allocation
     if k is not None and not is_int(k):
         raise ValueError("algebra JSON: k must be an integer or null")
     if not isinstance(brackets, list):

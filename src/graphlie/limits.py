@@ -2,22 +2,29 @@
 
 Every vertex bound lives in ``VERTEX_LIMITS``, and every operation checks
 its input with ``check_vertices``; ``MAX_DIM`` bounds the basis that
-``graded_basis`` builds, and ``MAX_H2_DIM``, ``MAX_H2_CONSTANTS`` and
+``graded_basis`` builds and a loaded algebra, ``MAX_K`` the k that a
+command takes, and ``MAX_H2_DIM``, ``MAX_H2_CONSTANTS`` and
 ``MAX_H2_BRACKET_TERMS`` the algebra that ``h2_nil`` ranks. The README's
 limits table has this one source.
 """
 
 from __future__ import annotations
 
-# operation: (least, greatest) number of vertices it accepts
+# the most basis elements graded_basis builds; (6, 5) on K6 needs 1960
+MAX_DIM = 2000
+
+# operation: (least, greatest) number of vertices it accepts; each vertex of
+# a parsed graph is a basis element, so parse_graph takes at most MAX_DIM
 VERTEX_LIMITS = {
     "canonical_form": (1, 9),
     "enumerate_graphs": (1, 9),
+    "parse_graph": (1, MAX_DIM),
     "sweep": (2, 7),
 }
 
-# the most basis elements graded_basis builds; (6, 5) on K6 needs 1960
-MAX_DIM = 2000
+# the greatest k a command takes: a graph with an edge has at least k + 1
+# basis elements at step k, so a greater k is over MAX_DIM for it
+MAX_K = MAX_DIM
 
 # the most basis elements h2_nil takes; K10 at k = 2 (55) needs 0.2 s, 21 MB
 MAX_H2_DIM = 55
@@ -39,6 +46,12 @@ def check_vertices(operation: str, m: int) -> None:
     low, high = VERTEX_LIMITS[operation]
     if not low <= m <= high:
         raise ValueError(f"{operation} supports {low}..{high} vertices, not {m}")
+
+
+def check_k(k: int) -> None:
+    """Raise ValueError if k is over MAX_K."""
+    if k > MAX_K:
+        raise ValueError(f"k is {k}; the budget is {MAX_K}")
 
 
 def check_dim(dims: list) -> None:

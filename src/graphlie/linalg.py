@@ -30,16 +30,20 @@ def is_int(value) -> bool:
 
 
 def frac(value) -> Fraction:
-    """Coerce an int, a Fraction, or a string like "3" or "-2/7".
+    """Coerce an int, a Fraction, or a string like "3", "0.1" or "-2/7".
 
     Floats are rejected so that inexact values cannot leak in, and bools
-    so that a JSON true or false is never read as 1 or 0.
+    so that a JSON true or false is never read as 1 or 0. Strings in
+    exponent notation are rejected too: Fraction("1e10000000") builds
+    10**10000000 before it returns.
     """
     if isinstance(value, Fraction):
         return value
     if is_int(value):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value.lower():
+            raise ValueError(f"rational {value!r} must be an integer, a decimal or p/q")
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 

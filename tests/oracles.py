@@ -89,6 +89,14 @@ def complex_identity_holds(algebra) -> bool:
     return delta2_matrix(algebra, coords).matmul(delta1_matrix(algebra, coords)).is_zero()
 
 
+def apply_sparse(sigma, x: dict, z: dict) -> dict:
+    """sigma(x, z) for a one-pair cocycle, sigma(e_a1, e_a2) = y, on sparse vectors."""
+    coef = x.get(sigma.a1, ZERO) * z.get(sigma.a2, ZERO) - x.get(sigma.a2, ZERO) * z.get(sigma.a1, ZERO)
+    if not coef:
+        return {}
+    return {l: coef * c for l, c in enumerate(sigma.y) if c}
+
+
 def deform_violation(deformed):
     """The first basis triple, over all of them, where either coefficient
     identity of mu + t sigma fails, or None when both hold everywhere."""
@@ -98,10 +106,10 @@ def deform_violation(deformed):
         t2: dict = {}
         for (p, q, r) in ((x, y, z), (y, z, x), (z, x, y)):
             ep, eq, er = {p: ONE}, {q: ONE}, {r: ONE}
-            s_pq = sigma.apply_sparse(ep, eq)
+            s_pq = apply_sparse(sigma, ep, eq)
             axpy(t1, ONE, base.bracket_sparse(s_pq, er))
-            axpy(t2, ONE, sigma.apply_sparse(s_pq, er))
-            axpy(t1, ONE, sigma.apply_sparse(base.bracket_basis(p, q), er))
+            axpy(t2, ONE, apply_sparse(sigma, s_pq, er))
+            axpy(t1, ONE, apply_sparse(sigma, base.bracket_basis(p, q), er))
         if t1 or t2:
             return (x, y, z)
     return None

@@ -2,10 +2,12 @@ import hashlib
 import importlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ from graphlie.cli import _build_parser, main, run_command, write_report
 from graphlie.cohomology import h2_nil
 from graphlie.graphs import SimpleGraph, enumerate_graphs, from_graph6, to_graph6
 from graphlie.liealg import algebra_from_json_dict, jacobi_report
-from graphlie.limits import MAX_DIM
+from graphlie.limits import MAX_DIM, MAX_H2_DIM, MAX_K
 
 STAR_EDGES = '{"m": 3, "edges": [[1, 2], [1, 3]]}'
 C4_EDGES = '{"m": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}'
@@ -288,6 +290,36 @@ def test_classify_rejects_algebra_file(capsys, tmp_path):
     assert "needs a graph" in err
 
 
+ONE_EDGE = '{"m": 3, "edges": [[1, 2]]}'
+GRAPH6_LIMIT = "graph6 codes with more than 62 vertices are not supported"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("rigidity", "classify", "--edges", '{"m": 8000, "edges": []}', "--k", "2"),
+         f"parse_graph supports 1..{MAX_DIM} vertices, not 8000"),
+        (("algebra", "build", "--edges", f'{{"m": {10**30}, "edges": []}}', "--k", "2"),
+         f"parse_graph supports 1..{MAX_DIM} vertices, not {10**30}"),
+        # the report carries a graph6 code, so m > 62 is refused before classifying
+        (("rigidity", "classify", "--edges", f'{{"m": {MAX_DIM}, "edges": []}}', "--k", "2"),
+         GRAPH6_LIMIT),
+        (("deform", "emit", "--edges", '{"m": 100, "edges": [[1, 2]]}', "--k", "3"), GRAPH6_LIMIT),
+        (("rigidity", "classify", "--edges", ONE_EDGE, "--k", str(10**20)),
+         f"k is {10**20}; the budget is {MAX_K}"),
+        (("rigidity", "classify", "--edges", ONE_EDGE, "--k", "8000"), f"k is 8000; the budget is {MAX_K}"),
+        (("rigidity", "sweep", "--n", "3", "--k", str(10**30)), f"k is {10**30}; the budget is {MAX_K}"),
+        (("deform", "emit", "--edges", STAR_EDGES, "--k", "3", "--t", "1e10000000"),
+         "rational '1e10000000' must be an integer, a decimal or p/q"),
+    ],
+)
+def test_oversized_graph_input_is_refused_at_once(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 GOOD_BRACKET = {"i": 0, "j": 1, "terms": [{"l": 2, "c": "1"}]}
 
 
@@ -357,6 +389,103 @@ def test_loaded_algebra_must_be_nilpotent_lie(capsys, tmp_path, document, messag
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and message in err
+
+
+def _folded_document(gens):
+    """A 2-step document: every pair of gens generators brackets to one of gens central vectors."""
+    brackets = [
+        {"i": i, "j": j, "terms": [{"l": gens + c % gens, "c": "1"}]}
+        for c, (i, j) in enumerate(combinations(range(gens), 2))
+    ]
+    return {"n": 2 * gens, "k": 2, "brackets": brackets}
+
+
+@pytest.mark.parametrize(
+    "document,command,message",
+    [
+        ({"n": 100000, "brackets": []}, ("cohomology", "h2nil"),
+         f"the algebra has 100000 basis elements; the budget is {MAX_DIM}"),
+        ({"n": 100000, "brackets": []}, ("algebra", "build"),
+         f"the algebra has 100000 basis elements; the budget is {MAX_DIM}"),
+        # 120 generators, 7,140 brackets on 120 central vectors: 370 KB, n = 240
+        (_folded_document(120), ("cohomology", "h2nil"),
+         f"the algebra has 240 basis elements; the h2_nil budget is {MAX_H2_DIM}"),
+        # over the h2 budget and not a Lie algebra: the budget is read first
+        ({"n": 60, "k": 2, "brackets": [GOOD_BRACKET, {"i": 2, "j": 3, "terms": [{"l": 1, "c": "1"}]}]},
+         ("cohomology", "h2nil"), f"the algebra has 60 basis elements; the h2_nil budget is {MAX_H2_DIM}"),
+        ({"n": 3, "k": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"l": 2, "c": "1e10000000"}]}]},
+         ("algebra", "build"), "rational '1e10000000' must be an integer, a decimal or p/q"),
+    ],
+)
+def test_oversized_loaded_algebra_is_refused_before_the_lie_check(
+    capsys, tmp_path, monkeypatch, document, command, message
+):
+    def unreachable(algebra):
+        raise AssertionError("an oversized document reached the nilpotent Lie check")
+
+    monkeypatch.setattr("graphlie.cli.jacobi_report", unreachable)
+    monkeypatch.setattr("graphlie.cli.lower_central_series", unreachable)
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *command, "--in", str(path), "--k", "2")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+ODD_VALUES = [0, -1, 1, 2, 3, 7, 10**30, True, None, 2.5, "3", "1e10000000", [], {}]
+
+
+def _mutated(rng, value):
+    """value with one seeded mutation somewhere inside it: a replaced, dropped or added part."""
+    if isinstance(value, dict) and value and rng.random() < 0.8:
+        key = rng.choice(sorted(value))
+        if rng.random() < 0.15:
+            return {k: v for k, v in value.items() if k != key}
+        return {**value, key: _mutated(rng, value[key])}
+    if isinstance(value, list) and value and rng.random() < 0.8:
+        pos = rng.randrange(len(value))
+        roll = rng.random()
+        if roll < 0.15:
+            return value[:pos] + value[pos + 1:]
+        if roll < 0.3:
+            return value + [value[pos]]
+        return value[:pos] + [_mutated(rng, value[pos])] + value[pos + 1:]
+    if rng.random() < 0.5:
+        return rng.randint(1, 6)
+    return rng.choice(ODD_VALUES + ["-2/7", "0.1", "1/0", "x"])
+
+
+def test_cli_fuzz_exits_zero_one_or_two(capsys, tmp_path):
+    # seeded mutations of an edge list and of an algebra document, run
+    # through the graph and document commands: every run returns 0, 1 or 2
+    # (an exception escaping run_command would be a traceback) and is quick
+    rng = random.Random(2026)
+    edge_list = {"m": 6, "edges": [[1, 2], [2, 3], [3, 4]]}
+    _, text, _ = _run(capsys, "algebra", "build", "--edges", STAR_EDGES, "--k", "2")
+    document = json.loads(text)
+    path = tmp_path / "fuzz.json"
+    ks = ["2", "2", "3", "3", "0", "1", str(10**30), "x"]
+    start = time.perf_counter()
+    for trial in range(300):
+        k = rng.choice(ks)
+        value = (edge_list, document)[trial % 2]
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            value = _mutated(rng, value)
+        if trial % 2:
+            source = ("--in", str(path))
+            path.write_text(json.dumps(value), encoding="utf-8")
+            command = rng.choice([("algebra", "build"), ("cohomology", "h2nil")])
+        else:
+            source = ("--edges", json.dumps(value))
+            command = rng.choice([
+                ("algebra", "build"), ("cohomology", "h2nil"), ("rigidity", "classify"),
+                ("deform", "emit", "--t=" + rng.choice(["1", "-2/3", "0.5", "1e10000000", "1/0", "x"])),
+            ])
+        code, out, err = _run(capsys, *command, *source, "--k", k)
+        assert code in (0, 1, 2), (command, source, k)
+        assert (out == "") == (code != 0) and (err == "") == (code == 0), (command, source, k)
+    assert time.perf_counter() - start < 5
 
 
 def test_algebra_file_constants_stay_exact(capsys, tmp_path):

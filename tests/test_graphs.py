@@ -14,7 +14,7 @@ from graphlie.graphs import (
     parse_graph,
     to_graph6,
 )
-from graphlie.limits import MAX_DIM, MAX_H2_BRACKET_TERMS, MAX_H2_CONSTANTS, MAX_H2_DIM, VERTEX_LIMITS
+from graphlie.limits import MAX_DIM, MAX_H2_BRACKET_TERMS, MAX_H2_CONSTANTS, MAX_H2_DIM, MAX_K, VERTEX_LIMITS
 from oracles import adjacent, edge_set
 
 STAR_GRAPH = SimpleGraph.make(3, [(1, 2), (1, 3)])
@@ -479,6 +479,7 @@ def test_every_size_check_reads_the_limits_table(monkeypatch):
         ("canonical_form", lambda: canonical_form(k3)),
         ("enumerate_graphs", lambda: enumerate_graphs(3)),
         ("sweep", lambda: sweep(3, 3)),
+        ("parse_graph", lambda: parse_graph('{"m": 3, "edges": [[1, 2]]}')),
     ):
         call()
         with monkeypatch.context() as patch:
@@ -491,7 +492,9 @@ def test_limits_table_in_readme():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     for name, (low, high) in VERTEX_LIMITS.items():
         assert f"| `{name}` | {low}..{high} vertices |" in readme
+    assert f"| `--k` of every command | at most {MAX_K} |" in readme
     assert f"| `graded_basis` | at most {MAX_DIM} basis elements |" in readme
+    assert f"| `algebra_from_json_dict` | at most {MAX_DIM} basis elements |" in readme
     assert f"| `h2_nil` | at most {MAX_H2_DIM} basis elements |" in readme
     assert f"| `h2_nil` | at most {MAX_H2_CONSTANTS} nonzero structure constants |" in readme
     assert f"| `h2_nil` | at most {MAX_H2_BRACKET_TERMS} terms in one bracket |" in readme

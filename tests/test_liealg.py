@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -226,6 +227,49 @@ def test_json_round_trip_plain():
     back = algebra_from_json_dict(data)
     assert not isinstance(back, GradedLieAlgebra)
     assert back.sc == HEISENBERG.sc
+
+
+def test_json_round_trip_random_rational_algebras():
+    # seeded bracket tables with rational constants, plain and graded, some
+    # with labels, through the JSON text and back
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(0, 7)
+        sc = {
+            (i, j): {
+                l: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                for l in rng.sample(range(n), rng.randint(1, n))
+            }
+            for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
+        }
+        k = rng.choice((None, 1, 2, 5))
+        if rng.random() < 0.5:
+            alg = LieAlgebra(n, sc, k=k)
+        else:
+            cuts = sorted(rng.randint(0, n) for _ in range(rng.randint(0, 3)))
+            grading = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+            labels = None
+            if rng.random() < 0.5:
+                labels = [
+                    BasisLabel(f"x{i}", d + 1, tuple(rng.randint(0, 3) for _ in range(3)))
+                    for d, size in enumerate(grading) for i in range(size)
+                ]
+            alg = GradedLieAlgebra(n, sc, grading, labels=labels, k=k)
+        data = algebra_to_json_dict(alg)
+        back = algebra_from_json_dict(json.loads(json.dumps(data)))
+        assert type(back) is type(alg)
+        assert (back.n, back.k, back.sc) == (alg.n, alg.k, alg.sc)
+        if isinstance(alg, GradedLieAlgebra):
+            assert (back.grading, back.labels) == (alg.grading, alg.labels)
+        assert algebra_to_json_dict(back) == data
+
+
+def test_json_refuses_an_oversized_dimension_before_building():
+    from graphlie.limits import MAX_DIM
+
+    for n in (MAX_DIM + 1, 10**30):
+        with pytest.raises(ValueError, match=f"the algebra has {n} basis elements; the budget is {MAX_DIM}"):
+            algebra_from_json_dict({"n": n, "grading": [n], "brackets": []})
 
 
 def test_json_rational_serialization():

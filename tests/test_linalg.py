@@ -21,6 +21,11 @@ def test_frac_coercion():
     assert frac(3) == Fraction(3)
     assert frac("-2/7") == Fraction(-2, 7)
     assert frac(Fraction(1, 2)) == Fraction(1, 2)
+    assert frac("0.1") == Fraction(1, 10)
+    # exponent notation is refused before Fraction builds 10**exponent
+    for text in ("1e10000000", "2E3", "1.5e-3"):
+        with pytest.raises(ValueError, match="must be an integer, a decimal or p/q"):
+            frac(text)
     with pytest.raises(TypeError):
         frac(0.5)
     for flag in (True, False):

@@ -28,7 +28,7 @@ from graphlie.rigidity import (
     find_witness,
     sweep,
 )
-from oracles import adjacent, deform_violation, edge_set, two_step_witness_scan
+from oracles import adjacent, apply_sparse, deform_violation, edge_set, two_step_witness_scan
 
 STAR = SimpleGraph.make(3, [(1, 2), (1, 3)])
 K2 = SimpleGraph.make(2, [(1, 2)])
@@ -70,11 +70,11 @@ def test_build_sigma_and_apply():
     alg = structure_constants(STAR, 3)
     y = _unit(alg.n, 5)
     sigma = build_sigma(alg, 1, 2, y)
-    assert sigma.apply_sparse({1: ONE}, {2: ONE}) == {5: ONE}
-    assert sigma.apply_sparse({2: ONE}, {1: ONE}) == {5: -ONE}
-    assert sigma.apply_sparse({1: ONE}, {1: ONE}) == {}
-    assert sigma.apply_sparse({0: ONE}, {3: ONE}) == {}
-    scaled = sigma.apply_sparse({1: Fraction(2)}, {2: Fraction(3), 1: ONE})
+    assert apply_sparse(sigma, {1: ONE}, {2: ONE}) == {5: ONE}
+    assert apply_sparse(sigma, {2: ONE}, {1: ONE}) == {5: -ONE}
+    assert apply_sparse(sigma, {1: ONE}, {1: ONE}) == {}
+    assert apply_sparse(sigma, {0: ONE}, {3: ONE}) == {}
+    scaled = apply_sparse(sigma, {1: Fraction(2)}, {2: Fraction(3), 1: ONE})
     assert scaled == {5: Fraction(6)}
 
 
@@ -94,9 +94,13 @@ def test_build_sigma_errors():
 
 
 def test_build_sigma_rejects_nonclosed_complement():
-    alg = GradedLieAlgebra(4, {(2, 3): {0: 1}}, (4,))
-    with pytest.raises(ValueError):
-        build_sigma(alg, 0, 1, _unit(4, 1))
+    # a1 = e0, a2 = e1; y = e4 centralizes e2, e3, but [e2, e3] reaches a1, then a2
+    for target in (0, 1):
+        alg = GradedLieAlgebra(5, {(2, 3): {target: 1, 4: 1}}, (4, 1))
+        with pytest.raises(ValueError, match="the complementary span is not a subalgebra"):
+            build_sigma(alg, 0, 1, _unit(5, 4))
+        closed = GradedLieAlgebra(5, {(2, 3): {4: 1}, (0, 2): {target: 1}}, (4, 1))
+        assert build_sigma(closed, 0, 1, _unit(5, 4)) == DeformationCocycle(5, 0, 1, tuple(_unit(5, 4)))
 
 
 def test_deform_check_accepts_witness():
@@ -136,7 +140,8 @@ def test_pruned_check_matches_exhaustive():
         m = rng.randint(2, 4)
         pairs = [p for p in combinations(range(1, m + 1), 2) if rng.random() < 0.5]
         alg = structure_constants(SimpleGraph.make(m, pairs), rng.randint(2, 3))
-        a1, a2 = rng.sample(range(m), 2)
+        # a pair of higher degree is hit by brackets: the second candidate family
+        a1, a2 = rng.sample(range(rng.choice((m, alg.n))), 2)
         y = [Fraction(rng.randint(-2, 2)) for _ in range(alg.n)]
         deformed = DeformedAlgebra(alg, DeformationCocycle(alg.n, a1, a2, tuple(y)))
         result, violation = deform_check(deformed), deform_violation(deformed)
