@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
-from operator import or_
+from operator import add, or_
 
 from .errors import InternalInvariantError, invariant_error
 from .graphs import SimpleGraph, to_graph6
@@ -217,35 +217,43 @@ def dimension_oracle(graph: SimpleGraph, k: int) -> list:
 
     The algebra of a disjoint union is the direct sum of the algebras of its
     parts, so each connected component is counted on its own; an isolated
-    vertex adds one element of degree 1. For a component, the generating
-    series of the trace monoid of its complement is 1 / C(-t) with C the
-    clique polynomial of the complement; writing log(1 / C(-t)) = sum q_n t^n,
-    the dimensions satisfy n q_n = sum_{d | n} d l_d and Moebius inversion
-    recovers l_d. The series is cut at t^k, so only the cliques of at most k
-    vertices are listed.
+    vertex adds one element of degree 1 and runs no series, and the series
+    runs once per component type (its induced masks). For a component, the
+    generating series of the trace monoid of its complement is 1 / C(-t)
+    with C the clique polynomial of the complement; writing
+    log(1 / C(-t)) = sum q_n t^n, the dimensions satisfy
+    n q_n = sum_{d | n} d l_d and Moebius inversion recovers l_d. The series
+    is cut at t^k, so only the cliques of at most k vertices are listed.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     dims = [0] * k
+    counted: dict = {}  # component type -> its dimensions
     for component in graph.components():
+        if len(component) == 1:
+            dims[0] += 1
+            continue
         masks = graph.induced(component)
-        cpoly = clique_polynomial(SimpleGraph(len(masks), masks).complement(), k)
-        # a_n = coefficient of t^n in C(-t); s = 1 / C(-t) from a * s = 1
-        a = [((-1) ** n) * c for n, c in enumerate(cpoly)]
-        s = [1] + [0] * k
-        for n in range(1, k + 1):
-            s[n] = -sum(a[i] * s[n - i] for i in range(1, min(n, len(a) - 1) + 1))
-        # n q_n from the log derivative recurrence n s_n = sum j q_j s_{n-j}
-        nq = [0] * (k + 1)
-        for n in range(1, k + 1):
-            nq[n] = n * s[n] - sum(nq[j] * s[n - j] for j in range(1, n))
-        for d in range(1, k + 1):
-            acc = sum(_mobius(d // e) * nq[e] for e in range(1, d + 1) if d % e == 0)
-            if acc % d != 0 or acc < 0:
-                raise invariant_error(
-                    "dimension count is not a nonnegative integer", to_graph6(graph), k, "dimension count"
-                )
-            dims[d - 1] += acc // d
+        if masks not in counted:
+            cpoly = clique_polynomial(SimpleGraph(len(masks), masks).complement(), k)
+            # a_n = coefficient of t^n in C(-t); s = 1 / C(-t) from a * s = 1
+            a = [((-1) ** n) * c for n, c in enumerate(cpoly)]
+            s = [1] + [0] * k
+            for n in range(1, k + 1):
+                s[n] = -sum(a[i] * s[n - i] for i in range(1, min(n, len(a) - 1) + 1))
+            # n q_n from the log derivative recurrence n s_n = sum j q_j s_{n-j}
+            nq = [0] * (k + 1)
+            for n in range(1, k + 1):
+                nq[n] = n * s[n] - sum(nq[j] * s[n - j] for j in range(1, n))
+            counted[masks] = out = []
+            for d in range(1, k + 1):
+                acc = sum(_mobius(d // e) * nq[e] for e in range(1, d + 1) if d % e == 0)
+                if acc % d != 0 or acc < 0:
+                    raise invariant_error(
+                        "dimension count is not a nonnegative integer", to_graph6(graph), k, "dimension count"
+                    )
+                out.append(acc // d)
+        dims = list(map(add, dims, counted[masks]))
     return dims
 
 
@@ -430,14 +438,15 @@ def graded_basis(graph: SimpleGraph, k: int) -> GradedBasis:
     return GradedBasis(graph, k, dims, elements, supports)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=1)
 def structure_constants(graph: SimpleGraph, k: int) -> GradedLieAlgebra:
     """The graph Lie algebra as a graded algebra with exact structure constants.
 
     A bracket of degree at most k lands in the block of the union of its
     factors' supports, so the relabelled brackets of the support types give
-    every constant. Results are cached per (graph, k); callers must treat
-    them as immutable.
+    every constant. The last result is cached: only consecutive calls on
+    the same (graph, k), such as classify and then h2_nil, re-read it, and
+    a sweep never does. Callers must treat it as immutable.
     """
     gb = graded_basis(graph, k)
     sc = {}

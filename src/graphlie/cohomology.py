@@ -30,8 +30,8 @@ its rows to RatMatrix.adopt, which scans no entry; they are divided by L
 only when L != 1. Most eta2 and delta2 rows are never built. With c
 central when ad(e_c) = 0, the rows of an eta2 pair with [e_a, e_b] = 0, and
 those of the delta2 triples of every r with central p, q, span the
-annihilator of the center in the pair's block, held there by its reduced
-echelon basis; and the rows that no ad block reaches of a one-term bracket
+annihilator of the center in the pair's block, held there by the reduced
+echelon basis of liealg.ad_span, which center shares; and the rows that no ad block reaches of a one-term bracket
 or substitution term are unit rows. Unit rows are kept as settled columns,
 each once; the row space, and so every rank, is unchanged. delta1 keeps
 every row, since the containment check reads its column space. h2_nil ranks the
@@ -70,9 +70,9 @@ from operator import add
 
 from .errors import InternalInvariantError
 from .graphs import SimpleGraph, _twin_classes
-from .liealg import LieAlgebra, lower_central_series
+from .liealg import LieAlgebra, ad_span, is_at_most_two_step
 from .limits import check_h2_size
-from .linalg import RatMatrix, RowReducer, drop_zeros
+from .linalg import RatMatrix, drop_zeros
 
 
 class CochainCoordinates:
@@ -110,7 +110,8 @@ class _CochainRows:
     so matrix() hands the rows to RatMatrix.adopt without a per-entry scan.
     With mult, one multiplicity per column, the entries of the columns whose
     multiplicity is 0 are dropped, and a row left empty is never made.
-    block() keeps only the column of each one-entry row it is given, each once.
+    block() keeps only the column of each one-entry row it is given, each once;
+    the annihilator blocks it is given come from _annihilator, not from here.
     """
 
     def __init__(self, algebra: LieAlgebra, nrows: int, ncols: int, mult=None):
@@ -135,20 +136,6 @@ class _CochainRows:
         self.rows: dict = {}
         self.settled: dict = {}  # column -> the row of its first unit row, never a row dict
         self.overlap = False  # an entry written twice; only then can one cancel
-
-    def annihilator(self) -> tuple:
-        """The annihilator of the center, which the rows of every ad(e_r) span, as (terms, settle)
-        for block: its reduced echelon basis, row i as (i, u, int) terms, settled if unit rows."""
-        ad_rows: dict = {}
-        for c, terms in self.leads.items():
-            for d, u, v in terms:
-                ad_rows.setdefault((c, d), {})[u] = v
-        basis = RowReducer(ad_rows.values()).rows_sorted()
-        shifted = [
-            (i, u, (v * lcm(*(w.denominator for w in row.values()))).numerator)
-            for i, row in enumerate(basis) for u, v in row.items()
-        ]
-        return ((), shifted) if all(len(row) == 1 for row in basis) else (shifted, ())
 
     def block(self, base: int, col_base: int, terms: list, coef: int, settle=()) -> None:
         """Add coef * the block of (d, u, value) terms at row base + d, column col_base + u.
@@ -188,6 +175,18 @@ class _CochainRows:
         return RatMatrix.adopt(self.nrows, self.ncols, rows, scale == 1, settled)
 
 
+def _annihilator(algebra: LieAlgebra) -> tuple:
+    """The annihilator of the center, which the rows of every ad(e_r) span, as (terms, settle)
+    for _CochainRows.block: the reduced echelon basis of liealg.ad_span, row i as (i, u, int)
+    terms, each row scaled by the lcm of its denominators; settled if they are all unit rows."""
+    basis = ad_span(algebra).rows_sorted()
+    shifted = [
+        (i, u, (v * lcm(*(w.denominator for w in row.values()))).numerator)
+        for i, row in enumerate(basis) for u, v in row.items()
+    ]
+    return ((), shifted) if all(len(row) == 1 for row in basis) else (shifted, ())
+
+
 def delta1_matrix(
     algebra: LieAlgebra, coords: CochainCoordinates | None = None, mult=None
 ) -> RatMatrix:
@@ -219,7 +218,7 @@ def delta2_matrix(
     # A triple of r and central p, q has one term, [e_r, s(e_p, e_q)]; over all r
     # they span the annihilator on s(e_p, e_q), written at the first non-central
     # r. The other triples with two or three central members are skipped.
-    built, settle = out.annihilator()
+    built, settle = _annihilator(algebra)
     first = min(leads, default=None)
     for t, (x, y, z) in enumerate(coords.triples):
         base = t * n
@@ -260,7 +259,7 @@ def eta2_matrix(
     leads = out.leads
     # The -ad(e_c) rows of a pair with [e_a, e_b] = 0 span the annihilator of the
     # center; its reduced echelon basis stands for them, settled if it is unit rows.
-    built, settle = out.annihilator()
+    built, settle = _annihilator(algebra)
     for p, (a, b) in enumerate(coords.pairs):
         ab = out.brackets.get((a, b))
         if ab is None:
@@ -284,14 +283,6 @@ def eta2_matrix(
                 else:
                     out.block(base, col, (), s_sign * v, out.unit)
     return out.matrix()
-
-
-def is_at_most_two_step(algebra: LieAlgebra) -> bool:
-    """Whether [g, [g, g]] = 0; the lower central series runs once per algebra object."""
-    if algebra._two_step is None:
-        chain = lower_central_series(algebra)
-        algebra._two_step = chain[-1].rank == 0 and len(chain) <= 3
-    return algebra._two_step
 
 
 def twin_classes(algebra: LieAlgebra) -> list:

@@ -7,6 +7,10 @@ A GradedLieAlgebra additionally knows a grading (block sizes by degree)
 and, when it was built from a graph, a label and a multidegree for every
 basis element. All three are read-only (sc and adjacency() are mapping
 proxies all the way down), since structure_constants shares cached algebras.
+
+This module owns one rule per algebra check: jacobi_report, ad_span (read
+by center and the cochain builders) and is_at_most_two_step. The last two
+are cached on the algebra object, like adjacency(); callers only read them.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .limits import check_dim
-from .linalg import RatMatrix, RowReducer, axpy, frac, frac_str, is_int, kernel_basis
+from .linalg import RowReducer, axpy, frac, frac_str, is_int, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,8 @@ class LieAlgebra:
         self.k = k
         self.sc = _clean_sc(n, sc)
         self._adj = None
-        self._two_step = None  # cohomology.is_at_most_two_step, once computed
+        self._ad_span = None  # ad_span, once computed
+        self._two_step = None  # is_at_most_two_step, once computed
 
     def bracket_basis(self, i: int, j: int) -> dict:
         """[e_i, e_j] as a sparse vector, any i, j."""
@@ -134,31 +139,48 @@ def lower_central_series(algebra: LieAlgebra) -> list:
     return chain
 
 
+def is_at_most_two_step(algebra: LieAlgebra) -> bool:
+    """Whether [g, [g, g]] = 0; the lower central series runs once per algebra object."""
+    if algebra._two_step is None:
+        chain = lower_central_series(algebra)
+        algebra._two_step = chain[-1].rank == 0 and len(chain) <= 3
+    return algebra._two_step
+
+
+def ad_span(algebra: LieAlgebra) -> RowReducer:
+    """The span of the functionals x -> e_l-coefficient of [x, e_j]: the annihilator of the
+    center, its kernel. Eliminated once per algebra object and shared, so never added to."""
+    if algebra._ad_span is None:
+        rows: dict = {}
+        for (i, j), terms in algebra.sc.items():
+            for l, c in terms.items():
+                rows.setdefault((j, l), {})[i] = c
+                rows.setdefault((i, l), {})[j] = -c
+        algebra._ad_span = RowReducer(rows.values())
+    return algebra._ad_span
+
+
 def center(algebra: LieAlgebra) -> RowReducer:
-    """Kernel of the stacked adjoint maps x -> ([x, e_j])_j."""
-    n = algebra.n
-    # Row j*n + l holds the e_l coefficients of [x, e_j]; pairs are stored
-    # once with i < j, so no two terms land on the same entry.
-    rows: dict = {}
-    for (i, j), terms in algebra.sc.items():
-        for l, c in terms.items():
-            rows.setdefault(j * n + l, {})[i] = c
-            rows.setdefault(i * n + l, {})[j] = -c
-    return kernel_basis(RatMatrix(n * n, n, rows))
+    """Kernel of the stacked adjoint maps x -> ([x, e_j])_j, a fresh RowReducer."""
+    return kernel_basis(ad_span(algebra), algebra.n)
 
 
-def jacobi_report(algebra: LieAlgebra, triples=None) -> list:
-    """The given triples i < j < l where the Jacobi identity fails, in order; empty means it holds.
+def jacobi_report(algebra: LieAlgebra) -> list:
+    """The triples i < j < l where the Jacobi identity fails, in order; empty means it holds.
 
-    By default every triple meeting a stored structure constant is
-    evaluated: if none of the three inner brackets has an entry, every term
-    is identically zero.
+    A term [e_x, [e_y, e_z]] is nonzero only if [e_y, e_z] has a term e_t
+    with [e_x, e_t] != 0, so exactly the triples {x, y, z} of distinct
+    members with a stored pair (y, z), a term t of it and x a key of
+    adjacency()[t] are evaluated. Every other triple is zero term by term,
+    for any bracket table.
     """
-    if triples is None:
-        n = algebra.n
-        triples = sorted({
-            tuple(sorted((i, j, l))) for (i, j) in algebra.sc for l in range(n) if l != i and l != j
-        })
+    adj = algebra.adjacency()
+    triples = sorted({
+        tuple(sorted((x, y, z)))
+        for (y, z), terms in algebra.sc.items()
+        for t in terms if t in adj
+        for x in adj[t] if x != y and x != z
+    })
     bad = []
     for (i, j, l) in triples:
         acc: dict = {}

@@ -392,12 +392,11 @@ class CoordinateSolver:
         return {c - self.offset: -v for c, v in rem.items()}
 
 
-def kernel_basis(matrix: RatMatrix) -> RowReducer:
-    """Right kernel {x : Mx = 0}, a span of rank cols - rank M."""
-    red = RowReducer(matrix._all_rows().values())
-    pivots = red.pivots
+def kernel_basis(span: RowReducer, n: int) -> RowReducer:
+    """Right kernel {x in Q^n : r.x = 0 for every row r of span}, read off its echelon rows."""
+    pivots = span.pivots
     return RowReducer(
         {f: ONE, **{p: -row[f] for p, row in pivots.items() if f in row}}
-        for f in range(matrix.cols)
+        for f in range(n)
         if f not in pivots
     )

@@ -33,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .basis import dimension_oracle, structure_constants
-from .cohomology import H2Report, h2_nil, is_at_most_two_step
+from .cohomology import H2Report, h2_nil
 from .errors import InternalInvariantError, invariant_error
 from .graphs import SimpleGraph, enumerate_graphs, to_graph6
-from .liealg import GradedLieAlgebra, LieAlgebra, center, jacobi_report
+from .liealg import GradedLieAlgebra, LieAlgebra, center, is_at_most_two_step, jacobi_report
 from .limits import check_k, check_vertices
 from .linalg import ONE, ZERO, RowReducer, axpy, frac, frac_str, vec_to_dict
 
@@ -101,28 +101,6 @@ class DeformCheckResult:
         return self.ok
 
 
-def _candidate_triples(deformed: DeformedAlgebra) -> list:
-    """Basis triples on which either coefficient identity could be nonzero.
-
-    sigma vanishes unless both a1 and a2 appear among its arguments'
-    coordinates, so a triple contributes only if it contains both a1 and
-    a2, or if it contains one of them and some bracket of the other two
-    members reaches the other. Every other triple is zero term by term.
-    """
-    base = deformed.base
-    a1, a2 = deformed.cocycle.a1, deformed.cocycle.a2
-    n = base.n
-    cands = set()
-    for z in range(n):
-        if z != a1 and z != a2:
-            cands.add(tuple(sorted((a1, a2, z))))
-    for (i, j), terms in base.sc.items():
-        for a, other in ((a1, a2), (a2, a1)):
-            if other in terms and a != i and a != j:
-                cands.add(tuple(sorted((i, j, a))))
-    return sorted(cands)
-
-
 def deform_check(deformed: DeformedAlgebra) -> DeformCheckResult:
     """mu + t sigma is a Lie bracket for every t, checked by jacobi_report at t = 1 and 2.
 
@@ -130,13 +108,12 @@ def deform_check(deformed: DeformedAlgebra) -> DeformCheckResult:
     sigma(sigma(x, x'), z) is w(y, s) y with s = w(x, x') z + w(x', z) x
     + w(z, x) x', and s has no (a1, a2) component, since that identity
     holds for any three vectors of a plane. So the t^2 term of the
-    Jacobiator vanishes, which leaves J_mu + t J_1 on every triple: zero
-    for all t exactly when zero at t = 1 and t = 2. For a Lie bracket mu
-    the candidate triples provably cover every triple where J_1 can be
-    nonzero; the violation is the first candidate that fails at either point.
+    Jacobiator vanishes, which leaves J = J_mu + t J_1 on every triple:
+    zero for all t exactly when zero at t = 1 and t = 2. jacobi_report is
+    exact at each t for any bracket table, so no assumption on mu is made;
+    the violation is the first triple that fails at either point.
     """
-    triples = _candidate_triples(deformed)
-    firsts = [bad[0] for t in (1, 2) if (bad := jacobi_report(deformed.at_t(t), triples))]
+    firsts = [bad[0] for t in (1, 2) if (bad := jacobi_report(deformed.at_t(t)))]
     return DeformCheckResult(not firsts, min(firsts, default=None))
 
 

@@ -363,6 +363,35 @@ def test_dimension_oracle_is_fast_on_large_sparse_graphs():
     assert time.perf_counter() - start < 1
 
 
+def test_dimension_oracle_pads_isolated_vertices_without_a_series():
+    # graphs padded with isolated vertices against the whole-graph count
+    for m in range(1, 6):
+        for graph in enumerate_graphs(m):
+            for pad in (1, 2):
+                padded = SimpleGraph(m + pad, graph.adj + (0,) * pad)
+                for k in range(1, 7):
+                    assert dimension_oracle(padded, k) == whole_graph_dimensions(padded, k), (
+                        to_graph6(padded), k,
+                    )
+
+
+def test_dimension_oracle_runs_one_series_per_component_type(monkeypatch):
+    # an isolated vertex runs no series, and equal components run one
+    calls = []
+    original = basis.clique_polynomial
+
+    def counted(graph, top=None):
+        calls.append(graph.adj)
+        return original(graph, top)
+
+    monkeypatch.setattr(basis, "clique_polynomial", counted)
+    start = time.perf_counter()
+    assert dimension_oracle(SimpleGraph.make(2000, []), 2000) == [2000] + [0] * 1999
+    assert time.perf_counter() - start < 2 and calls == []
+    matching = SimpleGraph.make(41, [(2 * i - 1, 2 * i) for i in range(1, 21)])
+    assert dimension_oracle(matching, 4) == [41, 20, 40, 60] and calls == [(0, 0)]  # one edge
+
+
 def _mobius_local(n):
     factors = 0
     d = 2

@@ -16,7 +16,7 @@ from graphlie.basis import structure_constants
 from graphlie.cli import _build_parser, main, run_command, write_report
 from graphlie.cohomology import h2_nil
 from graphlie.graphs import SimpleGraph, enumerate_graphs, from_graph6, to_graph6
-from graphlie.liealg import algebra_from_json_dict, jacobi_report
+from graphlie.liealg import LieAlgebra, algebra_from_json_dict, jacobi_report
 from graphlie.limits import MAX_DIM, MAX_H2_DIM, MAX_K
 
 STAR_EDGES = '{"m": 3, "edges": [[1, 2], [1, 3]]}'
@@ -431,6 +431,25 @@ def test_oversized_loaded_algebra_is_refused_before_the_lie_check(
     code, out, err = _run(capsys, *command, "--in", str(path), "--k", "2")
     assert time.perf_counter() - start < 1
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_folded_document_builds_without_a_jacobi_walk(capsys, tmp_path, monkeypatch):
+    # No bracket of the 2-step document composes, so jacobi_report evaluates
+    # no triple of it.
+    document = _folded_document(120)
+    evaluated = []
+    bracket_basis = LieAlgebra.bracket_basis
+    monkeypatch.setattr(
+        LieAlgebra, "bracket_basis", lambda self, i, j: evaluated.append(1) or bracket_basis(self, i, j)
+    )
+    assert jacobi_report(algebra_from_json_dict(document)) == [] and evaluated == []
+    monkeypatch.undo()
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "algebra", "build", "--in", str(path), "--k", "2")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "") and len(json.loads(out)["brackets"]) == 7140
 
 
 ODD_VALUES = [0, -1, 1, 2, 3, 7, 10**30, True, None, 2.5, "3", "1e10000000", [], {}]

@@ -14,7 +14,6 @@ from graphlie.cohomology import (
     delta2_matrix,
     eta2_matrix,
     h2_nil,
-    is_at_most_two_step,
     orbit_multiplicities,
     swap_is_automorphism,
     twin_classes,
@@ -25,6 +24,7 @@ from graphlie.liealg import (
     algebra_from_json_dict,
     algebra_to_json_dict,
     center,
+    is_at_most_two_step,
     lower_central_series,
 )
 from graphlie.linalg import ONE, ZERO, IntRowReducer, RatMatrix, RowReducer, axpy
@@ -202,7 +202,7 @@ def test_two_step_guards():
 
 
 def test_h2_checks_two_step_once(monkeypatch):
-    import graphlie.cohomology as cohomology
+    import graphlie.liealg as liealg
 
     calls = []
 
@@ -210,7 +210,7 @@ def test_h2_checks_two_step_once(monkeypatch):
         calls.append(algebra)
         return lower_central_series(algebra)
 
-    monkeypatch.setattr(cohomology, "lower_central_series", counted)
+    monkeypatch.setattr(liealg, "lower_central_series", counted)
     # a fresh algebra object: the answer is kept on the object, and the
     # cached one structure_constants returns may have been checked already
     alg = structure_constants.__wrapped__(C4, 2)
@@ -515,6 +515,34 @@ def test_matrices_hold_ints_unless_constants_have_denominators():
 # Heisenberg in the basis x, y, z + x: [x, y] = z - x and [y, z] = x - z,
 # so the ad and identity blocks of all three builders meet and cancel.
 TWISTED_HEISENBERG = LieAlgebra(3, {(0, 1): {2: 1, 0: -1}, (1, 2): {2: -1, 0: 1}})
+
+
+def test_annihilator_and_center_split_the_dual():
+    # The annihilator blocks of delta2 and eta2 and the center both read
+    # liealg.ad_span, cached on the algebra: the annihilator's rows are a
+    # basis, each kills every center vector, and the two ranks add up to n.
+    # center runs before and after, so neither reader may change the span.
+    import graphlie.cohomology as cohomology
+
+    rng = random.Random(41)
+    scaled = {pair: {l: c * rng.choice(RATIONALS) for l, c in terms.items()}
+              for pair, terms in TWISTED_HEISENBERG.sc.items()}
+    algebras = [
+        structure_constants(graph, k) for k in (2, 3) for m in range(2, 6) for graph in enumerate_graphs(m)
+    ]
+    for alg in algebras + [TWISTED_HEISENBERG, LieAlgebra(3, scaled)]:
+        first = center(alg).rows_sorted()
+        terms, settle = cohomology._annihilator(alg)
+        rows: dict = {}
+        for i, u, v in terms or settle:
+            rows.setdefault(i, {})[u] = v
+        z = center(alg)
+        assert z.rows_sorted() == first
+        assert RowReducer(rows.values()).rank == len(rows)
+        assert len(rows) + z.rank == alg.n
+        for row in rows.values():
+            for vec in first:
+                assert sum(v * vec.get(u, 0) for u, v in row.items()) == 0
 
 
 def test_adopted_builder_rows_match_the_validating_constructor(monkeypatch):

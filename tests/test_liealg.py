@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -155,6 +156,31 @@ def test_jacobi_report_matches_brute_force():
             i, j = sorted(rng.sample(range(n), 2))
             sc.setdefault((i, j), {})[rng.randrange(n)] = Fraction(rng.randint(-2, 2))
         algebras.append(LieAlgebra(n, sc))
+    for _ in range(25):
+        # 2-step tables: pairs of g generators bracket onto the n - g central
+        # vectors, so no bracket composes; half gain one stray bracket
+        g = rng.randint(2, 4)
+        n = rng.randint(g + 1, 7)
+        sc = {
+            pair: {rng.randrange(g, n): Fraction(rng.randint(1, 3))}
+            for pair in combinations(range(g), 2) if rng.random() < 0.7
+        }
+        if rng.random() < 0.5:
+            i, j = sorted(rng.sample(range(n), 2))
+            sc.setdefault((i, j), {})[rng.randrange(n)] = Fraction(rng.randint(-2, 2))
+        algebras.append(LieAlgebra(n, sc))
+    for _ in range(25):
+        # [e_y, e_z] = e_t and [e_x, e_t] = e_u only: on {x, y, z} one rotation
+        # is nonzero, and x is a neighbour of t, not of y or z
+        n = rng.randint(4, 6)
+        x, y, z, t = rng.sample(range(n), 4)
+        sc = {}
+        for (a, b), l in (((y, z), t), ((x, t), rng.randrange(n))):
+            sign = 1 if a < b else -1
+            sc[min(a, b), max(a, b)] = {l: sign * Fraction(rng.choice((1, 2, -3)))}
+        alg = LieAlgebra(n, sc)
+        assert tuple(sorted((x, y, z))) in _jacobi_brute(alg)
+        algebras.append(alg)
     for alg in algebras:
         assert jacobi_report(alg) == _jacobi_brute(alg)
 

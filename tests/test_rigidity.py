@@ -140,7 +140,7 @@ def test_pruned_check_matches_exhaustive():
         m = rng.randint(2, 4)
         pairs = [p for p in combinations(range(1, m + 1), 2) if rng.random() < 0.5]
         alg = structure_constants(SimpleGraph.make(m, pairs), rng.randint(2, 3))
-        # a pair of higher degree is hit by brackets: the second candidate family
+        # a pair of higher degree is hit by brackets, so mu and sigma compose
         a1, a2 = rng.sample(range(rng.choice((m, alg.n))), 2)
         y = [Fraction(rng.randint(-2, 2)) for _ in range(alg.n)]
         deformed = DeformedAlgebra(alg, DeformationCocycle(alg.n, a1, a2, tuple(y)))
