@@ -39,11 +39,11 @@ complements cross-checks every graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
 from operator import add, or_
+from typing import NamedTuple
 
 from .errors import InternalInvariantError, invariant_error
 from .graphs import SimpleGraph, to_graph6
@@ -195,8 +195,11 @@ def clique_polynomial(graph: SimpleGraph, top: int | None = None) -> list:
     m, top = graph.m, top or graph.m
     up = [a >> v + 1 << v + 1 for v, a in enumerate(graph.adj)]
     counts, level, size = [1] + [0] * top, up, 1
-    while level and size <= top:
+    while level:
         counts[size] += len(level)
+        if size >= top - 1:  # at top - 1, each bit of a mask is one clique of size top
+            counts[top] += sum(map(int.bit_count, level)) if size < top else 0
+            break
         grown = []
         for mask in level:
             if mask & (mask - 1):  # two or more candidates
@@ -206,7 +209,7 @@ def clique_polynomial(graph: SimpleGraph, top: int | None = None) -> list:
                 else:  # the candidates are a clique, so each subset of them extends it
                     for j in range(1, min(len(kids), top - size) + 1):
                         counts[size + j] += comb(len(kids), j)
-            elif mask and size < top:
+            elif mask:
                 counts[size + 1] += 1
         level, size = grown, size + 1
     return counts[: max(j for j, c in enumerate(counts) if c) + 1]
@@ -279,8 +282,7 @@ def _supports(graph: SimpleGraph, top: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class _SupportType:
+class _SupportType(NamedTuple):
     """What the words that use every letter add to the algebra of a graph on 1..s.
 
     made: Lyndon word -> (expansion, (1..s, position) or None); kept: (word,
@@ -399,14 +401,15 @@ class BasisElement:
         return {_relabel(w, letters): c for w, c in entry.made[local][0].items()}
 
 
-@dataclass(eq=False)
 class GradedBasis:
-    graph: SimpleGraph
-    k: int
-    dims: tuple
-    elements: list
-    # set of at most k vertices -> (its support type, the element index of each type position)
-    supports: dict
+    """graph's basis up to degree k: dims by degree, elements in (length, word) order,
+    and supports, each set of at most k vertices -> (its support type, the element
+    index of each type position). Equal only to itself."""
+
+    __slots__ = ("graph", "k", "dims", "elements", "supports")
+
+    def __init__(self, graph: SimpleGraph, k: int, dims: tuple, elements: list, supports: dict):
+        self.graph, self.k, self.dims, self.elements, self.supports = graph, k, dims, elements, supports
 
 
 def graded_basis(graph: SimpleGraph, k: int) -> GradedBasis:

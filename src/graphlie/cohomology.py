@@ -61,12 +61,12 @@ every multiplicity is 1 and nothing is skipped.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, groupby
 from math import factorial, lcm
 from operator import add
+from typing import NamedTuple
 
 from .errors import InternalInvariantError
 from .graphs import SimpleGraph, _twin_classes
@@ -438,8 +438,7 @@ def orbit_multiplicities(algebra: LieAlgebra, coords: CochainCoordinates, classe
     return f_mult, s_mult
 
 
-@dataclass(frozen=True)
-class H2Report:
+class H2Report(NamedTuple):
     dim_ker_eta2: int
     dim_ker_delta2: int
     dim_intersection: int
@@ -448,7 +447,7 @@ class H2Report:
     eta2_subset_delta2: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def h2_nil(algebra: LieAlgebra) -> H2Report:

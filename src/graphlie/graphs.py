@@ -9,17 +9,14 @@ place where edge pairs become masks; every other reader takes the masks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
-from operator import or_
+from typing import NamedTuple
 
 from .limits import check_vertices
 from .linalg import is_int
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
+class SimpleGraph(NamedTuple):
     m: int
     adj: tuple  # adj[v - 1]: the bitmask of v's neighbours, vertex u on bit u - 1
 
@@ -61,14 +58,24 @@ class SimpleGraph:
         return tuple(rows)
 
     def components(self) -> list:
-        """The vertex sets of the connected components, each as an increasing tuple, by least vertex."""
-        out, left = [], (1 << self.m) - 1
+        """The vertex sets of the connected components, each as an increasing tuple, by least vertex.
+
+        A component grows from a frontier of set bits; each vertex leaves a
+        frontier once, and only then is its mask read."""
+        out, left, adj = [], (1 << self.m) - 1, self.adj
         while left:
-            comp, grown = 0, left & -left
-            while grown != comp:
-                comp, grown = grown, reduce(or_, (a for v, a in enumerate(self.adj) if grown >> v & 1), grown)
+            comp = frontier = left & -left
+            members = []
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                v = bit.bit_length()
+                members.append(v)
+                new = adj[v - 1] & ~comp
+                comp |= new
+                frontier |= new
             left ^= comp
-            out.append(tuple(v for v in range(1, self.m + 1) if comp >> (v - 1) & 1))
+            out.append(tuple(sorted(members)))
         return out
 
 

@@ -15,15 +15,14 @@ are cached on the algebra object, like adjacency(); callers only read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .limits import check_dim
 from .linalg import RowReducer, axpy, frac, frac_str, is_int, kernel_basis
 
 
-@dataclass(frozen=True)
-class BasisLabel:
+class BasisLabel(NamedTuple):
     label: str
     degree: int
     multidegree: tuple

@@ -30,7 +30,7 @@ computed, is a contradiction and aborts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .basis import dimension_oracle, structure_constants
 from .cohomology import H2Report, h2_nil
@@ -41,16 +41,14 @@ from .limits import check_k, check_vertices
 from .linalg import ONE, ZERO, RowReducer, axpy, frac, frac_str, vec_to_dict
 
 
-@dataclass(frozen=True)
-class DeformationCocycle:
+class DeformationCocycle(NamedTuple):
     n: int
     a1: int
     a2: int
     y: tuple
 
 
-@dataclass(frozen=True)
-class DeformedAlgebra:
+class DeformedAlgebra(NamedTuple):
     base: LieAlgebra
     cocycle: DeformationCocycle
 
@@ -92,8 +90,7 @@ def build_sigma(algebra: GradedLieAlgebra, a1: int, a2: int, y) -> DeformationCo
     return DeformationCocycle(n, a1, a2, y)
 
 
-@dataclass(frozen=True)
-class DeformCheckResult:
+class DeformCheckResult(NamedTuple):
     ok: bool
     violation: tuple | None
 
@@ -285,8 +282,7 @@ def find_witness(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int):
     raise ValueError("witness search needs k >= 2")
 
 
-@dataclass(frozen=True)
-class RigidityVerdict:
+class RigidityVerdict(NamedTuple):
     verdict: str  # "rigid" | "not_rigid" | "unknown"
     certificate: dict
     h2: H2Report | None = None
@@ -357,9 +353,9 @@ def classify(graph: SimpleGraph, k: int, with_cohomology: bool = False) -> Rigid
             verdict = RigidityVerdict("unknown", {"kind": "none"}, h2)
     elif k == 2 and with_cohomology:
         algebra = structure_constants(graph, k)
-        verdict = replace(verdict, h2=_h2(graph, algebra, k))
+        verdict = verdict._replace(h2=_h2(graph, algebra, k))
     # graded_basis has checked a built algebra's dimension against the count
-    verdict = replace(verdict, dim=algebra_dim(graph, k) if algebra is None else algebra.n)
+    verdict = verdict._replace(dim=algebra_dim(graph, k) if algebra is None else algebra.n)
     if verdict.verdict == "not_rigid" and verdict.h2 is not None and verdict.h2.h2_dim == 0:
         raise invariant_error(
             "a deformation witness and vanishing h2 cannot both hold",

@@ -291,6 +291,7 @@ def test_classify_rejects_algebra_file(capsys, tmp_path):
 
 
 ONE_EDGE = '{"m": 3, "edges": [[1, 2]]}'
+LONG_PATH = json.dumps({"m": MAX_DIM, "edges": [[v, v + 1] for v in range(1, MAX_DIM)]})
 GRAPH6_LIMIT = "graph6 codes with more than 62 vertices are not supported"
 
 
@@ -311,6 +312,9 @@ GRAPH6_LIMIT = "graph6 codes with more than 62 vertices are not supported"
         (("rigidity", "sweep", "--n", "3", "--k", str(10**30)), f"k is {10**30}; the budget is {MAX_K}"),
         (("deform", "emit", "--edges", STAR_EDGES, "--k", "3", "--t", "1e10000000"),
          "rational '1e10000000' must be an integer, a decimal or p/q"),
+        # the clique count of the path's complement stops at its edges, not its triangles
+        (("algebra", "build", "--edges", LONG_PATH, "--k", "2"),
+         f"the algebra has {2 * MAX_DIM - 1} basis elements; the budget is {MAX_DIM}"),
     ],
 )
 def test_oversized_graph_input_is_refused_at_once(capsys, argv, message):
@@ -546,6 +550,22 @@ def test_import_graphlie_leaves_cli_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_cli_import_graph_leaves_out_dataclasses():
+    # every process pays for what importing the CLI loads; dataclasses alone
+    # pulls in inspect, ast, dis and tokenize, which graphlie never uses
+    script = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import graphlie.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script, str(REPO_ROOT / "src")], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "graphlie.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def _scripts_table_from_text(text):

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -129,6 +130,14 @@ def test_components():
     k4 = from_graph6("C~")
     assert k4.components() == [(1, 2, 3, 4)] and k4.is_complete()
     assert SimpleGraph.make(4, [(1, 3), (2, 4)]).components() == [(1, 3), (2, 4)]
+
+
+def test_components_read_each_mask_once():
+    edgeless, path = SimpleGraph.make(2000, []), SimpleGraph.make(2000, [(v, v + 1) for v in range(1, 2000)])
+    start = time.perf_counter()
+    assert edgeless.components() == [(v,) for v in range(1, 2001)]
+    assert path.components() == [tuple(range(1, 2001))]
+    assert time.perf_counter() - start < 0.1
 
 
 def _union_find_components(graph):

@@ -4,11 +4,12 @@ from itertools import combinations
 
 import pytest
 
-from graphlie.basis import structure_constants
-from graphlie.cohomology import H2Report
+from graphlie.basis import _support_type, graded_basis, structure_constants
+from graphlie.cohomology import H2Report, h2_nil
 from graphlie.errors import InternalInvariantError
 from graphlie.graphs import SimpleGraph, enumerate_graphs, from_graph6, to_graph6
 from graphlie.liealg import (
+    BasisLabel,
     GradedLieAlgebra,
     LieAlgebra,
     center,
@@ -17,8 +18,10 @@ from graphlie.liealg import (
 )
 from graphlie.linalg import ONE, ZERO, RowReducer, frac, vec_to_dict
 from graphlie.rigidity import (
+    DeformCheckResult,
     DeformationCocycle,
     DeformedAlgebra,
+    RigidityVerdict,
     algebra_dim,
     build_sigma,
     certify_2step_witness,
@@ -404,6 +407,45 @@ def test_verdict_json():
     assert data["h2"]["h2_dim"] == 0
     v = classify(K3, 3)
     assert "h2" not in v.to_json_dict()
+
+
+def test_records_are_immutable_values():
+    alg = structure_constants(STAR, 3)
+    sigma = build_sigma(alg, 1, 2, _unit(alg.n, 5))
+    report = h2_nil(structure_constants(P4, 2))
+    verdict = classify(P4, 2, with_cohomology=True)
+    h2_keys = ("dim_ker_eta2", "dim_ker_delta2", "dim_intersection", "dim_im_delta1", "h2_dim",
+               "eta2_subset_delta2")
+    records = [
+        (STAR, ("m", "adj")),
+        (alg.labels[0], ("label", "degree", "multidegree")),
+        (_support_type(STAR.adj, 3), ("made", "kept", "brackets")),
+        (report, h2_keys),
+        (sigma, ("n", "a1", "a2", "y")),
+        (DeformedAlgebra(alg, sigma), ("base", "cocycle")),
+        (deform_check(DeformedAlgebra(alg, sigma)), ("ok", "violation")),
+        (verdict, ("verdict", "certificate", "h2", "dim")),
+    ]
+    for record, fields in records:
+        assert type(record)._fields == fields
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+    twins = [
+        (from_graph6(to_graph6(P4)), SimpleGraph.make(4, [(3, 4), (1, 2), (2, 3)])),
+        (alg.labels[3], BasisLabel(alg.labels[3].label, 2, alg.labels[3].multidegree)),
+        (sigma, DeformationCocycle(alg.n, 1, 2, tuple(_unit(alg.n, 5)))),
+        (report, h2_nil(structure_constants(P4, 2))),
+    ]
+    for a, b in twins:
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert list(report.to_json_dict().items()) == list(zip(h2_keys, report))
+    assert verdict._replace(dim=None) == RigidityVerdict(verdict.verdict, verdict.certificate, verdict.h2)
+    unreported = verdict._replace(h2=None).to_json_dict()
+    assert unreported == {"verdict": "not_rigid", "certificate": verdict.certificate}
+    assert not DeformCheckResult(False, None) and DeformCheckResult(True, None)
+    basis = graded_basis(STAR, 3)
+    assert basis == basis and basis != graded_basis(STAR, 3)  # equal only to itself
 
 
 def test_sweep_guards():
