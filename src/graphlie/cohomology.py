@@ -20,8 +20,21 @@ Differentials of the adjoint complex:
 
 The slot-two nil-cohomology of an at most 2-step algebra is
 (ker delta2 intersect ker eta2) / im delta1. The inclusion
-im delta1 <= ker eta2 is asserted at runtime; whether ker eta2 is already
-contained in ker delta2 is only recorded as a flag, never assumed.
+im delta1 <= ker eta2 is asserted at runtime. The inclusion
+ker eta2 <= ker delta2 holds for every alternating bracket, since each
+delta2 row (x<y<z, d) is a signed sum of the eta2 rows ((y,z),x,d),
+((x,z),y,d) and ((x,y),z,d):
+
+  delta2 s (x,y,z) = -eta2 s (y,z,x) + eta2 s (x,z,y) - eta2 s (x,y,z).
+
+Proof, by antisymmetry alone:
+  -eta2 s (y,z,x) = -[s(y,z),x] - s([y,z],x) =  [x,s(y,z)] - s([y,z],x)
+   eta2 s (x,z,y) =  [s(x,z),y] + s([x,z],y) = -[y,s(x,z)] + s([x,z],y)
+  -eta2 s (x,y,z) = -[s(x,y),z] - s([x,y],z) =  [z,s(x,y)] - s([x,y],z)
+and the right-hand sides add up to delta2 s (x,y,z) term for term. Neither
+Jacobi nor the 2-step condition is used. So the intersection is ker eta2
+and h2 = dim ker eta2 - rank delta1; delta2 is still built and ranked, for
+the dimension of its kernel that the report gives.
 
 The matrices are built as integer rows, with the structure constants
 scaled by L, the lcm of their denominators. The builder checks each block
@@ -34,11 +47,10 @@ annihilator of the center in the pair's block, held there by the reduced
 echelon basis of liealg.ad_span, which center shares; and the rows that no ad block reaches of a one-term bracket
 or substitution term are unit rows. Unit rows are kept as settled columns,
 each once; the row space, and so every rank, is unchanged. delta1 keeps
-every row, since the containment check reads its column space. h2_nil ranks the
-matrices by structured elimination, each peeled once from its one-entry
-rows and settled columns, so only the few rows left over go through
-fraction-free elimination. The stacked rank of eta2 over delta2 continues
-from eta2's peeled state and its reducer, so no row is eliminated twice.
+every row, since the containment check reads its column space. h2_nil ranks
+each matrix once by linalg.peeled_rank, structured elimination from its
+one-entry rows and settled columns, so only the few rows left over go
+through fraction-free elimination.
 
 Torus weights and twin orbits. With md the multidegree of a labelled basis
 element, the column f_{a,b} has weight md(b) - md(a) and sigma_{(a<b),c}
@@ -52,7 +64,7 @@ weight, of equal rank. So h2_nil builds and ranks only the representative
 weights, those whose entries do not increase along each twin class, and
 counts each block as many times as its orbit has weights. The builders
 take one multiplicity per column, 0 for the columns they skip, and the
-peeled ranks add up multiplicities. Nothing is assumed of the labels:
+ranks add up multiplicities. Nothing is assumed of the labels:
 twin_classes certifies, in one pass over the brackets each, that md is a
 grading and that each swap of consecutive twins is a signed-permutation
 automorphism, and otherwise falls back to the trivial group, in which
@@ -453,15 +465,18 @@ class H2Report(NamedTuple):
 def h2_nil(algebra: LieAlgebra) -> H2Report:
     """Dimension data of (ker delta2 intersect ker eta2) / im delta1.
 
-    Raises ValueError before any cochain is indexed if the algebra has more
-    than limits.MAX_H2_DIM basis elements, limits.MAX_H2_CONSTANTS nonzero
-    structure constants or limits.MAX_H2_BRACKET_TERMS terms in one bracket,
-    and, from eta2_matrix and before any other matrix is built, unless it is
-    at most 2-step. Raises InternalInvariantError if
-    im delta1 is not inside ker eta2; for an at most 2-step algebra that
-    containment is a theorem, so a violation can only mean the matrices are
-    wrong. Only the blocks of representative weights are built and ranked,
-    each counted with its orbit's size (see the module docstring).
+    The intersection is ker eta2, which lies in ker delta2 for every
+    alternating bracket (see the module docstring), so eta2_subset_delta2 is
+    always True. Raises ValueError before any cochain is indexed if the
+    algebra has more than limits.MAX_H2_DIM basis elements,
+    limits.MAX_H2_CONSTANTS nonzero structure constants or
+    limits.MAX_H2_BRACKET_TERMS terms in one bracket, and, from eta2_matrix
+    and before any other matrix is built, unless it is at most 2-step.
+    Raises InternalInvariantError if im delta1 is not inside ker eta2; for an
+    at most 2-step algebra that containment is a theorem, so a violation can
+    only mean the matrices are wrong. Only the blocks of representative
+    weights are built and ranked, each counted with its orbit's size (see
+    the module docstring).
     """
     n = algebra.n
     check_h2_size(n, list(map(len, algebra.sc.values())))
@@ -474,14 +489,9 @@ def h2_nil(algebra: LieAlgebra) -> H2Report:
         raise InternalInvariantError(
             "im delta1 is not contained in ker eta2", "h2_nil, containment of im delta1 in ker eta2"
         )
-    # Each matrix is peeled once. The stacked rank of eta2 over delta2
-    # continues from both peeled states, eta2's reducer included. delta2 is
-    # built only after the other two matrices are released.
-    eta2 = e2.peeled(s_mult)
-    image = d1.peeled(f_mult).rank
-    del d1, e2
-    delta2 = delta2_matrix(algebra, coords, s_mult).peeled(s_mult)
+    # delta2 is built only after the other two matrices are released.
     cols = coords.dim_two_cochains
-    ker_eta2, ker_delta2 = cols - eta2.rank, cols - delta2.rank
-    meet = cols - eta2.stacked_rank(delta2)
-    return H2Report(ker_eta2, ker_delta2, meet, image, meet - image, meet == ker_eta2)
+    ker_eta2, image = cols - e2.rank(s_mult), d1.rank(f_mult)
+    del d1, e2
+    ker_delta2 = cols - delta2_matrix(algebra, coords, s_mult).rank(s_mult)
+    return H2Report(ker_eta2, ker_delta2, ker_eta2, image, ker_eta2 - image, True)

@@ -50,6 +50,8 @@ class SimpleGraph(NamedTuple):
 
     def induced(self, vertices: tuple) -> tuple:
         """The masks of the subgraph induced on vertices, given in increasing order, moved onto 1..s."""
+        if len(vertices) == self.m:  # all of 1..m: the masks are the graph's own
+            return self.adj
         adj, rows = self.adj, [0] * len(vertices)
         for p, q in combinations(range(len(vertices)), 2):
             if adj[vertices[p] - 1] >> (vertices[q] - 1) & 1:

@@ -5,7 +5,7 @@ floating point and no tolerance anywhere. A sparse vector, and each row of
 a RatMatrix, is a dict mapping an index to a nonzero coefficient; integer
 input stays int until a division makes a Fraction. Dense vectors are lists.
 RowReducer is the one span type; a kernel or a center is a RowReducer.
-PeeledRows and IntRowReducer rank integer rows without ever dividing.
+peeled_rank and IntRowReducer rank integer rows without ever dividing.
 """
 
 from __future__ import annotations
@@ -146,10 +146,10 @@ class RatMatrix:
             rows = ({c: v.numerator * (scale // v.denominator) for c, v in row.items()} for row in rows)
         return map(MappingProxyType, rows)
 
-    def peeled(self, mult=None) -> "PeeledRows":
-        """PeeledRows of the rows scaled to integers, as int_rows gives them."""
+    def rank(self, mult=None) -> int:
+        """peeled_rank of the rows scaled to integers, as int_rows gives them."""
         rows = self._data.values() if self._ints else self.int_rows()
-        return PeeledRows(rows, mult, self._settled.values())
+        return peeled_rank(rows, mult, self._settled.values())
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -282,75 +282,46 @@ class IntRowReducer:
         return len(self.pivots)
 
 
-class PeeledRows:
-    """Integer rows after structured elimination (LaMacchia & Odlyzko, CRYPTO '90).
+def peeled_rank(rows, mult=None, settled=()) -> int:
+    """Rank of integer rows by structured elimination (LaMacchia & Odlyzko, CRYPTO '90).
 
     A one-entry row, or a column given in settled, puts a unit vector in the
     row space, so its column is settled: it adds 1 to the rank and is deleted
     from every other row, and rows that drop to one entry settle theirs in
-    turn, up to a fixed point. The rows left over (rest) go through an
-    IntRowReducer once, here; the rank is the number of settled columns plus
-    the reducer's rank. stacked_rank continues from that state instead of
-    peeling again. The given rows (columns to nonzero ints) are not changed.
+    turn, up to a fixed point. The rows left over go through an
+    IntRowReducer; the rank is the number of settled columns plus its rank.
+    The given rows (columns to nonzero ints) are not changed.
 
     With mult, a list of one int per column, each settled column and each
     pivot counts mult[column] times instead of once: the rows are then the
     representative blocks of a block-diagonal matrix, and mult says how many
     blocks of equal rank each stands for (see cohomology.h2_nil).
     """
-
-    def __init__(self, rows, mult=None, settled=()):
-        self.mult = mult
-        queue, live = list(settled), []  # columns to settle, copies of the other rows
-        for row in rows:
-            if len(row) == 1:
-                queue.extend(row)
-            else:
-                live.append(dict(row))
-        index: dict = {}
-        for row in live:
-            for c in row:
-                index.setdefault(c, []).append(row)
-        settled = set()
-        while queue:
-            c = queue.pop()
-            if c not in settled:
-                settled.add(c)
-                for row in index.pop(c, ()):
-                    del row[c]
-                    if len(row) == 1:
-                        queue.extend(row)
-        self.settled = settled
-        self.rest = [row for row in live if row]
-        self.reducer = IntRowReducer()
-        for row in self.rest:
-            self.reducer.add(row)
-
-    def _count(self, columns) -> int:
-        """How many columns, each counted mult[column] times when mult is given."""
-        return len(columns) if self.mult is None else sum(map(self.mult.__getitem__, columns))
-
-    @property
-    def rank(self) -> int:
-        return self._count(self.settled) + self._count(self.reducer.pivots)
-
-    def stacked_rank(self, other: "PeeledRows") -> int:
-        """Rank of these rows stacked with other's, from both peeled states.
-
-        Modulo self's settled columns the stack spans self's leftover rows, a
-        unit row for each column only other settles, and other's leftover
-        rows stripped of self's settled columns. Those go into a copy of
-        self's reducer, sharing its stored rows, which are never changed.
-        Both must count their columns with the same mult.
-        """
-        settled = self.settled
-        red = IntRowReducer()
-        red.pivots.update(self.reducer.pivots)
-        for c in other.settled - settled:
-            red.add({c: 1})
-        for row in other.rest:
-            red.add({c: v for c, v in row.items() if c not in settled})
-        return self._count(settled) + self._count(red.pivots)
+    queue, live = list(settled), []  # columns to settle, copies of the other rows
+    for row in rows:
+        if len(row) == 1:
+            queue.extend(row)
+        else:
+            live.append(dict(row))
+    index: dict = {}
+    for row in live:
+        for c in row:
+            index.setdefault(c, []).append(row)
+    settled = set()
+    while queue:
+        c = queue.pop()
+        if c not in settled:
+            settled.add(c)
+            for row in index.pop(c, ()):
+                del row[c]
+                if len(row) == 1:
+                    queue.extend(row)
+    reducer = IntRowReducer()
+    for row in live:
+        reducer.add(row)
+    if mult is None:
+        return len(settled) + reducer.rank
+    return sum(map(mult.__getitem__, chain(settled, reducer.pivots)))
 
 
 class CoordinateSolver:

@@ -15,7 +15,7 @@ from graphlie.cohomology import (
     delta2_matrix,
 )
 from graphlie.liealg import GradedLieAlgebra
-from graphlie.linalg import ONE, ZERO, RatMatrix, axpy, frac_str, vec_to_dict
+from graphlie.linalg import ONE, ZERO, RatMatrix, axpy, frac_str, peeled_rank, vec_to_dict
 from graphlie.rigidity import certify_2step_witness
 
 # one context per graph, so that its normal form memo outlives a single call
@@ -206,15 +206,15 @@ def ref_eta2(algebra, coords) -> RatMatrix:
 def whole_matrix_h2(algebra) -> H2Report:
     """h2_nil on the whole cochain matrices, every torus weight ranked: the
     computation before twin orbits, with the trivial group and no budget,
-    and delta2 and eta2 made row by row by ref_delta2 and ref_eta2."""
+    and delta2 and eta2 made row by row by ref_delta2 and ref_eta2. The
+    intersection is ranked from the rows of both stacked, not taken to be
+    ker eta2, so the flag is computed, not assumed."""
     coords = CochainCoordinates(algebra.n)
     e2 = ref_eta2(algebra, coords)
     d1 = delta1_matrix(algebra, coords)
     assert e2.matmul(d1).is_zero(), "im delta1 is not contained in ker eta2"
-    eta2 = e2.peeled()
-    image = d1.peeled().rank
-    delta2 = ref_delta2(algebra, coords).peeled()
+    d2 = ref_delta2(algebra, coords)
     cols = coords.dim_two_cochains
-    ker_eta2, ker_delta2 = cols - eta2.rank, cols - delta2.rank
-    meet = cols - eta2.stacked_rank(delta2)
+    ker_eta2, ker_delta2, image = cols - e2.rank(), cols - d2.rank(), d1.rank()
+    meet = cols - peeled_rank([*e2.int_rows(), *d2.int_rows()])
     return H2Report(ker_eta2, ker_delta2, meet, image, meet - image, meet == ker_eta2)

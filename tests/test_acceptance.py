@@ -6,11 +6,13 @@ computation is sizable. All comparisons are exact; there are no numeric
 tolerances anywhere.
 """
 
+import json
 import random
 import sys
 import time
 from contextlib import contextmanager
 from itertools import combinations
+from pathlib import Path
 
 from graphlie.basis import dimension_oracle, graded_basis, structure_constants
 from graphlie.cohomology import h2_nil
@@ -276,9 +278,16 @@ def test_criterion_10_cochain_complex_properties():
     detail = [""]
     with _criterion(10, detail):
         rows = _sweep(5, 2)
-        for row in rows:
-            assert "h2" in row, row["graph6"]
-            assert isinstance(row["h2"]["eta2_subset_delta2"], bool)
+        # ker eta2 <= ker delta2 (a theorem, see graphlie.cohomology): in every
+        # k = 2 row, live and golden, the flag holds and the meet is ker eta2
+        data = Path(__file__).parent / "data"
+        golden = json.loads((data / "sweep_n5_k2.json").read_text())
+        reports = [row["h2"] for row in rows + golden if "h2" in row]
+        reports.append(json.loads((data / "h2nil_c4.json").read_text()))
+        assert all(row["k"] == 2 and "h2" in row for row in rows + golden)
+        for h2 in reports:
+            assert h2["eta2_subset_delta2"] is True, h2
+            assert h2["dim_intersection"] == h2["dim_ker_eta2"], h2
         checked = 0
         for m in range(2, 6):
             for graph in enumerate_graphs(m):
@@ -287,7 +296,7 @@ def test_criterion_10_cochain_complex_properties():
                 h2_nil(alg)  # raises if im delta1 escapes ker eta2
                 checked += 1
         assert checked == len(rows)
-        detail[0] = f"{checked} algebras, flags recorded on every row"
+        detail[0] = f"{checked} algebras, ker eta2 <= ker delta2 on every row"
 
 
 def test_criterion_11_normal_form_oracle():

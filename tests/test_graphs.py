@@ -166,6 +166,32 @@ def test_components_match_union_find():
         assert graph.components() == _union_find_components(graph), graph
 
 
+def _pairwise_induced(graph, vertices):
+    """The induced masks on vertices, moved onto 1..s, pair by pair from the edge set."""
+    edges, rows = edge_set(graph), [0] * len(vertices)
+    for p, q in combinations(range(len(vertices)), 2):
+        if (vertices[p], vertices[q]) in edges:
+            rows[p] |= 1 << q
+            rows[q] |= 1 << p
+    return tuple(rows)
+
+
+def test_induced_matches_the_pairwise_reference():
+    # every vertex set of every seeded graph, the whole vertex set included,
+    # which takes the graph's own masks
+    rng = random.Random(2026)
+    wholes = 0
+    for _ in range(40):
+        m = rng.randint(1, 7)
+        graph = SimpleGraph.make(m, [p for p in combinations(range(1, m + 1), 2) if rng.random() < 0.5])
+        for size in range(m + 1):
+            for vertices in combinations(range(1, m + 1), size):
+                assert graph.induced(vertices) == _pairwise_induced(graph, vertices), (graph, vertices)
+        whole = tuple(range(1, m + 1))
+        wholes += graph.induced(whole) is graph.adj
+    assert wholes == 40
+
+
 def test_masks_agree_with_the_edge_set():
     rng = random.Random(2300)
     for _ in range(200):

@@ -7,13 +7,13 @@ from graphlie.errors import InternalInvariantError
 from graphlie.linalg import (
     CoordinateSolver,
     IntRowReducer,
-    PeeledRows,
     RatMatrix,
     RowReducer,
     axpy,
     frac,
     frac_str,
     kernel_basis,
+    peeled_rank,
 )
 
 
@@ -196,8 +196,7 @@ def test_settled_rows_are_read_as_unit_rows():
     assert _dense(settled.matmul(right))[1] == [4, 0]  # settled row 1 picks right's row 2
     left = _matrix([[1, 1, 1, 1], [0, 5, 0, 0]])
     assert left.matmul(settled) == left.matmul(plain)
-    peeled, whole = settled.peeled(), plain.peeled()
-    assert (peeled.settled, peeled.rest, peeled.rank) == (whole.settled, whole.rest, whole.rank)
+    assert settled.rank() == plain.rank() == 3
     assert not RatMatrix.adopt(2, 2, {}, True, {0: 1}).is_zero()
     assert RatMatrix.adopt(2, 2, {}, True, {}).is_zero()
 
@@ -346,56 +345,41 @@ def _plain_rank(rows):
 def test_peel_settles_a_chain_column_by_column():
     # {0: 4} settles column 0, which leaves {1: 2} of the next row, and so on.
     rows = [{3: 2, 4: -1}, {2: 5, 3: 1}, {1: -1, 2: 3}, {0: 7, 1: 2}, {0: 4}]
-    peeled = PeeledRows(rows)
-    assert peeled.settled == {0, 1, 2, 3, 4}
-    assert peeled.rest == []
-    assert peeled.rank == 5 == _plain_rank(rows)
+    assert peeled_rank(rows) == 5 == _plain_rank(rows)
 
 
 def test_peel_two_one_entry_rows_on_one_column():
     rows = [{2: 3}, {2: -5}, {1: 1, 2: 1}, {0: 1, 1: 1, 3: 1}, {0: 2, 3: 2}]
-    peeled = PeeledRows(rows)
-    assert peeled.settled == {1, 2}  # column 2 counts once
-    assert peeled.rest == [{0: 1, 3: 1}, {0: 2, 3: 2}]
-    assert peeled.rank == 3 == _plain_rank(rows)
+    assert peeled_rank(rows) == 3 == _plain_rank(rows)  # column 2 counts once
 
 
 def test_peel_empties_a_row_inside_the_settled_columns():
     rows = [{0: 1}, {1: -2}, {0: 3, 1: 4}, {1: 1, 2: 1, 3: 1}]
-    peeled = PeeledRows(rows)
-    assert peeled.settled == {0, 1}
-    assert peeled.rest == [{2: 1, 3: 1}]  # the emptied row is gone
-    assert peeled.rank == 3 == _plain_rank(rows)
+    assert peeled_rank(rows) == 3 == _plain_rank(rows)
 
 
 def test_peel_without_one_entry_rows_leaves_every_row():
     rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}, {0: 2, 3: 5}]
-    peeled = PeeledRows(rows)
-    assert peeled.settled == set()
-    assert peeled.rest == rows
-    assert all(kept is not row for kept, row in zip(peeled.rest, rows))  # copies
-    assert peeled.rank == 3 == _plain_rank(rows)
+    before = [dict(row) for row in rows]
+    assert peeled_rank(rows) == 3 == _plain_rank(rows)
+    assert rows == before  # the elimination works on copies
 
 
 def test_peel_of_the_empty_matrix():
-    empty = PeeledRows([])
-    assert (empty.settled, empty.rest, empty.rank) == (set(), [], 0)
-    assert empty.stacked_rank(empty) == 0
-    assert RatMatrix(0, 0).peeled().rank == 0
-    assert PeeledRows([{1: 2}]).stacked_rank(RatMatrix(3, 4).peeled()) == 1
-    assert RatMatrix(3, 4).peeled().stacked_rank(PeeledRows([{1: 2}])) == 1
+    assert peeled_rank([]) == 0
+    assert RatMatrix(0, 0).rank() == 0
+    assert RatMatrix(3, 4).rank() == 0
+    assert peeled_rank([], settled=[1, 1]) == 1
+    assert peeled_rank([{1: 2}], settled=[1]) == 1
 
 
-def test_stacked_rank_continues_from_both_states():
-    # below settles column 0, which top leaves in its reducer
+def test_peeled_rank_of_two_stacked_matrices():
+    # below settles column 0, which top leaves to the reducer
     top = [{0: 1, 1: 1}, {2: 3}]
     below = [{0: 2}, {1: 1, 3: 1}]
-    base, other = PeeledRows(top), PeeledRows(below)
-    pivots = {p: dict(row) for p, row in base.reducer.pivots.items()}
-    assert base.stacked_rank(other) == 4 == _plain_rank(top + below)
-    assert other.stacked_rank(base) == 4
-    assert (base.settled, base.rest, base.rank) == ({2}, [{0: 1, 1: 1}], 2)  # kept
-    assert base.reducer.pivots == pivots and base.reducer.rank == 1
+    assert peeled_rank(top) == 2 == _plain_rank(top)
+    assert peeled_rank(top + below) == 4 == _plain_rank(top + below)
+    assert peeled_rank(below + top) == 4
 
 
 def test_peeled_rank_matches_the_reducer_on_random_sparse_rows():
@@ -405,27 +389,22 @@ def test_peeled_rank_matches_the_reducer_on_random_sparse_rows():
         size = min(cols, rng.choice([1, 1, 1, 1, 2, 2, 3, 4]))  # mostly one entry
         return {c: rng.choice([-3, -2, -1, 1, 2, 5]) for c in rng.sample(range(cols), size)}
 
-    new_columns = 0
     for _ in range(300):
         cols = rng.randint(1, 12)
         top = [draw(cols) for _ in range(rng.randint(0, 12))]
         below = [draw(cols) for _ in range(rng.randint(0, 12))]
         before = [dict(row) for row in top + below]
-        base, other = PeeledRows(top), PeeledRows(below)
-        pivots = {p: dict(row) for p, row in base.reducer.pivots.items()}
-        assert base.rank == _plain_rank(top)
-        assert other.rank == _plain_rank(below)
-        assert base.stacked_rank(other) == _plain_rank(top + below)
-        assert other.stacked_rank(base) == _plain_rank(below + top)
-        new_columns += bool(other.settled - base.settled)
+        assert peeled_rank(top) == _plain_rank(top)
+        assert peeled_rank(below) == _plain_rank(below)
+        assert peeled_rank(top + below) == _plain_rank(top + below)
+        assert peeled_rank(below + top) == _plain_rank(below + top)
+        # a settled column ranks as the unit row on it
+        units = sorted({c for row in below for c in row})[:2]
+        assert peeled_rank(top, settled=units) == _plain_rank(top + [{c: 1} for c in units])
         assert top + below == before  # the input rows are not changed
-        assert base.reducer.pivots == pivots  # stacking works on a copy
-        for state in (base, other):
-            assert all(len(row) >= 2 and not state.settled & row.keys() for row in state.rest)
-        # a matrix with Fractions peels its rows scaled to integers
+        # a matrix with Fractions is ranked on its rows scaled to integers
         scaled = {r: {c: Fraction(v, 6) for c, v in row.items()} for r, row in enumerate(top)}
-        assert RatMatrix(len(top), cols, scaled).peeled().rank == base.rank
-    assert new_columns > 100  # the second matrix often settles columns the first does not
+        assert RatMatrix(len(top), cols, scaled).rank() == _plain_rank(top)
 
 
 def test_rat_matrix_rejects_bad_input():
