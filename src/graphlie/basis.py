@@ -223,10 +223,12 @@ def dimension_oracle(graph: SimpleGraph, k: int) -> list:
     vertex adds one element of degree 1 and runs no series, and the series
     runs once per component type (its induced masks). For a component, the
     generating series of the trace monoid of its complement is 1 / C(-t)
-    with C the clique polynomial of the complement; writing
-    log(1 / C(-t)) = sum q_n t^n, the dimensions satisfy
-    n q_n = sum_{d | n} d l_d and Moebius inversion recovers l_d. The series
-    is cut at t^k, so only the cliques of at most k vertices are listed.
+    with C the clique polynomial of the complement. With a = C(-t), of
+    degree w, the log derivative of log(1 / a) = sum q_n t^n gives
+    n q_n = -n a_n - sum_{n-w <= j < n} j q_j a_{n-j}, and the dimensions
+    satisfy n q_n = sum_{d | n} d l_d, which Moebius inversion solves for
+    l_d. The series is cut at t^k, so only the cliques of at most k vertices
+    are listed, and it costs O(k w) products.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -239,23 +241,22 @@ def dimension_oracle(graph: SimpleGraph, k: int) -> list:
         masks = graph.induced(component)
         if masks not in counted:
             cpoly = clique_polynomial(SimpleGraph(len(masks), masks).complement(), k)
-            # a_n = coefficient of t^n in C(-t); s = 1 / C(-t) from a * s = 1
-            a = [((-1) ** n) * c for n, c in enumerate(cpoly)]
-            s = [1] + [0] * k
+            w = len(cpoly) - 1
+            a = [(-1) ** n * c for n, c in enumerate(cpoly)] + [0] * k
+            nq = [0] * (k + 1)  # n q_n
             for n in range(1, k + 1):
-                s[n] = -sum(a[i] * s[n - i] for i in range(1, min(n, len(a) - 1) + 1))
-            # n q_n from the log derivative recurrence n s_n = sum j q_j s_{n-j}
-            nq = [0] * (k + 1)
-            for n in range(1, k + 1):
-                nq[n] = n * s[n] - sum(nq[j] * s[n - j] for j in range(1, n))
+                nq[n] = -n * a[n] - sum(nq[j] * a[n - j] for j in range(max(1, n - w), n))
+            acc = [0] * (k + 1)  # d l_d, each e adding to its multiples d
+            for e in range(1, k + 1):
+                for d in range(e, k + 1, e):
+                    acc[d] += _mobius(d // e) * nq[e]
             counted[masks] = out = []
             for d in range(1, k + 1):
-                acc = sum(_mobius(d // e) * nq[e] for e in range(1, d + 1) if d % e == 0)
-                if acc % d != 0 or acc < 0:
+                if acc[d] % d != 0 or acc[d] < 0:
                     raise invariant_error(
                         "dimension count is not a nonnegative integer", to_graph6(graph), k, "dimension count"
                     )
-                out.append(acc // d)
+                out.append(acc[d] // d)
         dims = list(map(add, dims, counted[masks]))
     return dims
 

@@ -43,32 +43,33 @@ its rows to RatMatrix.adopt, which scans no entry; they are divided by L
 only when L != 1. Most eta2 and delta2 rows are never built. With c
 central when ad(e_c) = 0, the rows of an eta2 pair with [e_a, e_b] = 0, and
 those of the delta2 triples of every r with central p, q, span the
-annihilator of the center in the pair's block, held there by the reduced
-echelon basis of liealg.ad_span, which center shares; and the rows that no ad block reaches of a one-term bracket
-or substitution term are unit rows. Unit rows are kept as settled columns,
-each once; the row space, and so every rank, is unchanged. delta1 keeps
-every row, since the containment check reads its column space. h2_nil ranks
-each matrix once by linalg.peeled_rank, structured elimination from its
-one-entry rows and settled columns, so only the few rows left over go
-through fraction-free elimination.
+annihilator of the center in the pair's block. They are held there by the
+reduced echelon basis of liealg.ad_span, which center shares. The rows of a
+one-term bracket or substitution term that no ad block reaches are unit
+rows. Unit rows are kept as settled columns, each once; the row space, and
+so every rank, is unchanged. delta1 keeps every row, since the containment
+check reads its column space. h2_nil ranks each matrix once by
+linalg.peeled_rank, structured elimination from its one-entry rows and
+settled columns, so only the few rows left over go through fraction-free
+elimination.
 
 Torus weights and twin orbits. With md the multidegree of a labelled basis
 element, the column f_{a,b} has weight md(b) - md(a) and sigma_{(a<b),c}
 has weight md(c) - md(a) - md(b). When md is a grading of the brackets,
 each row of delta1, delta2 and eta2 has entries in columns of one weight
 only, so each matrix is block diagonal by weight and its rank is the sum
-of the ranks of its weight blocks. The twin classes of the graph (vertices
-with the same neighbours apart from each other) are graph automorphisms,
-and swapping two twins maps each block onto the block of the swapped
-weight, of equal rank. So h2_nil builds and ranks only the representative
-weights, those whose entries do not increase along each twin class, and
-counts each block as many times as its orbit has weights. The builders
-take one multiplicity per column, 0 for the columns they skip, and the
-ranks add up multiplicities. Nothing is assumed of the labels:
-twin_classes certifies, in one pass over the brackets each, that md is a
-grading and that each swap of consecutive twins is a signed-permutation
-automorphism, and otherwise falls back to the trivial group, in which
-every multiplicity is 1 and nothing is skipped.
+of the ranks of its weight blocks. When the labels and brackets have the
+shape of a graph G's 2-step algebra, with each edge element rescaled
+(twin_classes, which proves this), every automorphism of G is one of the
+algebra and maps each block onto the block of the permuted weight, of
+equal rank. The twin classes of G (vertices with the same neighbours apart
+from each other) give such automorphisms. So h2_nil builds and ranks only
+the representative weights, those whose entries do not increase along
+each twin class, and counts each block as many times as its orbit has
+weights. The builders take one multiplicity per column, 0 for the columns
+they skip, and the ranks add up multiplicities. Labels of any other shape,
+and no labels, give the trivial group, in which every multiplicity is 1
+and nothing is skipped.
 """
 
 from __future__ import annotations
@@ -298,89 +299,54 @@ def eta2_matrix(
 
 
 def twin_classes(algebra: LieAlgebra) -> list:
-    """The certified twin classes of the graph behind algebra's labels, as sorted vertex lists.
+    """The twin classes of the graph G that algebra's labels name, as sorted vertex lists.
 
-    The vertices are the coordinates of the multidegrees, and each
-    degree-two element of multidegree e_u + e_v is an edge u - v, as in a
-    graph algebra. The twin classes of that graph (graphs._twin_classes) are
-    used only if the multidegrees are a grading of sc and swapping each two
-    consecutive members of a class is a signed-permutation automorphism
-    (swap_is_automorphism). Otherwise, and for an algebra without labels,
-    there are none: the trivial group.
+    The shape check: every multidegree has the length m of the first and
+    entries 0 or 1; they are distinct, m of them are the unit vectors e_v,
+    one vertex element x_v per coordinate v, and the others are e_a + e_b,
+    one edge element y_ab per edge ab of G; and sc holds exactly one bracket
+    per edge element, [x_a, x_b] = c y_ab with one term, c != 0, so md is a
+    grading. Labels of any other shape, or none, give no classes: the
+    trivial group. The label degrees are not read; multidegrees decide.
+
+    Why a passing algebra needs no certificate: with y'_ab = [x_a, x_b],
+    the basis x_v, y'_ab shows it as G's 2-step algebra, [x_a, x_b] = y'_ab
+    on the edges and every other bracket zero. For pi in Aut(G), the linear
+    map phi, x_a -> x_pi(a), y'_ab -> [x_pi(a), x_pi(b)] = +-y'_pi(a)pi(b),
+    is a bijection that keeps every bracket: edges go to edges, non-edges to
+    non-edges, and the y' stay central. So phi is an automorphism, and it
+    sends each basis element of multidegree w to a multiple of the one of
+    multidegree pi(w), pi acting on the coordinates. Conjugation by phi
+    commutes with delta1, delta2 and eta2, so it carries the cochain block
+    of weight w, rows and columns, onto the block of weight pi(w), of equal
+    rank. Each permutation inside a twin class (graphs._twin_classes) is in
+    Aut(G).
     """
     labels = getattr(algebra, "labels", None)
     if not labels:
         return []
     md = [label.multidegree for label in labels]
     m = len(md[0])
-    if not m or any(len(x) != m for x in md):
+    degree = [sum(x) if len(x) == m and {*x} <= {0, 1} else 0 for x in md]
+    if len(set(md)) < len(md) or sorted(degree) != [1] * m + [2] * (len(md) - m):
         return []
-    for (i, j), terms in algebra.sc.items():
-        total = tuple(map(add, md[i], md[j]))
-        if any(md[l] != total for l in terms):
-            return []
-    graph = SimpleGraph.make(m, [
-        [w for w, y in enumerate(x, 1) if y]
-        for label, x in zip(labels, md)
-        if label.degree == 2 and x.count(1) == 2 and x.count(0) == m - 2
-    ])
-    classes = [
+    # no multidegree sums to more than 2, so md[l] = md[i] + md[j] makes i, j vertices and l
+    # their edge; distinct pairs have distinct edges, so the count gives one bracket per edge
+    if len(algebra.sc) != len(md) - m or any(
+        [md[l] for l in terms] != [tuple(map(add, md[i], md[j]))] for (i, j), terms in algebra.sc.items()
+    ):
+        return []
+    graph = SimpleGraph.make(m, [[v for v, y in enumerate(x, 1) if y] for x, d in zip(md, degree) if d == 2])
+    return [
         [v for v in range(m) if mask >> v & 1]
         for mask in sorted(set(_twin_classes(m, graph.adj)))
         if mask & (mask - 1)
     ]
-    if all(swap_is_automorphism(algebra, u, v) for cls in classes for u, v in zip(cls, cls[1:])):
-        return classes
-    return []
 
 
-def swap_is_automorphism(algebra: LieAlgebra, u: int, v: int) -> bool:
-    """Whether swapping vertices u and v is a signed-permutation automorphism of a labelled algebra.
-
-    Basis element i goes to s_i times the element pi(i) whose multidegree is
-    md(i) with entries u and v swapped, which must exist and be unique. A
-    sign is +1 unless i is a bracket value; then it is read off the first
-    bracket, by degree sum, with i as a value, and every later one must
-    agree. Each stored bracket [e_i, e_j] must map term by term onto the
-    stored bracket of pi(i) and pi(j); pi is a bijection of the pairs, so
-    zero brackets then go to zero brackets. One pass over sc.
-    """
-    md = [label.multidegree for label in algebra.labels]
-    index = {x: i for i, x in enumerate(md)}
-    if len(index) < len(md):
-        return False
-    perm = list(range(len(md)))
-    for i, x in enumerate(md):
-        if x[u] != x[v]:
-            y = list(x)
-            y[u], y[v] = x[v], x[u]
-            perm[i] = index.get(tuple(y))
-    if None in perm:
-        return False
-    sc, degrees = algebra.sc, algebra.degrees
-    values = {l for terms in sc.values() for l in terms}
-    sign: dict = {}
-    by_degree = sorted(sc.items(), key=lambda item: degrees[item[0][0]] + degrees[item[0][1]])
-    for (i, j), terms in by_degree:
-        if (i in values and i not in sign) or (j in values and j not in sign):
-            return False
-        a, b, s = perm[i], perm[j], sign.get(i, 1) * sign.get(j, 1)
-        if a > b:
-            a, b, s = b, a, -s
-        image = sc.get((a, b))
-        if image is None or len(image) != len(terms):
-            return False
-        for l, c in terms.items():
-            x = image.get(perm[l])
-            t = 1 if x == s * c else -1 if x == -s * c else 0
-            if not t or sign.setdefault(l, t) != t:
-                return False
-    return True
-
-
-def _run_orbit(fields: int, count: int, width: int) -> int:
-    """Orbit size of count entries packed width bits each, entry 0 lowest; 0 if one increases."""
-    run = [fields >> width * pos & (1 << width) - 1 for pos in range(count)]
+def _run_orbit(fields: int, count: int) -> int:
+    """Orbit size of count entries packed 2 bits each, entry 0 lowest; 0 if one increases."""
+    run = [fields >> 2 * pos & 3 for pos in range(count)]
     if any(a < b for a, b in zip(run, run[1:])):
         return 0
     size = factorial(count)
@@ -392,27 +358,26 @@ def _run_orbit(fields: int, count: int, width: int) -> int:
 class _OrbitSizes(dict):
     """Packed weight -> its orbit size, or 0 if it is no representative; each computed once.
 
-    The class sizes and the field width fix the packing, so one table
-    serves every algebra with the same class sizes (see _orbit_sizes).
+    The class sizes fix the packing, so one table serves every algebra with
+    the same class sizes (see _orbit_sizes).
     """
 
-    def __init__(self, sizes: tuple, width: int):
+    def __init__(self, sizes: tuple):
         super().__init__()
         self.parts, start = [], 0  # (first bit, bit mask, member count) of each class
         for count in sizes:
-            self.parts.append((width * start, (1 << width * count) - 1, count))
+            self.parts.append((2 * start, (1 << 2 * count) - 1, count))
             start += count
-        self.width = width
 
     def __missing__(self, weight: int) -> int:
         size = 1
         for shift, mask, count in self.parts:
-            size *= _run_orbit(weight >> shift & mask, count, self.width)
+            size *= _run_orbit(weight >> shift & mask, count)
         self[weight] = size
         return size
 
 
-# one table per packing; k = 2 graph algebras pack into 2-bit fields
+# one table per tuple of class sizes
 _orbit_sizes = lru_cache(maxsize=32)(_OrbitSizes)
 
 
@@ -424,19 +389,18 @@ def orbit_multiplicities(algebra: LieAlgebra, coords: CochainCoordinates, classe
     not increase along each class; it then gets the size of its orbit under
     the permutations inside the classes, the product over the classes of the
     multinomial of its runs, and every other weight gets 0. Only the
-    coordinates of twin vertices matter. They are packed into one int, each
-    in a field wide enough that no weight borrows across fields, so a column
-    costs an addition and a lookup, and each distinct weight is decoded once
-    per packing. Columns whose offsets agree share one list of n.
+    coordinates of twin vertices matter. The classes come from twin_classes,
+    so every multidegree entry is 0 or 1 and every weight entry lies in
+    -2..1: biased by 2, each fits a 2-bit field of one int with no borrow
+    across fields. A column costs an addition and a lookup, each distinct
+    weight is decoded once per tuple of class sizes, and columns whose
+    offsets agree share one list of n.
     """
     md = [label.multidegree for label in algebra.labels]
     twins = [v for cls in classes for v in cls]
-    values = [x[v] for x in md for v in twins]
-    lo, hi = min(0, *values), max(0, *values)
-    width = max(1, (3 * (hi - lo)).bit_length())
-    packed = [sum(x[v] << width * pos for pos, v in enumerate(twins)) for x in md]
-    bias = sum((2 * hi - lo) << width * pos for pos in range(len(twins)))
-    get = _orbit_sizes(tuple(map(len, classes)), width).__getitem__
+    packed = [sum(x[v] << 2 * pos for pos, v in enumerate(twins)) for x in md]
+    bias = sum(2 << 2 * pos for pos in range(len(twins)))
+    get = _orbit_sizes(tuple(map(len, classes))).__getitem__
     rows: dict = {}  # offset -> the multiplicities of the n columns it leads, shared
 
     def row(offset: int) -> list:

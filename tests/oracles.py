@@ -21,6 +21,8 @@ from graphlie.rigidity import certify_2step_witness
 # one context per graph, so that its normal form memo outlives a single call
 context = lru_cache(maxsize=128)(TraceContext)
 
+P = 2**61 - 1  # a Mersenne prime
+
 
 def adjacent(graph, i: int, j: int) -> bool:
     """Whether vertices i and j (1-based) are adjacent, read off i's mask."""
@@ -218,3 +220,32 @@ def whole_matrix_h2(algebra) -> H2Report:
     ker_eta2, ker_delta2, image = cols - e2.rank(), cols - d2.rank(), d1.rank()
     meet = cols - peeled_rank([*e2.int_rows(), *d2.int_rows()])
     return H2Report(ker_eta2, ker_delta2, meet, image, meet - image, meet == ker_eta2)
+
+
+def rank_mod_p(rows) -> int:
+    """The rank mod P of integer rows {col: int}, by plain Gaussian elimination.
+
+    Each row is reduced by the stored pivot rows at its least column until it
+    is zero or starts a new pivot, scaled to 1 there. It shares no peel, no
+    settled column and no reducer with h2_nil. A rank mod a prime is at most
+    the rank over Q, and equal to it for all but finitely many primes, so a
+    mismatch with h2_nil's rank shows a fault in one of the two.
+    """
+    pivots: dict = {}  # least column -> the pivot row, 1 at that column
+    for row in rows:
+        row = {c: v % P for c, v in row.items() if v % P}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inverse = pow(row[lead], -1, P)
+                pivots[lead] = {c: v * inverse % P for c, v in row.items()}
+                break
+            factor = row[lead]
+            for c, v in pivot.items():
+                x = (row.get(c, 0) - factor * v) % P
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return len(pivots)

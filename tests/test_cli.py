@@ -268,6 +268,26 @@ def test_oversized_star_is_refused_at_once(capsys):
     assert err == f"error: the algebra has 332688019 basis elements; the budget is {MAX_DIM}\n"
 
 
+def test_one_edge_at_the_greatest_k_is_refused_at_once(capsys):
+    # K2 gives the free nilpotent algebra on two generators; at k = MAX_K its
+    # dimension has over 600 digits, counted in O(k) series terms
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "rigidity", "classify", "--graph6", "A_", "--k", str(MAX_K))
+    assert time.perf_counter() - start < 1
+    # Witt's necklace formula, sum over d <= k of (1/d) sum_{e | d} mu(d/e) 2^e
+    mu = [0, 1] + [0] * (MAX_K - 1)
+    for n in range(1, MAX_K + 1):
+        for multiple in range(2 * n, MAX_K + 1, n):
+            mu[multiple] -= mu[n]
+    necklaces = [0] * (MAX_K + 1)
+    for e in range(1, MAX_K + 1):
+        for d in range(e, MAX_K + 1, e):
+            necklaces[d] += mu[d // e] * 2**e
+    dim = sum(necklaces[d] // d for d in range(1, MAX_K + 1))
+    assert (code, out) == (1, "")
+    assert err == f"error: the algebra has {dim} basis elements; the budget is {MAX_DIM}\n"
+
+
 def test_edgeless_graph_algebra_is_built_at_once(capsys):
     # 40 commuting generators at k = 6: the supports are the connected vertex
     # sets, the 40 singletons, not the 4.6e6 sets of at most 6 vertices
