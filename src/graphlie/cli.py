@@ -32,6 +32,7 @@ from .rigidity import (
     classify,
     deform_check,
     find_witness,
+    graph_h2,
     report_row,
     sweep,
 )
@@ -179,11 +180,11 @@ def _cmd_algebra_build(args) -> int:
 def _cmd_h2nil(args) -> int:
     graph, algebra = _load_input(args)
     if algebra is None:
-        algebra = structure_constants(_require_graph(graph), args.k)
+        report = graph_h2(graph, structure_constants(graph, args.k), args.k)
     else:  # the h2 budget first: the Jacobi check walks |sc| * n triples
         check_h2_size(algebra.n, list(map(len, algebra.sc.values())))
         _checked_algebra(algebra)
-    report = h2_nil(algebra)
+        report = h2_nil(algebra)
     _emit(_dump_json(report.to_json_dict()), args.out)
     return 0
 

@@ -39,8 +39,8 @@ the dimension of its kernel that the report gives.
 The matrices are built as integer rows, with the structure constants
 scaled by L, the lcm of their denominators. The builder checks each block
 against the matrix shape once, drops cancelled entries itself and hands
-its rows to RatMatrix.adopt, which scans no entry; they are divided by L
-only when L != 1. Most eta2 and delta2 rows are never built. With c
+its rows to RatMatrix.adopt, which scans no entry, with L as the matrix's
+denominator. Most eta2 and delta2 rows are never built. With c
 central when ad(e_c) = 0, the rows of an eta2 pair with [e_a, e_b] = 0, and
 those of the delta2 triples of every r with central p, q, span the
 annihilator of the center in the pair's block. They are held there by the
@@ -66,16 +66,15 @@ equal rank. The twin classes of G (vertices with the same neighbours apart
 from each other) give such automorphisms. So h2_nil builds and ranks only
 the representative weights, those whose entries do not increase along
 each twin class, and counts each block as many times as its orbit has
-weights. The builders take one multiplicity per column, 0 for the columns
-they skip, and the ranks add up multiplicities. Labels of any other shape,
-and no labels, give the trivial group, in which every multiplicity is 1
-and nothing is skipped.
+weights. Each builder takes one multiplicity per column, 0 for the columns
+it skips, and leaves them on its matrix, whose rank adds them up. Labels of
+any other shape, and no labels, give the trivial group, with no
+multiplicities: every column is built and counted once.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import chain, combinations, groupby
 from math import factorial, lcm
 from operator import add
@@ -95,7 +94,6 @@ class CochainCoordinates:
         self.n = n
         self.pairs = list(combinations(range(n), 2))
         self.pair_index = {p: i for i, p in enumerate(self.pairs)}
-        self.triples = list(combinations(range(n), 3))
         self.dim_hom = n * n
         self.dim_two_cochains = len(self.pairs) * n
 
@@ -118,11 +116,12 @@ class _CochainRows:
     sign * ad(e_lead), whose (d, u) entry is the e_d coefficient of
     [e_lead, e_u], and a structure constant times the identity. Entries are
     accumulated as ints: every structure constant is scaled by L, the lcm of
-    their denominators, and matrix() divides by L only when L != 1. Each
-    block is checked against the nrows x ncols shape once, when it is added,
-    so matrix() hands the rows to RatMatrix.adopt without a per-entry scan.
+    their denominators, and L is the matrix's denominator. Each block is
+    checked against the nrows x ncols shape once, when it is added, so
+    matrix() hands the rows to RatMatrix.adopt without a per-entry scan.
     With mult, one multiplicity per column, the entries of the columns whose
-    multiplicity is 0 are dropped, and a row left empty is never made.
+    multiplicity is 0 are dropped, a row left empty is never made, and the
+    matrix keeps mult for its rank.
     block() keeps only the column of each one-entry row it is given, each once;
     the annihilator blocks it is given come from _annihilator, not from here.
     """
@@ -158,7 +157,8 @@ class _CochainRows:
         """
         if not (0 <= base <= self.nrows - self.n and 0 <= col_base <= self.ncols - self.n):
             raise InternalInvariantError(
-                f"a block at ({base}, {col_base}) leaves the {self.nrows}x{self.ncols} matrix"
+                f"a block at ({base}, {col_base}) leaves the {self.nrows}x{self.ncols} matrix",
+                "cochain matrix build, block shape",
             )
         rows, mult, settled = self.rows, self.mult, self.settled
         for d, u, v in terms:
@@ -176,16 +176,11 @@ class _CochainRows:
                 settled.setdefault(col_base + u, base + d)
 
     def matrix(self) -> RatMatrix:
-        """Drop cancelled entries and empty rows, divide by L when L != 1, adopt the rows."""
-        rows, scale = self.rows, self.scale
+        """Drop cancelled entries and empty rows; adopt the rows over L, with mult."""
         if self.overlap:
-            drop_zeros(rows)
-        if scale != 1:
-            for row in rows.values():
-                for c, v in row.items():
-                    row[c] = Fraction(v, scale)
+            drop_zeros(self.rows)
         settled = {r: c for c, r in self.settled.items()}  # the first row of each column
-        return RatMatrix.adopt(self.nrows, self.ncols, rows, scale == 1, settled)
+        return RatMatrix.adopt(self.nrows, self.ncols, self.rows, settled, self.scale, self.mult)
 
 
 def _annihilator(algebra: LieAlgebra) -> tuple:
@@ -193,18 +188,15 @@ def _annihilator(algebra: LieAlgebra) -> tuple:
     for _CochainRows.block: the reduced echelon basis of liealg.ad_span, row i as (i, u, int)
     terms, each row scaled by the lcm of its denominators; settled if they are all unit rows."""
     basis = ad_span(algebra).rows_sorted()
-    shifted = [
-        (i, u, (v * lcm(*(w.denominator for w in row.values()))).numerator)
-        for i, row in enumerate(basis) for u, v in row.items()
-    ]
+    shifted = []
+    for i, row in enumerate(basis):
+        scale = lcm(*(v.denominator for v in row.values()))
+        shifted.extend((i, u, v.numerator * (scale // v.denominator)) for u, v in row.items())
     return ((), shifted) if all(len(row) == 1 for row in basis) else (shifted, ())
 
 
-def delta1_matrix(
-    algebra: LieAlgebra, coords: CochainCoordinates | None = None, mult=None
-) -> RatMatrix:
-    n = algebra.n
-    coords = coords or CochainCoordinates(n)
+def delta1_matrix(algebra: LieAlgebra, mult=None) -> RatMatrix:
+    n, coords = algebra.n, CochainCoordinates(algebra.n)
     out = _CochainRows(algebra, len(coords.pairs) * n, coords.dim_hom, mult)
     leads = out.leads
     for p, (a, b) in enumerate(coords.pairs):
@@ -221,19 +213,17 @@ def delta1_matrix(
     return out.matrix()
 
 
-def delta2_matrix(
-    algebra: LieAlgebra, coords: CochainCoordinates | None = None, mult=None
-) -> RatMatrix:
-    n = algebra.n
-    coords = coords or CochainCoordinates(n)
-    out = _CochainRows(algebra, len(coords.triples) * n, coords.dim_two_cochains, mult)
+def delta2_matrix(algebra: LieAlgebra, mult=None) -> RatMatrix:
+    n, coords = algebra.n, CochainCoordinates(algebra.n)
+    triples = list(combinations(range(n), 3))
+    out = _CochainRows(algebra, len(triples) * n, coords.dim_two_cochains, mult)
     leads = out.leads
     # A triple of r and central p, q has one term, [e_r, s(e_p, e_q)]; over all r
     # they span the annihilator on s(e_p, e_q), written at the first non-central
     # r. The other triples with two or three central members are skipped.
     built, settle = _annihilator(algebra)
     first = min(leads, default=None)
-    for t, (x, y, z) in enumerate(coords.triples):
+    for t, (x, y, z) in enumerate(triples):
         base = t * n
         noncentral = (x in leads) + (y in leads) + (z in leads)
         if noncentral < 2:
@@ -261,13 +251,10 @@ def delta2_matrix(
     return out.matrix()
 
 
-def eta2_matrix(
-    algebra: LieAlgebra, coords: CochainCoordinates | None = None, mult=None
-) -> RatMatrix:
+def eta2_matrix(algebra: LieAlgebra, mult=None) -> RatMatrix:
     if not is_at_most_two_step(algebra):
         raise ValueError("eta2 is only defined for at most 2-step algebras")
-    n = algebra.n
-    coords = coords or CochainCoordinates(n)
+    n, coords = algebra.n, CochainCoordinates(algebra.n)
     out = _CochainRows(algebra, len(coords.pairs) * n * n, coords.dim_two_cochains, mult)
     leads = out.leads
     # The -ad(e_c) rows of a pair with [e_a, e_b] = 0 span the annihilator of the
@@ -381,8 +368,10 @@ class _OrbitSizes(dict):
 _orbit_sizes = lru_cache(maxsize=32)(_OrbitSizes)
 
 
-def orbit_multiplicities(algebra: LieAlgebra, coords: CochainCoordinates, classes: list) -> tuple:
+def orbit_multiplicities(algebra: LieAlgebra) -> tuple:
     """One multiplicity per 1-cochain column and one per 2-cochain column, each by its weight.
+
+    (None, None) when twin_classes gives no classes: the trivial group.
 
     The weight of f_{a,b} is md(b) - md(a), that of sigma_{(a<b),c} is
     md(c) - md(a) - md(b). A weight is a representative when its entries do
@@ -396,21 +385,22 @@ def orbit_multiplicities(algebra: LieAlgebra, coords: CochainCoordinates, classe
     weight is decoded once per tuple of class sizes, and columns whose
     offsets agree share one list of n.
     """
+    classes = twin_classes(algebra)
+    if not classes:
+        return None, None
     md = [label.multidegree for label in algebra.labels]
     twins = [v for cls in classes for v in cls]
     packed = [sum(x[v] << 2 * pos for pos, v in enumerate(twins)) for x in md]
     bias = sum(2 << 2 * pos for pos in range(len(twins)))
     get = _orbit_sizes(tuple(map(len, classes))).__getitem__
-    rows: dict = {}  # offset -> the multiplicities of the n columns it leads, shared
 
-    def row(offset: int) -> list:
-        out = rows.get(offset)
-        if out is None:
-            out = rows[offset] = list(map(get, map(offset.__add__, packed)))
-        return out
+    @cache
+    def row(offset: int) -> list:  # the multiplicities of the n columns offset leads, shared
+        return list(map(get, map(offset.__add__, packed)))
 
     f_mult = list(chain.from_iterable(row(bias - p) for p in packed))
-    s_mult = list(chain.from_iterable(row(bias - packed[a] - packed[b]) for a, b in coords.pairs))
+    pairs = combinations(range(len(md)), 2)
+    s_mult = list(chain.from_iterable(row(bias - packed[a] - packed[b]) for a, b in pairs))
     return f_mult, s_mult
 
 
@@ -438,24 +428,27 @@ def h2_nil(algebra: LieAlgebra) -> H2Report:
     and before any other matrix is built, unless it is at most 2-step.
     Raises InternalInvariantError if im delta1 is not inside ker eta2; for an
     at most 2-step algebra that containment is a theorem, so a violation can
-    only mean the matrices are wrong. Only the blocks of representative
-    weights are built and ranked, each counted with its orbit's size (see
-    the module docstring).
+    only mean the matrices are wrong. It sees the representative blocks only,
+    so a negative h2, rank delta1 > dim ker eta2, raises too. Only the blocks
+    of representative weights are built and ranked, each counted with its
+    orbit's size (see the module docstring).
     """
-    n = algebra.n
-    check_h2_size(n, list(map(len, algebra.sc.values())))
-    coords = CochainCoordinates(n)
-    classes = twin_classes(algebra)
-    f_mult, s_mult = orbit_multiplicities(algebra, coords, classes) if classes else (None, None)
-    e2 = eta2_matrix(algebra, coords, s_mult)
-    d1 = delta1_matrix(algebra, coords, f_mult)
+    check_h2_size(algebra.n, list(map(len, algebra.sc.values())))
+    f_mult, s_mult = orbit_multiplicities(algebra)
+    e2 = eta2_matrix(algebra, s_mult)
+    d1 = delta1_matrix(algebra, f_mult)
     if not e2.matmul(d1).is_zero():
         raise InternalInvariantError(
             "im delta1 is not contained in ker eta2", "h2_nil, containment of im delta1 in ker eta2"
         )
     # delta2 is built only after the other two matrices are released.
-    cols = coords.dim_two_cochains
-    ker_eta2, image = cols - e2.rank(s_mult), d1.rank(f_mult)
+    cols = e2.cols
+    ker_eta2, image = cols - e2.rank(), d1.rank()
     del d1, e2
-    ker_delta2 = cols - delta2_matrix(algebra, coords, s_mult).rank(s_mult)
+    if image > ker_eta2:
+        raise InternalInvariantError(
+            f"rank delta1 = {image} exceeds dim ker eta2 = {ker_eta2}",
+            "h2_nil, rank of delta1 against dim ker eta2",
+        )
+    ker_delta2 = cols - delta2_matrix(algebra, s_mult).rank()
     return H2Report(ker_eta2, ker_delta2, ker_eta2, image, ker_eta2 - image, True)

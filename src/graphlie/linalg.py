@@ -1,9 +1,10 @@
 """Exact rational linear algebra on sparse matrices.
 
 Every coefficient is exact, an int or a fractions.Fraction; there is no
-floating point and no tolerance anywhere. A sparse vector, and each row of
-a RatMatrix, is a dict mapping an index to a nonzero coefficient; integer
-input stays int until a division makes a Fraction. Dense vectors are lists.
+floating point and no tolerance anywhere. A sparse vector is a dict mapping
+an index to a nonzero coefficient; integer input stays int until a division
+makes a Fraction. Dense vectors are lists. A RatMatrix holds int rows of
+such dicts and one denominator, scale, that every entry is divided by.
 RowReducer is the one span type; a kernel or a center is a RowReducer.
 peeled_rank and IntRowReducer rank integer rows without ever dividing.
 """
@@ -13,15 +14,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
-from operator import attrgetter, not_
+from operator import not_
 from types import MappingProxyType
 
 from .errors import InternalInvariantError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-_EXACT = frozenset((int, Fraction))
-_DENOMINATOR = attrgetter("denominator")
 
 
 def is_int(value) -> bool:
@@ -44,7 +43,10 @@ def frac(value) -> Fraction:
     if isinstance(value, str):
         if "e" in value.lower():
             raise ValueError(f"rational {value!r} must be an integer, a decimal or p/q")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"rational {value!r} has a zero denominator") from None
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -83,21 +85,23 @@ def drop_zeros(data: dict) -> dict:
 
 
 class RatMatrix:
-    """Sparse matrix over the rationals, stored by rows as {row: {col: value}}.
+    """Sparse matrix over the rationals: int rows {row: {col: int}} over one denominator.
 
-    Values are exact (ints or Fractions). Zero entries and empty rows are
-    not stored. Settled rows, {row: col} for unit rows never made into row
-    dicts, are read as the rows {col: 1} everywhere.
+    Entry (r, c) is the stored int divided by scale. Zero entries and empty
+    rows are not stored. Settled rows, {row: col} for unit rows never made
+    into row dicts, are read as the int rows {col: 1} everywhere. mult, one
+    int per column or None, is what rank() counts each settled column and
+    pivot by (see peeled_rank).
     """
 
-    __slots__ = ("rows", "cols", "_data", "_ints", "_settled")
+    __slots__ = ("rows", "cols", "scale", "mult", "_data", "_settled")
 
     def __init__(self, rows: int, cols: int, data: dict | None = None):
         """Adopt data, a dict {row: {col: value}}, and clean it in place.
 
         The matrix owns data and its row dicts from here on: zeros and empty
-        rows are deleted from them, not copied away. Each check is one pass
-        over all entries, since cochain matrices have thousands of rows.
+        rows are deleted, and Fractions replaced by ints over scale, the lcm
+        of all denominators. Each check is one pass over all entries.
         """
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
@@ -109,18 +113,25 @@ class RatMatrix:
             raise ValueError(f"an index lies outside the {rows}x{cols} matrix")
         values = list(chain.from_iterable(map(dict.values, data.values())))
         kinds = set(map(type, values))
-        if not _EXACT.issuperset(kinds):
+        if not kinds <= {int, Fraction}:
             raise TypeError("matrix entries must be ints or Fractions")
         if 0 in values or not all(data.values()):
             drop_zeros(data)
-        self.rows, self.cols, self._data, self._settled = rows, cols, data, {}
-        self._ints = Fraction not in kinds
+        scale = 1
+        if Fraction in kinds:
+            scale = lcm(*{v.denominator for v in values})
+            for row in data.values():
+                for c, v in row.items():
+                    row[c] = v.numerator * (scale // v.denominator)
+        self.rows, self.cols, self.scale, self.mult = rows, cols, scale, None
+        self._data, self._settled = data, {}
 
     @classmethod
-    def adopt(cls, rows: int, cols: int, data: dict, ints: bool, settled: dict) -> "RatMatrix":
-        """Take data and settled ({row: col}, rows not in data) as given: in range, clean, ints if ints."""
+    def adopt(cls, rows: int, cols: int, data: dict, settled: dict, scale: int = 1, mult=None) -> "RatMatrix":
+        """Take int rows data and settled ({row: col}, rows not in data) as given: in range and clean."""
         self = cls.__new__(cls)
-        self.rows, self.cols, self._data, self._ints, self._settled = rows, cols, data, ints, settled
+        self.rows, self.cols, self.scale, self.mult = rows, cols, scale, mult
+        self._data, self._settled = data, settled
         return self
 
     def _all_rows(self) -> dict:  # the settled rows included
@@ -128,28 +139,21 @@ class RatMatrix:
 
     @property
     def entries(self) -> MappingProxyType:
-        """Read-only {(row, col): value} view of the nonzero entries, built on each call."""
-        return MappingProxyType(
-            {(r, c): v for r, row in self._all_rows().items() for c, v in row.items()}
-        )
+        """Read-only {(row, col): int over scale} view of the nonzero entries, built on each call."""
+        scale = self.scale
+        return MappingProxyType({
+            (r, c): v // scale if v % scale == 0 else Fraction(v, scale)
+            for r, row in self._all_rows().items() for c, v in row.items()
+        })
 
     def int_rows(self):
-        """The nonzero rows in row order, as read-only views, scaled to integers.
-
-        Every row is multiplied by the lcm of all denominators, so the rows
-        of an integer matrix come out as stored. Scaling keeps every rank.
-        """
+        """The nonzero int rows in row order, as read-only views: scale times the matrix, of its rank."""
         data = self._all_rows()
-        rows = map(data.__getitem__, sorted(data))
-        if not self._ints:
-            scale = lcm(*set(map(_DENOMINATOR, chain.from_iterable(map(dict.values, data.values())))))
-            rows = ({c: v.numerator * (scale // v.denominator) for c, v in row.items()} for row in rows)
-        return map(MappingProxyType, rows)
+        return map(MappingProxyType, map(data.__getitem__, sorted(data)))
 
-    def rank(self, mult=None) -> int:
-        """peeled_rank of the rows scaled to integers, as int_rows gives them."""
-        rows = self._data.values() if self._ints else self.int_rows()
-        return peeled_rank(rows, mult, self._settled.values())
+    def rank(self) -> int:
+        """peeled_rank of the int rows, counted by mult when the matrix has one."""
+        return peeled_rank(self._data.values(), self.mult, self._settled.values())
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -166,7 +170,7 @@ class RatMatrix:
                     axpy(acc, v, right[c])
             if acc:
                 out[r] = acc
-        return RatMatrix(self.rows, other.cols, out)
+        return RatMatrix.adopt(self.rows, other.cols, out, {}, self.scale * other.scale)
 
     def is_zero(self) -> bool:
         return not self._data and not self._settled
@@ -174,7 +178,7 @@ class RatMatrix:
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self._all_rows()) == (other.rows, other.cols, other._all_rows())
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
     def __repr__(self):
         nnz = sum(map(len, self._data.values())) + len(self._settled)

@@ -295,8 +295,8 @@ class RigidityVerdict(NamedTuple):
         return out
 
 
-def _h2(graph: SimpleGraph, algebra: LieAlgebra, k: int) -> H2Report:
-    """h2_nil, with an invariant failure re-raised naming the graph and k."""
+def graph_h2(graph: SimpleGraph, algebra: LieAlgebra, k: int) -> H2Report:
+    """h2_nil of graph's k-step algebra, with an invariant failure re-raised naming the graph and k."""
     try:
         return h2_nil(algebra)
     except InternalInvariantError as exc:
@@ -340,7 +340,7 @@ def classify(graph: SimpleGraph, k: int, with_cohomology: bool = False) -> Rigid
         witness = find_witness(graph, algebra, k)
         h2 = None
         if k == 2 and (with_cohomology or witness is None):
-            h2 = _h2(graph, algebra, k)
+            h2 = graph_h2(graph, algebra, k)
         if witness is not None:
             verdict = RigidityVerdict("not_rigid", witness, h2)
         elif h2 is not None and h2.h2_dim == 0:
@@ -353,7 +353,7 @@ def classify(graph: SimpleGraph, k: int, with_cohomology: bool = False) -> Rigid
             verdict = RigidityVerdict("unknown", {"kind": "none"}, h2)
     elif k == 2 and with_cohomology:
         algebra = structure_constants(graph, k)
-        verdict = verdict._replace(h2=_h2(graph, algebra, k))
+        verdict = verdict._replace(h2=graph_h2(graph, algebra, k))
     # graded_basis has checked a built algebra's dimension against the count
     verdict = verdict._replace(dim=algebra_dim(graph, k) if algebra is None else algebra.n)
     if verdict.verdict == "not_rigid" and verdict.h2 is not None and verdict.h2.h2_dim == 0:

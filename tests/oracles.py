@@ -87,8 +87,7 @@ def grading_support_check(algebra: GradedLieAlgebra) -> bool:
 
 def complex_identity_holds(algebra) -> bool:
     """delta2 composed with delta1 vanishes (true for any Lie algebra)."""
-    coords = CochainCoordinates(algebra.n)
-    return delta2_matrix(algebra, coords).matmul(delta1_matrix(algebra, coords)).is_zero()
+    return delta2_matrix(algebra).matmul(delta1_matrix(algebra)).is_zero()
 
 
 def apply_sparse(sigma, x: dict, z: dict) -> dict:
@@ -157,7 +156,8 @@ def ref_delta2(algebra, coords) -> RatMatrix:
         ad.setdefault(i, []).append((j, terms))
         ad.setdefault(j, []).append((i, {l: -v for l, v in terms.items()}))
     entries: dict = {}
-    for t, (x, y, z) in enumerate(coords.triples):
+    triples = list(combinations(range(n), 3))
+    for t, (x, y, z) in enumerate(triples):
         base = t * n
         for lead, pair, sign in ((x, (y, z), 1), (y, (x, z), -1), (z, (x, y), 1)):
             for u, terms in ad.get(lead, ()):
@@ -174,7 +174,7 @@ def ref_delta2(algebra, coords) -> RatMatrix:
     rows: dict = {}
     for (r, c), v in entries.items():
         rows.setdefault(r, {})[c] = v
-    return RatMatrix(len(coords.triples) * n, coords.dim_two_cochains, rows)
+    return RatMatrix(len(triples) * n, coords.dim_two_cochains, rows)
 
 
 def ref_eta2(algebra, coords) -> RatMatrix:
@@ -213,7 +213,7 @@ def whole_matrix_h2(algebra) -> H2Report:
     ker eta2, so the flag is computed, not assumed."""
     coords = CochainCoordinates(algebra.n)
     e2 = ref_eta2(algebra, coords)
-    d1 = delta1_matrix(algebra, coords)
+    d1 = delta1_matrix(algebra)
     assert e2.matmul(d1).is_zero(), "im delta1 is not contained in ker eta2"
     d2 = ref_delta2(algebra, coords)
     cols = coords.dim_two_cochains

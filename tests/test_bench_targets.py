@@ -11,6 +11,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import pytest
 from graphlie.basis import structure_constants
 from graphlie.cohomology import delta1_matrix, delta2_matrix, eta2_matrix
 from graphlie.graphs import SimpleGraph
+from graphlie.liealg import LieAlgebra
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -43,10 +45,14 @@ def test_every_span_target_is_a_callable():
 
 def test_cochain_matrices_keep_the_fields_the_spans_read():
     algebra = structure_constants(SimpleGraph.make(3, [(1, 2), (1, 3)]), 2)
+    # the same brackets with constants 1/2 and 2/3: the rows are held over L = 6
+    rescaled = LieAlgebra(algebra.n, {(0, 1): {3: Fraction(1, 2)}, (0, 2): {4: Fraction(2, 3)}})
+    assert {pair: set(terms) for pair, terms in algebra.sc.items()} == {(0, 1): {3}, (0, 2): {4}}
     for build in (delta1_matrix, delta2_matrix, eta2_matrix):
-        matrix = build(algebra)
-        assert isinstance(matrix.cols, int) and matrix.cols > 0
-        assert len(matrix.entries) > 0
+        for alg, scale in ((algebra, 1), (rescaled, 6)):
+            matrix = build(alg)
+            assert isinstance(matrix.cols, int) and matrix.cols > 0
+            assert len(matrix.entries) > 0 and matrix.scale == scale
 
 
 def _traced(*argv: str) -> dict:

@@ -531,6 +531,18 @@ def test_cli_fuzz_exits_zero_one_or_two(capsys, tmp_path):
     assert time.perf_counter() - start < 5
 
 
+def test_a_zero_denominator_is_refused_by_name(capsys, tmp_path):
+    refusal = "error: rational '1/0' has a zero denominator\n"
+    code, out, err = _run(capsys, "deform", "emit", "--edges", STAR_EDGES, "--k", "3", "--t", "1/0")
+    assert (code, out, err) == (1, "", refusal)
+    document = {"n": 3, "k": 2, "brackets": [{"i": 0, "j": 1, "terms": [{"l": 2, "c": "1/0"}]}]}
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    for command in (("algebra", "build"), ("cohomology", "h2nil")):
+        code, out, err = _run(capsys, *command, "--in", str(path), "--k", "2")
+        assert (code, out, err) == (1, "", refusal), command
+
+
 def test_algebra_file_constants_stay_exact(capsys, tmp_path):
     document = {
         "n": 3,

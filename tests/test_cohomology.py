@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -17,7 +18,7 @@ from graphlie.cohomology import (
     orbit_multiplicities,
     twin_classes,
 )
-from graphlie.graphs import SimpleGraph, _twin_classes, enumerate_graphs
+from graphlie.graphs import SimpleGraph, _twin_classes, enumerate_graphs, to_graph6
 from graphlie.liealg import (
     LieAlgebra,
     algebra_from_json_dict,
@@ -113,7 +114,7 @@ def test_delta1_of_identity_is_bracket():
         identity = [ZERO] * coords.dim_hom
         for a in range(alg.n):
             identity[coords.f_coord(a, a)] = ONE
-        image = _mul_vec(delta1_matrix(alg, coords), identity)
+        image = _mul_vec(delta1_matrix(alg), identity)
         expected = [ZERO] * (len(coords.pairs) * alg.n)
         for p, (a, b) in enumerate(coords.pairs):
             for d, v in alg.bracket_basis(a, b).items():
@@ -131,7 +132,7 @@ def test_delta2_kills_the_bracket_cochain():
             if terms:
                 values[(a, b)] = terms
         sigma = _sigma_vector(coords, values)
-        assert all(c == ZERO for c in _mul_vec(delta2_matrix(alg, coords), sigma))
+        assert all(c == ZERO for c in _mul_vec(delta2_matrix(alg), sigma))
 
 
 def test_delta1_kernel_is_derivation_space():
@@ -465,26 +466,76 @@ def test_h2_matches_the_oracles_on_loaded_two_step_algebras():
     assert hidden >= 20 and settled >= 20
 
 
-def test_containment_is_checked_on_the_settled_rows(monkeypatch):
-    # A delta1 row on a column that eta2 settles and that no built eta2 row
-    # meets: only the settled rows can see im delta1 leave ker eta2.
-    import graphlie.cohomology as cohomology
-    from graphlie.errors import InternalInvariantError
+P4 = SimpleGraph.make(4, [(1, 2), (2, 3), (3, 4)])
 
-    alg = structure_constants(SimpleGraph.make(4, [(1, 2), (2, 3), (3, 4)]), 2)
-    assert twin_classes(alg) == []  # every column is built, as in h2_nil
-    coords = CochainCoordinates(alg.n)
-    e2, d1 = eta2_matrix(alg, coords), delta1_matrix(alg, coords)
+
+def _corrupt_delta1(monkeypatch, alg) -> None:
+    """Patch delta1_matrix to add a row with a unit entry on column 0 at index col,
+    the least eta2 column (every column built) that is settled and that no built
+    eta2 row meets. The builder's scale and multiplicities stay on the matrix."""
+    import graphlie.cohomology as cohomology
+
+    e2, d1 = eta2_matrix(alg), delta1_matrix(alg)
     built = set().union(*e2._data.values())
     col = min(c for c in e2._settled.values() if c not in built)
     assert col not in d1._data
 
-    def wrong_delta1(algebra, coords=None, mult=None):
-        return RatMatrix(d1.rows, d1.cols, {**_by_rows(d1.entries), col: {0: 1}})
+    def wrong_delta1(algebra, mult=None):
+        right = delta1_matrix(algebra, mult)
+        rows = {**right._data, col: {0: 1}}
+        return RatMatrix.adopt(right.rows, right.cols, rows, right._settled, right.scale, right.mult)
 
     monkeypatch.setattr(cohomology, "delta1_matrix", wrong_delta1)
+
+
+def test_containment_is_checked_on_the_settled_rows(monkeypatch):
+    # A delta1 row on a column that eta2 settles and that no built eta2 row
+    # meets: only the settled rows can see im delta1 leave ker eta2.
+    from graphlie.errors import InternalInvariantError
+
+    alg = structure_constants(P4, 2)
+    assert twin_classes(alg) == []  # every column is built, as in h2_nil
+    _corrupt_delta1(monkeypatch, alg)
     with pytest.raises(InternalInvariantError, match="im delta1 is not contained in ker eta2"):
         h2_nil(alg)
+
+
+def test_h2nil_command_names_the_graph_of_an_invariant_failure(monkeypatch, capsys):
+    from graphlie.cli import run_command
+
+    assert to_graph6(P4) == "Ch"
+    _corrupt_delta1(monkeypatch, structure_constants(P4, 2))
+    assert run_command(["cohomology", "h2nil", "--graph6", "Ch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal invariant failure: im delta1 is not contained in ker eta2 "
+        "(graph6 Ch, k = 2, phase: h2_nil, containment of im delta1 in ker eta2)\n"
+    )
+
+
+def test_a_negative_h2_is_refused(monkeypatch, capsys):
+    # On K3 the corrupted row lies in a weight that the twin orbits skip, so
+    # the containment check, which multiplies only the built blocks, passes;
+    # the rank of delta1 then exceeds dim ker eta2.
+    from graphlie.cli import run_command
+    from graphlie.errors import InternalInvariantError
+
+    alg = structure_constants(K3, 2)
+    assert to_graph6(K3) == "Bw" and twin_classes(alg) == [[0, 1, 2]]
+    report = h2_nil(alg)
+    assert report.h2_dim == 0
+    _corrupt_delta1(monkeypatch, alg)
+    phase = "phase: h2_nil, rank of delta1 against dim ker eta2"
+    message = f"rank delta1 = {report.dim_im_delta1 + 1} exceeds dim ker eta2 = {report.dim_ker_eta2}"
+    with pytest.raises(InternalInvariantError) as caught:
+        h2_nil(alg)
+    assert str(caught.value) == f"{message} ({phase})"
+    for command in (["cohomology", "h2nil"], ["rigidity", "classify", "--k", "2"]):
+        assert run_command([*command, "--graph6", "Bw"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"internal invariant failure: {message} (graph6 Bw, k = 2, {phase})\n"
 
 
 def test_builders_match_reference_builders():
@@ -497,26 +548,40 @@ def test_builders_match_reference_builders():
         # write down from the center, so they match the reference in row
         # space, not row by row; delta1 keeps every row
         coords = CochainCoordinates(alg.n)
-        assert delta1_matrix(alg, coords) == _ref_delta1(alg, coords)
-        d2, ref = delta2_matrix(alg, coords), ref_delta2(alg, coords)
+        assert delta1_matrix(alg) == _ref_delta1(alg, coords)
+        d2, ref = delta2_matrix(alg), ref_delta2(alg, coords)
         assert _int_rank(d2) == _int_rank(ref) == _int_rank(d2, ref)
         if is_at_most_two_step(alg):
-            e2, ref = eta2_matrix(alg, coords), ref_eta2(alg, coords)
+            e2, ref = eta2_matrix(alg), ref_eta2(alg, coords)
             assert _int_rank(e2) == _int_rank(ref) == _int_rank(e2, ref)
 
 
 def test_matrices_hold_ints_unless_constants_have_denominators():
-    # The builders hand their integer rows to the matrix as they are, and
-    # divide by L only when L != 1 (test_builders_match_reference_builders
-    # checks the values).
+    # The builders hand their integer rows to the matrix as they are, with L,
+    # the lcm of the constants' denominators, as its scale, and entries reads
+    # them divided by L. delta1 keeps every row, so it matches its reference
+    # row by row; delta2 and eta2 settle or replace rows, so in row space.
     rng = random.Random(5)
     for alg in _graph_algebras(4):
-        coords = CochainCoordinates(alg.n)
         for build in (delta1_matrix, delta2_matrix, eta2_matrix):
-            entries = build(alg, coords).entries
-            assert all(type(v) is int for v in entries.values()), build.__name__
-        entries = eta2_matrix(_rescaled(alg, rng), coords).entries
+            matrix = build(alg)
+            assert matrix.scale == 1, build.__name__
+            assert all(type(v) is int for v in matrix.entries.values()), build.__name__
+        entries = eta2_matrix(_rescaled(alg, rng)).entries
         assert any(isinstance(v, Fraction) and v.denominator > 1 for v in entries.values())
+    for alg in _rescaled_algebras():
+        scale = lcm(*(c.denominator for terms in alg.sc.values() for c in terms.values()))
+        assert scale > 1
+        coords = CochainCoordinates(alg.n)
+        refs = (_ref_delta1(alg, coords), ref_delta2(alg, coords), ref_eta2(alg, coords))
+        for build, ref in zip((delta1_matrix, delta2_matrix, eta2_matrix), refs):
+            matrix = build(alg)
+            assert matrix.scale == scale, build.__name__
+            assert all(type(v) is int for row in matrix._data.values() for v in row.values())
+            if build is delta1_matrix:
+                assert dict(matrix.entries) == dict(ref.entries)
+            else:
+                assert _int_rank(matrix) == _int_rank(ref) == _int_rank(matrix, ref), build.__name__
 
 
 # Heisenberg in the basis x, y, z + x: [x, y] = z - x and [y, z] = x - z,
@@ -556,7 +621,7 @@ def test_delta2_rows_are_signed_sums_of_eta2_rows():
         n, coords = alg.n, CochainCoordinates(alg.n)
         eta2 = _by_rows(ref_eta2(alg, coords).entries)
         delta2 = _by_rows(ref_delta2(alg, coords).entries)
-        for t, (a, b, c) in enumerate(coords.triples):
+        for t, (a, b, c) in enumerate(combinations(range(n), 3)):
             for d in range(n):
                 total: dict = {}
                 for pair, arg, sign in (((b, c), a, -1), ((a, c), b, 1), ((a, b), c, -1)):
@@ -609,15 +674,14 @@ def test_adopted_builder_rows_match_the_validating_constructor(monkeypatch):
     loaded = _rescaled(structure_constants(C4, 2), rng)
     assert loaded.n > 0 and any(c.denominator > 1 for t in loaded.sc.values() for c in t.values())
     for alg in algebras + [loaded, TWISTED_HEISENBERG]:
-        coords = CochainCoordinates(alg.n)
         for build in (delta1_matrix, delta2_matrix, eta2_matrix):
-            adopted = build(alg, coords)
+            adopted = build(alg)
             data = _by_rows(adopted.entries)  # the settled rows too
             checked = RatMatrix(adopted.rows, adopted.cols, data)
             assert adopted == checked, (build.__name__, alg.n)
             assert all(adopted._data.values())  # no empty row is kept
-            if adopted._data:
-                assert adopted._ints == checked._ints
+            assert all(type(v) is int for row in adopted._data.values() for v in row.values())
+            assert adopted.scale % checked.scale == 0
     # entries cancelled in every builder on the twisted basis, and no dimension moved
     assert min(raw_zeros[-3:]) > 0
     assert h2_nil(TWISTED_HEISENBERG) == h2_nil(HEISENBERG)
@@ -643,10 +707,10 @@ def test_builder_blocks_past_the_matrix_edge_raise(monkeypatch):
         original(self, algebra, nrows - 1, ncols, mult)
 
     monkeypatch.setattr(cohomology._CochainRows, "__init__", one_row_short)
-    coords = CochainCoordinates(alg.n)
     for build in (delta1_matrix, delta2_matrix, eta2_matrix):
-        with pytest.raises(InternalInvariantError):
-            build(alg, coords)
+        with pytest.raises(InternalInvariantError) as caught:
+            build(alg)
+        assert caught.value.phase == "cochain matrix build, block shape"
 
 
 def test_integer_rank_path_makes_no_fraction(monkeypatch):
@@ -656,7 +720,6 @@ def test_integer_rank_path_makes_no_fraction(monkeypatch):
     import graphlie.cohomology as cohomology
 
     alg = structure_constants(C4, 2)
-    coords = CochainCoordinates(alg.n)
     assert is_at_most_two_step(alg)
     monkeypatch.setattr(cohomology, "is_at_most_two_step", lambda algebra: True)
     made = []
@@ -667,9 +730,9 @@ def test_integer_rank_path_makes_no_fraction(monkeypatch):
         return original(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counted)
-    e2, d1 = eta2_matrix(alg, coords), delta1_matrix(alg, coords)
+    e2, d1 = eta2_matrix(alg), delta1_matrix(alg)
     assert e2.matmul(d1).is_zero()
-    d2 = delta2_matrix(alg, coords)
+    d2 = delta2_matrix(alg)
     ranks = [e2.rank(), d1.rank(), d2.rank()]
     red = IntRowReducer()
     for matrix in (e2, d1, d2):
@@ -727,9 +790,9 @@ def test_ranks_match_sympy():
     sympy = pytest.importorskip("sympy")
     for alg in _graph_algebras(4) + [ABELIAN2]:
         coords = CochainCoordinates(alg.n)
-        d1 = delta1_matrix(alg, coords)
-        d2 = delta2_matrix(alg, coords)
-        e2 = eta2_matrix(alg, coords)
+        d1 = delta1_matrix(alg)
+        d2 = delta2_matrix(alg)
+        e2 = eta2_matrix(alg)
         stacked = RatMatrix(
             e2.rows + d2.rows,
             coords.dim_two_cochains,
@@ -844,13 +907,13 @@ def test_multiplicities_count_every_column_once():
         coords = CochainCoordinates(alg.n)
         classes = twin_classes(alg)
         assert classes
-        f_mult, s_mult = orbit_multiplicities(alg, coords, classes)
+        f_mult, s_mult = orbit_multiplicities(alg)
         assert sum(f_mult) == coords.dim_hom and sum(s_mult) == coords.dim_two_cochains
         assert 0 in s_mult and max(s_mult) > 1
     k3 = structure_constants(K3, 2)
     assert twin_classes(k3) == [[0, 1, 2]]
     coords = CochainCoordinates(k3.n)
-    s_mult = orbit_multiplicities(k3, coords, [[0, 1, 2]])[1]
+    s_mult = orbit_multiplicities(k3)[1]
     # sigma((v1, v2), v3) has weight (-1, -1, 1), which increases: not a representative
     assert s_mult[coords.sigma_coord(0, 1, 2)[0]] == 0
     # sigma((v2, v3), v1) has weight (1, -1, -1), a representative of 3 weights
@@ -926,9 +989,9 @@ def _check_ranks_mod_p(alg, report) -> None:
     """report's three ranks against rank_mod_p on the builders' full matrices, every column built."""
     coords = CochainCoordinates(alg.n)
     cols = coords.dim_two_cochains
-    assert report.dim_im_delta1 == rank_mod_p(delta1_matrix(alg, coords).int_rows())
-    assert report.dim_ker_eta2 == cols - rank_mod_p(eta2_matrix(alg, coords).int_rows())
-    assert report.dim_ker_delta2 == cols - rank_mod_p(delta2_matrix(alg, coords).int_rows())
+    assert report.dim_im_delta1 == rank_mod_p(delta1_matrix(alg).int_rows())
+    assert report.dim_ker_eta2 == cols - rank_mod_p(eta2_matrix(alg).int_rows())
+    assert report.dim_ker_delta2 == cols - rank_mod_p(delta2_matrix(alg).int_rows())
 
 
 def test_h2_ranks_match_the_mod_p_oracle_on_every_class_with_an_edge():

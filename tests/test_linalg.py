@@ -26,6 +26,9 @@ def test_frac_coercion():
     for text in ("1e10000000", "2E3", "1.5e-3"):
         with pytest.raises(ValueError, match="must be an integer, a decimal or p/q"):
             frac(text)
+    for text in ("1/0", "-3/0"):
+        with pytest.raises(ValueError, match=f"^rational '{text}' has a zero denominator$"):
+            frac(text)
     with pytest.raises(TypeError):
         frac(0.5)
     for flag in (True, False):
@@ -184,21 +187,23 @@ def test_matmul_skips_rows_that_meet_no_right_row():
 
 
 def test_settled_rows_are_read_as_unit_rows():
-    # rows 1 and 3 are settled, unit rows held as {row: col}; plain has them as rows
-    data = {0: {0: 2, 2: Fraction(1, 2)}, 2: {1: -1, 2: 3}}
-    settled = RatMatrix.adopt(4, 3, {r: dict(row) for r, row in data.items()}, False, {1: 2, 3: 0})
-    plain = RatMatrix(4, 3, {**data, 1: {2: 1}, 3: {0: 1}})
+    # rows 1 and 3 are settled, unit int rows held as {row: col}, over the
+    # matrix's denominator 2; plain has them as rows
+    settled = RatMatrix.adopt(4, 3, {0: {0: 4, 2: 1}, 2: {1: -2, 2: 6}}, {1: 2, 3: 0}, 2)
+    half = Fraction(1, 2)
+    plain = RatMatrix(4, 3, {0: {0: 2, 2: half}, 2: {1: -1, 2: 3}, 1: {2: half}, 3: {0: half}})
+    assert plain.scale == 2
     assert settled == plain and plain == settled and repr(settled) == repr(plain)
     assert settled.entries == plain.entries
     assert [dict(row) for row in settled.int_rows()] == [dict(row) for row in plain.int_rows()]
     right = _matrix([[1, 2], [0, 3], [4, 0]])
     assert settled.matmul(right) == plain.matmul(right)
-    assert _dense(settled.matmul(right))[1] == [4, 0]  # settled row 1 picks right's row 2
+    assert _dense(settled.matmul(right))[1] == [2, 0]  # settled row 1 picks half of right's row 2
     left = _matrix([[1, 1, 1, 1], [0, 5, 0, 0]])
     assert left.matmul(settled) == left.matmul(plain)
     assert settled.rank() == plain.rank() == 3
-    assert not RatMatrix.adopt(2, 2, {}, True, {0: 1}).is_zero()
-    assert RatMatrix.adopt(2, 2, {}, True, {}).is_zero()
+    assert not RatMatrix.adopt(2, 2, {}, {0: 1}).is_zero()
+    assert RatMatrix.adopt(2, 2, {}, {}).is_zero()
 
 
 def test_axpy_drops_cancelled_entries():
@@ -430,9 +435,11 @@ def test_rat_matrix_adopts_and_cleans_its_rows():
     data = {0: {0: 2, 1: 0, 2: Fraction(-1, 3)}, 1: {}, 3: {1: 0}, 4: {2: Fraction(0)}, 5: {0: 7}}
     row0 = data[0]
     m = RatMatrix(6, 3, data)
-    # zeros and empty rows are deleted in place: the matrix keeps the caller's dicts
-    assert data == {0: {0: 2, 2: Fraction(-1, 3)}, 5: {0: 7}}
-    assert row0 == {0: 2, 2: Fraction(-1, 3)}
+    # zeros and empty rows are deleted in place, and the values put over the
+    # one denominator 3: the matrix keeps the caller's dicts
+    assert m.scale == 3
+    assert data == {0: {0: 6, 2: -1}, 5: {0: 21}}
+    assert row0 == {0: 6, 2: -1}
     assert dict(m.entries) == {(0, 0): 2, (0, 2): Fraction(-1, 3), (5, 0): 7}
     assert len(m.entries) == 3
     assert type(m.entries[(0, 0)]) is int

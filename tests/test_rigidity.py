@@ -523,7 +523,7 @@ def test_h2_containment_failure_names_graph_k_and_phase(monkeypatch):
     import graphlie.cohomology as cohomology
     from graphlie.linalg import RatMatrix
 
-    def wrong_delta1(algebra, coords=None, mult=None):
+    def wrong_delta1(algebra, mult=None):
         # a unit entry in every column: eta2 times it is eta2's first columns
         rows, cols = algebra.n * (algebra.n - 1) // 2 * algebra.n, algebra.n * algebra.n
         return RatMatrix(rows, cols, {c % rows: {c: 1} for c in range(cols)})
