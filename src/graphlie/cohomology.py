@@ -67,9 +67,11 @@ from each other) give such automorphisms. So h2_nil builds and ranks only
 the representative weights, those whose entries do not increase along
 each twin class, and counts each block as many times as its orbit has
 weights. Each builder takes one multiplicity per column, 0 for the columns
-it skips, and leaves them on its matrix, whose rank adds them up. Labels of
-any other shape, and no labels, give the trivial group, with no
-multiplicities: every column is built and counted once.
+it skips, and leaves them on its matrix, whose rank adds them up. The
+containment product never sees a delta1 entry between two blocks, so h2_nil
+refuses one whose row and column multiplicities differ. Labels of any other
+shape, and no labels, give the trivial group, with no multiplicities: every
+column is built and counted once.
 """
 
 from __future__ import annotations
@@ -429,9 +431,11 @@ def h2_nil(algebra: LieAlgebra) -> H2Report:
     Raises InternalInvariantError if im delta1 is not inside ker eta2; for an
     at most 2-step algebra that containment is a theorem, so a violation can
     only mean the matrices are wrong. It sees the representative blocks only,
-    so a negative h2, rank delta1 > dim ker eta2, raises too. Only the blocks
-    of representative weights are built and ranked, each counted with its
-    orbit's size (see the module docstring).
+    so a negative h2, rank delta1 > dim ker eta2, raises too, and so does a
+    delta1 entry whose row and column multiplicities differ: equal weights
+    have equal multiplicities, so it lies between two weight blocks. Only the
+    blocks of representative weights are built and ranked, each counted with
+    its orbit's size (see the module docstring).
     """
     check_h2_size(algebra.n, list(map(len, algebra.sc.values())))
     f_mult, s_mult = orbit_multiplicities(algebra)
@@ -441,14 +445,18 @@ def h2_nil(algebra: LieAlgebra) -> H2Report:
         raise InternalInvariantError(
             "im delta1 is not contained in ker eta2", "h2_nil, containment of im delta1 in ker eta2"
         )
-    # delta2 is built only after the other two matrices are released.
     cols = e2.cols
     ker_eta2, image = cols - e2.rank(), d1.rank()
-    del d1, e2
     if image > ker_eta2:
         raise InternalInvariantError(
             f"rank delta1 = {image} exceeds dim ker eta2 = {ker_eta2}",
             "h2_nil, rank of delta1 against dim ker eta2",
         )
+    for r, c in d1.entries if s_mult is not None else ():
+        if s_mult[r] != f_mult[c]:
+            raise InternalInvariantError(
+                f"delta1 entry ({r}, {c}) joins two weight blocks", "h2_nil, weight blocks of delta1"
+            )
+    del d1, e2  # delta2 is built only after the other two matrices are released
     ker_delta2 = cols - delta2_matrix(algebra, s_mult).rank()
     return H2Report(ker_eta2, ker_delta2, ker_eta2, image, ker_eta2 - image, True)

@@ -6,7 +6,7 @@ an index to a nonzero coefficient; integer input stays int until a division
 makes a Fraction. Dense vectors are lists. A RatMatrix holds int rows of
 such dicts and one denominator, scale, that every entry is divided by.
 RowReducer is the one span type; a kernel or a center is a RowReducer.
-peeled_rank and IntRowReducer rank integer rows without ever dividing.
+peeled_rank, the one rank function, ranks integer rows without ever dividing.
 """
 
 from __future__ import annotations
@@ -245,56 +245,18 @@ class RowReducer:
         return [dict(self.pivots[p]) for p in sorted(self.pivots)]
 
 
-class IntRowReducer:
-    """Incremental fraction-free row echelon form, for ranks of integer matrices.
-
-    Rows are sparse dicts mapping a column to an int. The pivot of a row is
-    its least nonzero column. A row that meets a stored pivot p is replaced
-    by a*row - b*prow, where a = prow[p]/g, b = row[p]/g and
-    g = gcd(row[p], prow[p]), and then divided by its content, so stored rows
-    are primitive (one-step fraction-free elimination; Bareiss, Math. Comp.
-    22, 1968). Every step is exact, so the rank is the rank over Q.
-    """
-
-    def __init__(self):
-        self.pivots: dict = {}
-
-    def add(self, row: dict) -> bool:
-        """Reduce a copy of row against the stored rows; keep it if independent."""
-        row = {c: v for c, v in row.items() if v}
-        pivots = self.pivots
-        while row:
-            g = gcd(*row.values())
-            if g != 1:
-                for c in row:
-                    row[c] //= g
-            p = min(row)
-            prow = pivots.get(p)
-            if prow is None:
-                pivots[p] = row
-                return True
-            g = gcd(row[p], prow[p])
-            a, b = prow[p] // g, row[p] // g
-            if a != 1:
-                for c in row:
-                    row[c] *= a
-            axpy(row, -b, prow)
-        return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
 def peeled_rank(rows, mult=None, settled=()) -> int:
     """Rank of integer rows by structured elimination (LaMacchia & Odlyzko, CRYPTO '90).
 
     A one-entry row, or a column given in settled, puts a unit vector in the
     row space, so its column is settled: it adds 1 to the rank and is deleted
     from every other row, and rows that drop to one entry settle theirs in
-    turn, up to a fixed point. The rows left over go through an
-    IntRowReducer; the rank is the number of settled columns plus its rank.
-    The given rows (columns to nonzero ints) are not changed.
+    turn, up to a fixed point. The rows left over are eliminated fraction-free
+    (one step; Bareiss, Math. Comp. 22, 1968): a row divided by its content
+    pivots on its least column p, and if a stored row prow has p, it becomes
+    a*row - b*prow with g = gcd(row[p], prow[p]), a = prow[p]/g, b = row[p]/g.
+    Every step is exact, so the rank over Q is the number of settled columns
+    and pivots. The given rows (columns to nonzero ints) are not changed.
 
     With mult, a list of one int per column, each settled column and each
     pivot counts mult[column] times instead of once: the rows are then the
@@ -320,12 +282,27 @@ def peeled_rank(rows, mult=None, settled=()) -> int:
                 del row[c]
                 if len(row) == 1:
                     queue.extend(row)
-    reducer = IntRowReducer()
+    pivots: dict = {}  # pivot column -> its primitive row
     for row in live:
-        reducer.add(row)
+        while row:
+            g = gcd(*row.values())
+            if g != 1:
+                for c in row:
+                    row[c] //= g
+            p = min(row)
+            prow = pivots.get(p)
+            if prow is None:
+                pivots[p] = row
+                break
+            g = gcd(row[p], prow[p])
+            a, b = prow[p] // g, row[p] // g
+            if a != 1:
+                for c in row:
+                    row[c] *= a
+            axpy(row, -b, prow)
     if mult is None:
-        return len(settled) + reducer.rank
-    return sum(map(mult.__getitem__, chain(settled, reducer.pivots)))
+        return len(settled) + len(pivots)
+    return sum(map(mult.__getitem__, chain(settled, pivots)))
 
 
 class CoordinateSolver:

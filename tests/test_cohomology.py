@@ -18,7 +18,7 @@ from graphlie.cohomology import (
     orbit_multiplicities,
     twin_classes,
 )
-from graphlie.graphs import SimpleGraph, _twin_classes, enumerate_graphs, to_graph6
+from graphlie.graphs import SimpleGraph, _twin_classes, enumerate_graphs, from_graph6, to_graph6
 from graphlie.liealg import (
     LieAlgebra,
     algebra_from_json_dict,
@@ -28,7 +28,7 @@ from graphlie.liealg import (
     jacobi_report,
     lower_central_series,
 )
-from graphlie.linalg import ONE, ZERO, IntRowReducer, RatMatrix, RowReducer, axpy
+from graphlie.linalg import ONE, ZERO, RatMatrix, RowReducer, axpy, peeled_rank
 from oracles import (
     complex_identity_holds,
     edge_set,
@@ -538,6 +538,41 @@ def test_a_negative_h2_is_refused(monkeypatch, capsys):
         assert captured.err == f"internal invariant failure: {message} (graph6 Bw, k = 2, {phase})\n"
 
 
+def test_every_corrupted_class_is_refused(monkeypatch, capsys):
+    # _corrupt_delta1 applies to every class with an edge on 3-5 vertices.
+    # The containment product sees the corrupted row where it meets a built
+    # block and the negative-h2 refusal where h2 is 0; in the other 14
+    # classes the row joins two weight blocks of different multiplicities.
+    from collections import Counter
+
+    from graphlie.cli import run_command
+    from graphlie.errors import InternalInvariantError
+
+    phases = Counter()
+    for graph in (graph for m in range(3, 6) for graph in enumerate_graphs(m) if edge_set(graph)):
+        alg = structure_constants(graph, 2)
+        with monkeypatch.context() as patch:
+            _corrupt_delta1(patch, alg)
+            with pytest.raises(InternalInvariantError) as caught:
+                h2_nil(alg)
+        phases[caught.value.phase] += 1
+    weights = "h2_nil, weight blocks of delta1"
+    assert phases == {
+        "h2_nil, containment of im delta1 in ker eta2": 28,
+        "h2_nil, rank of delta1 against dim ker eta2": 4,
+        weights: 14,
+    }
+    # on CF (h2 = 6) the corrupted row passes the containment product and would lower h2 to 5
+    alg = structure_constants(from_graph6("CF"), 2)
+    assert h2_nil(alg).h2_dim == 6
+    _corrupt_delta1(monkeypatch, alg)
+    assert run_command(["cohomology", "h2nil", "--graph6", "CF"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal invariant failure: delta1 entry (")
+    assert captured.err.endswith(f" joins two weight blocks (graph6 CF, k = 2, phase: {weights})\n")
+
+
 def test_builders_match_reference_builders():
     rng = random.Random(77)
     algebras = _graph_algebras(4) + [_rescaled(alg, rng) for alg in _graph_algebras(4)]
@@ -734,12 +769,9 @@ def test_integer_rank_path_makes_no_fraction(monkeypatch):
     assert e2.matmul(d1).is_zero()
     d2 = delta2_matrix(alg)
     ranks = [e2.rank(), d1.rank(), d2.rank()]
-    red = IntRowReducer()
-    for matrix in (e2, d1, d2):
-        for row in matrix.int_rows():
-            red.add(row)
+    stacked = peeled_rank([row for matrix in (e2, d1, d2) for row in matrix.int_rows()])
     monkeypatch.undo()
-    assert red.rank > 0 and min(ranks) > 0
+    assert stacked > 0 and min(ranks) > 0
     assert made == []
     assert Fraction(2, 4) == Fraction(1, 2) and not made  # the constructor is restored
 
@@ -779,7 +811,8 @@ def _sympy_rank(sympy, matrix):
 
 
 def _int_rank(*matrices):
-    red = IntRowReducer()
+    # exact over Q by RowReducer, with no peel and no fraction-free step
+    red = RowReducer()
     for matrix in matrices:
         for row in matrix.int_rows():
             red.add(row)
@@ -1095,13 +1128,19 @@ def test_the_density_budget_refuses_a_dense_algebra_at_once(monkeypatch, capsys,
         {"i": i, "j": j, "terms": [{"l": 14 + t, "c": str(1 + (i + j + t) % 5)} for t in range(14)]}
         for i, j in combinations(range(14), 2)
     ]
+    doc = {"n": 28, "brackets": brackets}
     path = tmp_path / "dense.json"
-    path.write_text(json.dumps({"n": 28, "brackets": brackets}), encoding="utf-8")
+    path.write_text(json.dumps(doc), encoding="utf-8")
     start = time.perf_counter()
     with monkeypatch.context() as patch:
         patch.setattr(cohomology, "CochainCoordinates", no_coordinates)
         assert run_command(["cohomology", "h2nil", "--in", str(path)]) == 1
     assert time.perf_counter() - start < 1
+    # h2_nil itself refuses before it indexes a cochain, not only the CLI
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "CochainCoordinates", no_coordinates)
+        with pytest.raises(ValueError, match="^the algebra has 1274 nonzero structure constants;"):
+            h2_nil(algebra_from_json_dict(doc))
     assert capsys.readouterr().err == (
         "error: the algebra has 1274 nonzero structure constants; "
         f"the h2_nil budget is {MAX_H2_CONSTANTS}\n"
@@ -1136,13 +1175,19 @@ def test_the_bracket_budget_refuses_a_loaded_bracket_at_once(monkeypatch, capsys
         for i, j in combinations(range(3), 2)
     ]
     assert 3 * 15 <= MAX_H2_CONSTANTS and 55 <= MAX_H2_DIM
+    doc = {"n": 55, "brackets": brackets}
     path = tmp_path / "loaded.json"
-    path.write_text(json.dumps({"n": 55, "brackets": brackets}), encoding="utf-8")
+    path.write_text(json.dumps(doc), encoding="utf-8")
     start = time.perf_counter()
     with monkeypatch.context() as patch:
         patch.setattr(cohomology, "CochainCoordinates", no_coordinates)
         assert run_command(["cohomology", "h2nil", "--in", str(path)]) == 1
     assert time.perf_counter() - start < 1
+    # h2_nil itself refuses before it indexes a cochain, not only the CLI
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "CochainCoordinates", no_coordinates)
+        with pytest.raises(ValueError, match="^a bracket of the algebra has 15 terms;"):
+            h2_nil(algebra_from_json_dict(doc))
     assert capsys.readouterr().err == (
         f"error: a bracket of the algebra has 15 terms; the h2_nil budget is {MAX_H2_BRACKET_TERMS} per bracket\n"
     )

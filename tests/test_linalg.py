@@ -6,7 +6,6 @@ import pytest
 from graphlie.errors import InternalInvariantError
 from graphlie.linalg import (
     CoordinateSolver,
-    IntRowReducer,
     RatMatrix,
     RowReducer,
     axpy,
@@ -305,46 +304,49 @@ def test_subspace_contains_examples():
     assert line.contains({})
 
 
-def test_int_row_reducer_rank_matches_fraction_reducer():
+def _plain_rank(rows):
+    # exact over Q by RowReducer, with no peel and no fraction-free step
+    return RowReducer(rows).rank
+
+
+def test_peeled_rank_matches_the_fraction_reducer():
     rng = random.Random(59)
     for _ in range(80):
         rows = [
             {c: rng.choice([-6, -3, -2, -1, 1, 2, 4, 9]) for c in rng.sample(range(7), rng.randint(0, 4))}
             for _ in range(rng.randint(1, 8))
         ]
-        # dependent rows: integer combinations of earlier ones
+        # dependent rows: integer combinations of earlier ones, their zero entries dropped
         for _ in range(rng.randint(0, 3)):
             a, b = rng.choice(rows), rng.choice(rows)
             s, t = rng.randint(-3, 3), rng.randint(-3, 3)
-            rows.append({c: s * a.get(c, 0) + t * b.get(c, 0) for c in set(a) | set(b)})
+            combined = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in set(a) | set(b)}
+            rows.append({c: v for c, v in combined.items() if v})
         rng.shuffle(rows)
-        oracle = RowReducer()
-        exact = IntRowReducer()
-        for row in rows:
-            before = dict(row)
-            kept = exact.add(row)
-            assert row == before  # the input row is not modified
-            assert kept == oracle.add({c: Fraction(v) for c, v in row.items()})
-        assert exact.rank == oracle.rank
-        # elimination keeps the stored rows integer
-        assert all(type(v) is int for row in exact.pivots.values() for v in row.values())
+        before = [dict(row) for row in rows]
+        rank = _plain_rank(rows)
+        assert peeled_rank(rows) == rank
+        # with one multiplicity for every column, settled columns and pivots alike count 3 times
+        assert peeled_rank(rows, [3] * 7) == 3 * rank
+        assert rows == before  # the input rows are not modified
 
 
-def test_int_row_reducer_stores_primitive_rows():
-    red = IntRowReducer()
-    assert red.add({0: 4, 2: 6})
-    assert red.add({0: 6, 1: 3, 2: 9})  # content 3; minus the first row leaves {1: 1}
-    assert not red.add({0: -2, 1: 5, 2: -3})
-    assert not red.add({3: 0})
-    assert red.rank == 2
-    assert red.pivots == {0: {0: 2, 2: 3}, 1: {1: 1}}
-
-
-def _plain_rank(rows):
-    red = IntRowReducer()
-    for row in rows:
-        red.add(row)
-    return red.rank
+def test_peeled_rank_divides_and_scales_leftover_rows():
+    # No row has one entry, so the peel leaves all four. {0: 4, 2: 6} is
+    # stored as {0: 2, 2: 3} once its content 2 is divided out.
+    # {0: 3, 1: 3, 2: 9} has content 3, then meets column 0 with a = 2 and
+    # is stored as {1: 2, 2: 3}. {0: 2, 1: 2, 2: 6}, 2/3 of it, eliminates
+    # to nothing. {0: 1, 1: 3, 2: 3} meets column 0 with a = 2, which leaves
+    # {1: 6, 2: 3} of content 3; as {1: 2, 2: 1} it meets column 1 too and
+    # ends as the pivot row {2: -1}.
+    rows = [{0: 4, 2: 6}, {0: 3, 1: 3, 2: 9}, {0: 2, 1: 2, 2: 6}, {0: 1, 1: 3, 2: 3}]
+    assert peeled_rank(rows) == 3 == _plain_rank(rows)
+    assert peeled_rank(rows[:3]) == 2 == _plain_rank(rows[:3])
+    assert peeled_rank(rows, [1, 5, 7]) == 13  # pivots on columns 0, 1 and 2
+    assert peeled_rank(rows[:3], [1, 5, 7]) == 6
+    # content 3, then a = 1: {0: 6, 1: 3, 2: 9} leaves {1: 1}; the third row depends on both
+    rows = [{0: 4, 2: 6}, {0: 6, 1: 3, 2: 9}, {0: -2, 1: 5, 2: -3}]
+    assert peeled_rank(rows) == 2 == _plain_rank(rows)
 
 
 def test_peel_settles_a_chain_column_by_column():

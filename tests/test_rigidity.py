@@ -535,10 +535,15 @@ def test_h2_containment_failure_names_graph_k_and_phase(monkeypatch):
     message = str(caught.value)
     assert message.startswith("im delta1 is not contained in ker eta2 (graph6 Bw, k = 2, ")
     assert message.endswith(phase) and message.count("phase:") == 1
+    # The sweep meets A?, the edgeless pair, first. It is abelian, so eta2 is
+    # zero and sees no delta1 entry, but the entry (1, 3) joins two weight
+    # blocks, and h2_nil refuses that by name too.
     with pytest.raises(InternalInvariantError) as caught:
         sweep(3, 2)
-    message = str(caught.value)
-    assert "(graph6 A_, k = 2, " in message and message.endswith(phase)
+    assert str(caught.value) == (
+        "delta1 entry (1, 3) joins two weight blocks "
+        "(graph6 A?, k = 2, phase: h2_nil, weight blocks of delta1)"
+    )
 
 
 def test_witness_certifier_disagreement_names_graph_k_and_phase(monkeypatch):
