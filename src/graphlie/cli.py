@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from functools import cache
+from contextlib import contextmanager
+from functools import cache, partial
 
 from . import __version__
 from .basis import structure_constants
@@ -91,73 +93,113 @@ def _checked_algebra(algebra: LieAlgebra) -> None:
         )
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextmanager
+def _output(path, infile=None):
+    """The text stream a command writes to: sys.stdout, or the file path opened first.
+
+    A file that cannot be opened, or that is the input file, which opening
+    would empty, is a ValueError before the command does any work. If the
+    command fails, the file is closed and deleted, so a failed command leaves
+    no partial report; only a regular file is deleted.
+    """
+    if not path:
+        yield sys.stdout
+        return
+    if infile is not None and os.path.realpath(path) == os.path.realpath(infile):
+        raise ValueError("--out names the --in file; write the output to another file")
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write output file: {exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            if os.path.isfile(path):
+                os.remove(path)
+            raise
 
 
 def _dump_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_report(rows, fmt: str = "json") -> str:
-    """Serialize a classification report; identical input gives identical bytes."""
-    if fmt == "json":
-        text = _dump_json(rows)
-    elif fmt == "table":
-        lines = [f"{'graph6':<10} {'m':>2} {'k':>2} {'dim':>4} {'verdict':<10} certificate"]
-        for row in rows:
-            lines.append(
-                f"{row['graph6']:<10} {row['m']:>2} {row['k']:>2} {row['dim']:>4} "
-                f"{row['verdict']:<10} {row['certificate']['kind']}"
-            )
-        text = "\n".join(lines) + "\n"
-    else:
+def write_report(rows, fmt: str = "json", out=None) -> None:
+    """Write a classification report to the text stream out (default sys.stdout).
+
+    Each row is written as it arrives, before the next is asked for, so the
+    rows may be a lazy sweep. The bytes are those of
+    json.dumps(list(rows), sort_keys=True, indent=2) plus a newline, or one
+    table line per row under a header: identical rows give identical bytes.
+    """
+    if fmt not in ("json", "table"):
         raise ValueError(f"unknown report format {fmt!r}")
-    return text
+    write = (sys.stdout if out is None else out).write
+    if fmt == "table":
+        write(f"{'graph6':<10} {'m':>2} {'k':>2} {'dim':>4} {'verdict':<10} certificate\n")
+        for row in rows:
+            write(
+                f"{row['graph6']:<10} {row['m']:>2} {row['k']:>2} {row['dim']:>4} "
+                f"{row['verdict']:<10} {row['certificate']['kind']}\n"
+            )
+        return
+    # a row of the list is its own indented dump shifted right by one level;
+    # json escapes every newline inside a string, so each one here ends a line
+    encode = json.JSONEncoder(sort_keys=True, indent=2).encode
+    opening = "[\n  "
+    for row in rows:
+        write(opening)
+        write(encode(row).replace("\n", "\n  "))
+        opening = ",\n  "
+    write("[]\n" if opening == "[\n  " else "\n]\n")
+
+
+def _add_sweep_flags(parser) -> None:
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--k", type=int, required=True)
+    parser.add_argument("--format", choices=("json", "table"), default="json")
+    parser.add_argument("--out", help="output file (default stdout)")
+
+
+def _add_emit_flags(parser) -> None:
+    _add_graph_flags(parser)
+    parser.add_argument("--t", default="1", help='rational parameter "p/q" (default 1)')
+
+
+def _add_enumerate_flags(parser) -> None:
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--out", help="output file (default stdout)")
+
+
+_COMMAND_HELP = {
+    "algebra": "construct graph Lie algebras",
+    "cohomology": "cohomological invariants",
+    "rigidity": "rigidity classification",
+    "deform": "deformations from witnesses",
+    "graphs": "graph utilities",
+}
 
 
 @cache
-def _build_parser() -> _Parser:
+def _build_parser(path=None) -> _Parser:
+    """The argparse tree; with path, a key of _HANDLERS, only the root, its command and its leaf.
+
+    Each parser's help, usage and errors depend only on its own arguments and
+    its ancestors' names, so on a path they have the bytes of the full tree's.
+    """
     parser = _Parser(prog="graphlie", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    algebra = sub.add_parser("algebra", help="construct graph Lie algebras")
-    algebra_sub = algebra.add_subparsers(dest="subcommand", required=True)
-    build = algebra_sub.add_parser("build", help="build and serialize an algebra")
-    _add_graph_flags(build)
-
-    coh = sub.add_parser("cohomology", help="cohomological invariants")
-    coh_sub = coh.add_subparsers(dest="subcommand", required=True)
-    h2 = coh_sub.add_parser("h2nil", help="slot-two nil-cohomology report")
-    _add_graph_flags(h2, k_default=2)
-
-    rig = sub.add_parser("rigidity", help="rigidity classification")
-    rig_sub = rig.add_subparsers(dest="subcommand", required=True)
-    cls = rig_sub.add_parser("classify", help="classify one graph")
-    _add_graph_flags(cls)
-    sw = rig_sub.add_parser("sweep", help="classify all classes up to n vertices")
-    sw.add_argument("--n", type=int, required=True)
-    sw.add_argument("--k", type=int, required=True)
-    sw.add_argument("--format", choices=("json", "table"), default="json")
-    sw.add_argument("--out", help="output file (default stdout)")
-
-    deform = sub.add_parser("deform", help="deformations from witnesses")
-    deform_sub = deform.add_subparsers(dest="subcommand", required=True)
-    emit = deform_sub.add_parser("emit", help="emit the deformed bracket at rational t")
-    _add_graph_flags(emit)
-    emit.add_argument("--t", default="1", help='rational parameter "p/q" (default 1)')
-
-    graphs = sub.add_parser("graphs", help="graph utilities")
-    graphs_sub = graphs.add_subparsers(dest="subcommand", required=True)
-    enum = graphs_sub.add_parser("enumerate", help="one graph6 code per isomorphism class")
-    enum.add_argument("--n", type=int, required=True)
-    enum.add_argument("--out", help="output file (default stdout)")
-
+    commands: dict = {}
+    for key, (leaf_help, add_flags, _) in _HANDLERS.items():
+        if path is not None and key != path:
+            continue
+        command, leaf = key
+        if command not in commands:
+            group = sub.add_parser(command, help=_COMMAND_HELP[command])
+            commands[command] = group.add_subparsers(dest="subcommand", required=True)
+        add_flags(commands[command].add_parser(leaf, help=leaf_help))
     return parser
 
 
@@ -167,17 +209,17 @@ def _require_graph(graph) -> SimpleGraph:
     return graph
 
 
-def _cmd_algebra_build(args) -> int:
+def _cmd_algebra_build(args, out) -> int:
     graph, algebra = _load_input(args)
     if algebra is None:
         algebra = structure_constants(_require_graph(graph), args.k)
     else:
         _checked_algebra(algebra)
-    _emit(_dump_json(algebra_to_json_dict(algebra)), args.out)
+    out.write(_dump_json(algebra_to_json_dict(algebra)))
     return 0
 
 
-def _cmd_h2nil(args) -> int:
+def _cmd_h2nil(args, out) -> int:
     graph, algebra = _load_input(args)
     if algebra is None:
         report = graph_h2(graph, structure_constants(graph, args.k), args.k)
@@ -185,25 +227,23 @@ def _cmd_h2nil(args) -> int:
         check_h2_size(algebra.n, list(map(len, algebra.sc.values())))
         _checked_algebra(algebra)
         report = h2_nil(algebra)
-    _emit(_dump_json(report.to_json_dict()), args.out)
+    out.write(_dump_json(report.to_json_dict()))
     return 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, out) -> int:
     graph = _require_graph(_load_input(args)[0])
     to_graph6(graph)  # the report carries the graph6 code: refuse m > 62 before classifying
-    _emit(_dump_json(report_row(graph, args.k, classify(graph, args.k))), args.out)
+    out.write(_dump_json(report_row(graph, args.k, classify(graph, args.k))))
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    rows = sweep(args.n, args.k)
-    text = write_report(rows, fmt=args.format)
-    _emit(text, args.out)
+def _cmd_sweep(args, out) -> int:
+    write_report(sweep(args.n, args.k), args.format, out)
     return 0
 
 
-def _cmd_deform_emit(args) -> int:
+def _cmd_deform_emit(args, out) -> int:
     graph = _require_graph(_load_input(args)[0])
     code = to_graph6(graph)  # refuses m > 62 before any algebra is built
     t = frac(args.t)
@@ -233,32 +273,39 @@ def _cmd_deform_emit(args) -> int:
         "certificate": witness,
         "deformed_algebra": algebra_to_json_dict(materialized),
     }
-    _emit(_dump_json(payload), args.out)
+    out.write(_dump_json(payload))
     return 0
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args, out) -> int:
     codes = [to_graph6(g) for g in enumerate_graphs(args.n)]
-    _emit("\n".join(codes) + "\n", args.out)
+    out.write("\n".join(codes) + "\n")
     return 0
 
 
+# (command, subcommand): (help, flag adder, handler), in --help order
 _HANDLERS = {
-    ("algebra", "build"): _cmd_algebra_build,
-    ("cohomology", "h2nil"): _cmd_h2nil,
-    ("rigidity", "classify"): _cmd_classify,
-    ("rigidity", "sweep"): _cmd_sweep,
-    ("deform", "emit"): _cmd_deform_emit,
-    ("graphs", "enumerate"): _cmd_enumerate,
+    ("algebra", "build"): ("build and serialize an algebra", _add_graph_flags, _cmd_algebra_build),
+    ("cohomology", "h2nil"): (
+        "slot-two nil-cohomology report", partial(_add_graph_flags, k_default=2), _cmd_h2nil
+    ),
+    ("rigidity", "classify"): ("classify one graph", _add_graph_flags, _cmd_classify),
+    ("rigidity", "sweep"): ("classify all classes up to n vertices", _add_sweep_flags, _cmd_sweep),
+    ("deform", "emit"): ("emit the deformed bracket at rational t", _add_emit_flags, _cmd_deform_emit),
+    ("graphs", "enumerate"): (
+        "one graph6 code per isomorphism class", _add_enumerate_flags, _cmd_enumerate
+    ),
 }
 
 
 def run_command(argv) -> int:
-    parser = _build_parser()
+    path = tuple(argv[:2])
+    parser = _build_parser(path if path in _HANDLERS else None)
     try:
         args = parser.parse_args(argv)
-        handler = _HANDLERS[(args.command, args.subcommand)]
-        return handler(args)
+        handler = _HANDLERS[(args.command, args.subcommand)][2]
+        with _output(args.out, getattr(args, "infile", None)) as out:
+            return handler(args, out)
     except InternalInvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 2
@@ -268,4 +315,12 @@ def run_command(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone, as in `graphlie rigidity sweep ... | head`; stdout
+        # now points at devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

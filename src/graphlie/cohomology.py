@@ -69,7 +69,7 @@ each twin class, and counts each block as many times as its orbit has
 weights. Each builder takes one multiplicity per column, 0 for the columns
 it skips, and leaves them on its matrix, whose rank adds them up. The
 containment product never sees a delta1 entry between two blocks, so h2_nil
-refuses one whose row and column multiplicities differ. Labels of any other
+refuses one whose row and column weights differ. Labels of any other
 shape, and no labels, give the trivial group, with no multiplicities: every
 column is built and counted once.
 """
@@ -79,7 +79,7 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from itertools import chain, combinations, groupby
 from math import factorial, lcm
-from operator import add
+from operator import add, lshift
 from typing import NamedTuple
 
 from .errors import InternalInvariantError
@@ -370,6 +370,38 @@ class _OrbitSizes(dict):
 _orbit_sizes = lru_cache(maxsize=32)(_OrbitSizes)
 
 
+def _packed_multidegrees(algebra: LieAlgebra, coords) -> tuple:
+    """Each label's multidegree entries at coords, 2 bits each, first lowest, and the bias
+    that adds 2 to every field. Entries are 0 or 1 (twin_classes checks that), so a weight's
+    entries lie in -2..1, and bias plus its packed sum has them, plus 2, as its 2-bit fields."""
+    shifts = range(0, 2 * len(coords), 2)
+    packed = [
+        sum(map(lshift, map(label.multidegree.__getitem__, coords), shifts)) for label in algebra.labels
+    ]
+    return packed, sum(2 << shift for shift in shifts)
+
+
+def _check_weight_blocks(algebra: LieAlgebra, d1: RatMatrix) -> None:
+    """Raise InternalInvariantError unless each delta1 entry joins a row and a column of one weight.
+
+    For an algebra that twin_classes passes. Row pair_index(a<b)*n + d has
+    weight md(d) - md(a) - md(b) and column a*n + b has md(b) - md(a); with
+    every coordinate packed, two weights are equal exactly when their packed
+    ints are.
+    """
+    n = algebra.n
+    packed, bias = _packed_multidegrees(algebra, range(len(algebra.labels[0].multidegree)))
+    col_weight = [bias + q - p for p in packed for q in packed]
+    pair_weight = [bias - p - q for p, q in combinations(packed, 2)]
+    for r, cols in d1.supports():
+        weight = pair_weight[r // n] + packed[r % n]
+        for c in cols:
+            if col_weight[c] != weight:
+                raise InternalInvariantError(
+                    f"delta1 entry ({r}, {c}) joins two weight blocks", "h2_nil, weight blocks of delta1"
+                )
+
+
 def orbit_multiplicities(algebra: LieAlgebra) -> tuple:
     """One multiplicity per 1-cochain column and one per 2-cochain column, each by its weight.
 
@@ -390,10 +422,7 @@ def orbit_multiplicities(algebra: LieAlgebra) -> tuple:
     classes = twin_classes(algebra)
     if not classes:
         return None, None
-    md = [label.multidegree for label in algebra.labels]
-    twins = [v for cls in classes for v in cls]
-    packed = [sum(x[v] << 2 * pos for pos, v in enumerate(twins)) for x in md]
-    bias = sum(2 << 2 * pos for pos in range(len(twins)))
+    packed, bias = _packed_multidegrees(algebra, [v for cls in classes for v in cls])
     get = _orbit_sizes(tuple(map(len, classes))).__getitem__
 
     @cache
@@ -401,7 +430,7 @@ def orbit_multiplicities(algebra: LieAlgebra) -> tuple:
         return list(map(get, map(offset.__add__, packed)))
 
     f_mult = list(chain.from_iterable(row(bias - p) for p in packed))
-    pairs = combinations(range(len(md)), 2)
+    pairs = combinations(range(algebra.n), 2)
     s_mult = list(chain.from_iterable(row(bias - packed[a] - packed[b]) for a, b in pairs))
     return f_mult, s_mult
 
@@ -432,8 +461,8 @@ def h2_nil(algebra: LieAlgebra) -> H2Report:
     at most 2-step algebra that containment is a theorem, so a violation can
     only mean the matrices are wrong. It sees the representative blocks only,
     so a negative h2, rank delta1 > dim ker eta2, raises too, and so does a
-    delta1 entry whose row and column multiplicities differ: equal weights
-    have equal multiplicities, so it lies between two weight blocks. Only the
+    delta1 entry whose row and column weights differ, one between two weight
+    blocks, whenever the blocks are counted by orbit. Only the
     blocks of representative weights are built and ranked, each counted with
     its orbit's size (see the module docstring).
     """
@@ -452,11 +481,8 @@ def h2_nil(algebra: LieAlgebra) -> H2Report:
             f"rank delta1 = {image} exceeds dim ker eta2 = {ker_eta2}",
             "h2_nil, rank of delta1 against dim ker eta2",
         )
-    for r, c in d1.entries if s_mult is not None else ():
-        if s_mult[r] != f_mult[c]:
-            raise InternalInvariantError(
-                f"delta1 entry ({r}, {c}) joins two weight blocks", "h2_nil, weight blocks of delta1"
-            )
+    if s_mult is not None:
+        _check_weight_blocks(algebra, d1)
     del d1, e2  # delta2 is built only after the other two matrices are released
     ker_delta2 = cols - delta2_matrix(algebra, s_mult).rank()
     return H2Report(ker_eta2, ker_delta2, ker_eta2, image, ker_eta2 - image, True)

@@ -146,6 +146,10 @@ class RatMatrix:
             for r, row in self._all_rows().items() for c, v in row.items()
         })
 
+    def supports(self):
+        """(row, its nonzero columns) for each nonzero row, settled rows included, unordered."""
+        return chain(self._data.items(), ((r, (c,)) for r, c in self._settled.items()))
+
     def int_rows(self):
         """The nonzero int rows in row order, as read-only views: scale times the matrix, of its rank."""
         data = self._all_rows()

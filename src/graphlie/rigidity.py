@@ -30,6 +30,7 @@ computed, is a contradiction and aborts.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .basis import dimension_oracle, structure_constants
@@ -379,18 +380,22 @@ def report_row(graph: SimpleGraph, k: int, verdict: RigidityVerdict) -> dict:
     }
 
 
-def sweep(n_max: int, k: int) -> list:
-    """Classify every isomorphism class on 2..n_max vertices.
+def sweep(n_max: int, k: int) -> Iterator[dict]:
+    """The report rows of every isomorphism class on 2..n_max vertices, lazily.
 
-    For k = 2 the cohomology report is attached to every entry, which also
+    n_max and k are checked when sweep is called; the classes of each vertex
+    count are enumerated, and each class classified, only when a row of them
+    is asked for, so a consumer that writes each row before asking for the
+    next holds one row at a time. For k = 2
+    the cohomology report is attached to every entry, which also
     cross-checks every not_rigid verdict against h2 = 0.
     """
-    check_vertices("sweep", n_max)
+    check_vertices("sweep", n_max, k)
     check_k(k)
     if k < 2:
         raise ValueError("sweep needs k >= 2")
-    return [
+    return (
         report_row(graph, k, classify(graph, k, with_cohomology=k == 2))
         for m in range(2, n_max + 1)
         for graph in enumerate_graphs(m)
-    ]
+    )

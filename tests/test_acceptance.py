@@ -94,7 +94,7 @@ def _sweep(n_max: int, k: int):
     key = (n_max, k)
     if key not in _cache:
         t0 = time.perf_counter()
-        rows = sweep(n_max, k)
+        rows = list(sweep(n_max, k))
         _cache[key] = rows
         _cache[key, "time"] = time.perf_counter() - t0
     return _cache[key]

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import io
 import json
 import os
 import random
@@ -122,6 +123,198 @@ def test_write_report_rejects_unknown_format():
         write_report([], fmt="csv")
 
 
+def _table_text(rows) -> str:
+    """The table that write_report printed when it built the whole text first."""
+    lines = [f"{'graph6':<10} {'m':>2} {'k':>2} {'dim':>4} {'verdict':<10} certificate"]
+    for row in rows:
+        lines.append(
+            f"{row['graph6']:<10} {row['m']:>2} {row['k']:>2} {row['dim']:>4} "
+            f"{row['verdict']:<10} {row['certificate']['kind']}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _streamed(rows, fmt) -> str:
+    sink = io.StringIO()
+    write_report(iter(rows), fmt, sink)
+    return sink.getvalue()
+
+
+def _random_value(rng, depth):
+    pick = rng.randrange(8 if depth < 3 else 5)
+    if pick == 0:
+        return rng.randint(-10**6, 10**6)
+    if pick == 1:
+        return "".join(rng.choice('ab"\\\n\t/é{}[],: ') for _ in range(rng.randrange(6)))
+    if pick == 2:
+        return rng.choice([True, False, None])
+    if pick == 3:
+        return f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+    if pick == 4:
+        return rng.choice([[], {}])
+    if pick in (5, 6):
+        return [_random_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {f"k{rng.randrange(20)}": _random_value(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def _random_rows(rng):
+    rows = []
+    for _ in range(rng.randrange(5)):
+        row = {f"x{rng.randrange(9)}": _random_value(rng, 0) for _ in range(rng.randrange(4))}
+        row.update(
+            graph6=rng.choice(["A?", "Bw", "D?{", "G~~~~{", 'q"\\\n']),
+            m=rng.randint(2, 9),
+            k=rng.randint(2, 40),
+            dim=rng.randint(0, 2000),
+            verdict=rng.choice(["rigid", "not_rigid", "unknown"]),
+            certificate={"kind": rng.choice(["abelian", "graded_witness"]), "y": _random_value(rng, 1)},
+        )
+        rows.append(row)
+    return rows
+
+
+def test_streamed_report_matches_the_whole_dump():
+    data = REPO_ROOT / "tests" / "data"
+    row_lists = [json.loads((data / name).read_text()) for name in sorted(GOLDEN) if name.startswith("sweep")]
+    rng = random.Random(30)
+    row_lists += [[]] + [_random_rows(rng) for _ in range(50)]
+    for rows in row_lists:
+        assert _streamed(rows, "json") == json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        assert _streamed(rows, "table") == _table_text(rows)
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_write_report_writes_each_row_before_asking_for_the_next(fmt):
+    events = []
+    rows = [{"graph6": f"r{i}", "m": 2, "k": 2, "dim": 2, "verdict": "rigid",
+             "certificate": {"kind": f"kind{i}"}} for i in range(4)]
+
+    class Sink:
+        def write(self, text):
+            events.append(("write", text))
+
+    def produced():
+        for i, row in enumerate(rows):
+            events.append(("asked", i))
+            yield row
+
+    write_report(produced(), fmt, Sink())
+    asked = [n for n, event in enumerate(events) if event[0] == "asked"]
+    for i, (start, stop) in enumerate(zip(asked, asked[1:] + [len(events)])):
+        written = "".join(text for kind, text in events[start:stop] if kind == "write")
+        assert f"r{i}" in written and f"kind{i}" in written
+    assert "".join(text for kind, text in events if kind == "write") == _streamed(rows, fmt)
+
+
+def test_a_failed_sweep_leaves_no_file(capsys, monkeypatch, tmp_path):
+    import graphlie.rigidity as rigidity
+    from graphlie.errors import InternalInvariantError
+
+    classified = []
+    original = rigidity.classify
+
+    def third_fails(graph, k, **kwargs):
+        classified.append(graph)
+        if len(classified) == 3:
+            raise InternalInvariantError("injected failure", "sweep test, third class")
+        return original(graph, k, **kwargs)
+
+    monkeypatch.setattr(rigidity, "classify", third_fails)
+    path = tmp_path / "report.json"
+    code, out, err = _run(capsys, "rigidity", "sweep", "--n", "3", "--k", "2", "--out", str(path))
+    assert (code, out) == (2, "") and "injected failure" in err
+    assert not path.exists()
+    # to stdout, the rows before the failure are already written when it exits 2
+    classified.clear()
+    code, out, err = _run(capsys, "rigidity", "sweep", "--n", "3", "--k", "2")
+    assert code == 2 and "injected failure" in err
+    assert out.startswith('[\n  {') and out.count('"graph6"') == 2
+    # every command opens its --out first and deletes it when it fails
+    code, _, err = _run(capsys, "deform", "emit", "--edges", C4_EDGES, "--k", "2", "--out", str(path))
+    assert code == 1 and "no deformation witness" in err
+    assert not path.exists()
+
+
+OUT_COMMANDS = [
+    ("algebra", "build", "--edges", STAR_EDGES, "--k", "2"),
+    ("cohomology", "h2nil", "--edges", C4_EDGES),
+    ("rigidity", "classify", "--edges", P4_EDGES, "--k", "2"),
+    ("rigidity", "sweep", "--n", "3", "--k", "2"),
+    ("deform", "emit", "--edges", STAR_EDGES, "--k", "3"),
+    ("graphs", "enumerate", "--n", "3"),
+]
+
+
+@pytest.mark.parametrize("where", ["missing parent", "directory"])
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: "_".join(argv[:2]))
+def test_an_unwritable_out_is_refused_before_any_work(capsys, monkeypatch, tmp_path, argv, where):
+    import graphlie.cli as cli
+    import graphlie.rigidity as rigidity
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before --out was opened")
+
+    for owner, name in ((rigidity, "classify"), (cli, "classify"), (cli, "_load_input"),
+                        (cli, "structure_constants"), (cli, "enumerate_graphs")):
+        monkeypatch.setattr(owner, name, no_work)
+    target = tmp_path / "missing" / "report" if where == "missing parent" else tmp_path
+    code, out, err = _run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write output file: [Errno ") and err.endswith(f"'{target}'\n")
+    assert tmp_path.exists() and list(tmp_path.iterdir()) == []
+
+
+def test_out_may_not_name_the_in_file(capsys, tmp_path):
+    # opening --out first would empty the input before it is read
+    path = tmp_path / "alg.json"
+    assert _run(capsys, "algebra", "build", "--edges", STAR_EDGES, "--k", "2", "--out", str(path))[0] == 0
+    before = path.read_bytes()
+    for command in (("algebra", "build"), ("cohomology", "h2nil")):
+        code, out, err = _run(capsys, *command, "--in", str(path), "--k", "2", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: --out names the --in file; write the output to another file\n"
+        assert path.read_bytes() == before
+
+
+# argv lists whose output the path-only parser must give byte for byte
+PARSER_ARGVS = [
+    ["--help"], ["-h"], ["--version"], [], ["bogus"], ["rigidity", "bogus"], ["graphs", "enum", "--n", "2"],
+    *([command, "--help"] for command in ("algebra", "cohomology", "rigidity", "deform", "graphs")),
+    *([*key, "--help"] for key in (
+        ("algebra", "build"), ("cohomology", "h2nil"), ("rigidity", "classify"),
+        ("rigidity", "sweep"), ("deform", "emit"), ("graphs", "enumerate"),
+    )),
+    ["graphs", "enumerate", "--n", "three"],
+    ["rigidity", "sweep", "--n", "3", "--k", "2", "--format", "csv"],
+    ["rigidity", "sweep", "--n", "3"],
+    ["rigidity", "sweep", "--n", "3", "--k", "2", "--version"],
+    ["algebra", "build", "--edges", STAR_EDGES, "--graph6", "Bo", "--k", "2"],
+    ["deform", "emit", "--graph6", "Bo", "--k", "3", "--bogus"],
+]
+
+
+def test_the_path_parser_matches_the_full_tree(capsys, monkeypatch):
+    import graphlie.cli as cli
+
+    assert "{rigidity}" in _build_parser(("rigidity", "sweep")).format_usage()
+
+    def outcome():
+        results = []
+        for argv in PARSER_ARGVS:
+            try:
+                code = run_command(list(argv))
+            except SystemExit as exc:  # --help and --version exit inside argparse
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            results.append((argv, code, captured.out, captured.err))
+        return results
+
+    on_path = outcome()
+    full = _build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda path=None: full)
+    assert on_path == outcome()
+
+
 # tests/data holds the stdout of these commands; a refactor must leave the
 # bytes unchanged, so any difference here is a change of behaviour.
 GOLDEN = {
@@ -216,7 +409,8 @@ def test_deform_emit_without_witness(capsys):
         ("algebra", "build", "--edges", '{"m": 3, "edges": []}'),  # missing --k
         ("algebra", "build", "--edges", "{}", "--k", "2", "--bogus"),
         ("rigidity", "sweep", "--n", "9", "--k", "2"),
-        ("rigidity", "sweep", "--n", "8", "--k", "3"),
+        ("rigidity", "sweep", "--n", "9", "--k", "3"),
+        ("rigidity", "sweep", "--n", "8", "--k", "4"),
         ("graphs", "enumerate", "--n", "0"),
         ("deform", "emit", "--edges", STAR_EDGES, "--k", "3", "--t", "1/0"),
         ("rigidity", "classify", "--graph6", "!!!", "--k", "2"),
@@ -582,6 +776,23 @@ def test_import_graphlie_leaves_cli_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [("graphs", "enumerate", "--n", "3"), ("rigidity", "sweep", "--n", "3", "--k", "3")]
+)
+def test_a_closed_stdout_exits_one_without_a_traceback(argv):
+    # the reader is gone before the first write, as when `| head` has read its lines
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphlie", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=REPO_ROOT, env=_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_cli_import_graph_leaves_out_dataclasses():

@@ -573,6 +573,64 @@ def test_every_corrupted_class_is_refused(monkeypatch, capsys):
     assert captured.err.endswith(f" joins two weight blocks (graph6 CF, k = 2, phase: {weights})\n")
 
 
+def _weights(alg) -> tuple:
+    """The weight tuple of every 1-cochain column and every 2-cochain coordinate, unpacked."""
+    md = [label.multidegree for label in alg.labels]
+    f_weights = [tuple(map(int.__sub__, md[b], md[a])) for a in range(alg.n) for b in range(alg.n)]
+    s_weights = [
+        tuple(z - x - y for x, y, z in zip(md[a], md[b], md[c]))
+        for a, b in combinations(range(alg.n), 2) for c in range(alg.n)
+    ]
+    return f_weights, s_weights
+
+
+def test_a_delta1_entry_between_weights_of_equal_multiplicity_is_refused(monkeypatch):
+    # One delta1 entry (r, c) added at the first row r, and its first column
+    # c, where both multiplicities are equal and positive but the weights
+    # differ. The containment product sees it in 34 of the 40 twin classes on
+    # 3-5 vertices that have such an entry; in the other 6 a multiplicity
+    # check passed it and h2 came back lower (C? 24 -> 12, D?C 30 -> 27, ...).
+    from collections import Counter
+
+    import graphlie.cohomology as cohomology
+    from graphlie.errors import InternalInvariantError
+
+    weights = "h2_nil, weight blocks of delta1"
+    phases, refused = Counter(), []
+    for graph in (graph for m in range(3, 6) for graph in enumerate_graphs(m)):
+        alg = structure_constants(graph, 2)
+        f_mult, s_mult = orbit_multiplicities(alg)
+        if f_mult is None:
+            continue
+        f_weights, s_weights = _weights(alg)
+        right = delta1_matrix(alg, f_mult)
+        stored = {(r, c) for r, cols in right.supports() for c in cols}
+        entry = next((
+            (r, c) for r in range(len(s_mult)) if s_mult[r] for c in range(len(f_mult))
+            if s_mult[r] == f_mult[c] and s_weights[r] != f_weights[c] and (r, c) not in stored
+        ), None)
+        if entry is None:
+            continue
+        r, c = entry
+        assert r not in right._settled
+
+        def wrong_delta1(algebra, mult=None):
+            rows = {row: dict(cols) for row, cols in right._data.items()}
+            rows.setdefault(r, {})[c] = 1
+            return RatMatrix.adopt(right.rows, right.cols, rows, right._settled, right.scale, right.mult)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cohomology, "delta1_matrix", wrong_delta1)
+            with pytest.raises(InternalInvariantError) as caught:
+                h2_nil(alg)
+        phases[caught.value.phase] += 1
+        if caught.value.phase == weights:
+            refused.append(to_graph6(graph))
+            assert str(caught.value).startswith(f"delta1 entry ({r}, {c}) joins two weight blocks")
+    assert phases == {"h2_nil, containment of im delta1 in ker eta2": 34, weights: 6}
+    assert refused == ["C?", "C@", "D?C", "D?K", "D@K", "D@["]
+
+
 def test_builders_match_reference_builders():
     rng = random.Random(77)
     algebras = _graph_algebras(4) + [_rescaled(alg, rng) for alg in _graph_algebras(4)]

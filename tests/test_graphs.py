@@ -513,7 +513,8 @@ def test_every_size_check_reads_the_limits_table(monkeypatch):
     for name, call in (
         ("canonical_form", lambda: canonical_form(k3)),
         ("enumerate_graphs", lambda: enumerate_graphs(3)),
-        ("sweep", lambda: sweep(3, 3)),
+        ("sweep", lambda: sweep(3, 2)),
+        ("sweep at k = 3", lambda: sweep(3, 3)),
         ("parse_graph", lambda: parse_graph('{"m": 3, "edges": [[1, 2]]}')),
     ):
         call()

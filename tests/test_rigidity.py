@@ -452,11 +452,20 @@ def test_sweep_guards():
     with pytest.raises(ValueError):
         sweep(8, 2)
     with pytest.raises(ValueError):
-        sweep(8, 3)
+        sweep(9, 3)
     with pytest.raises(ValueError):
         sweep(1, 2)
     with pytest.raises(ValueError):
         sweep(4, 1)
+
+
+def test_only_k3_sweeps_eight_vertices():
+    for k in (2, 4):
+        with pytest.raises(ValueError, match=r"^sweep supports 2\.\.7 vertices, not 8$"):
+            sweep(8, k)
+    sweep(8, 3)  # checked when called; no class is classified until a row is asked for
+    with pytest.raises(ValueError, match=r"^sweep at k = 3 supports 2\.\.8 vertices, not 9$"):
+        sweep(9, 3)
 
 
 def test_sweep_6_3():
@@ -513,7 +522,7 @@ def test_witness_with_zero_h2_names_graph_k_and_phase(monkeypatch):
     # In a sweep the empty graph on three vertices is not_rigid by the
     # abelian shortcut; classify checks that verdict against h2 as well.
     with pytest.raises(InternalInvariantError) as caught:
-        sweep(3, 2)
+        list(sweep(3, 2))
     message = str(caught.value)
     assert "cannot both hold" in message
     assert "graph6 B?," in message and "k = 2" in message and "phase: classify" in message
@@ -536,12 +545,13 @@ def test_h2_containment_failure_names_graph_k_and_phase(monkeypatch):
     assert message.startswith("im delta1 is not contained in ker eta2 (graph6 Bw, k = 2, ")
     assert message.endswith(phase) and message.count("phase:") == 1
     # The sweep meets A?, the edgeless pair, first. It is abelian, so eta2 is
-    # zero and sees no delta1 entry, but the entry (1, 3) joins two weight
-    # blocks, and h2_nil refuses that by name too.
+    # zero and sees no delta1 entry, but the entry (0, 2) joins the weights
+    # (0, -1) and (1, -1), two blocks of equal multiplicity, and h2_nil
+    # refuses that by name too.
     with pytest.raises(InternalInvariantError) as caught:
-        sweep(3, 2)
+        list(sweep(3, 2))
     assert str(caught.value) == (
-        "delta1 entry (1, 3) joins two weight blocks "
+        "delta1 entry (0, 2) joins two weight blocks "
         "(graph6 A?, k = 2, phase: h2_nil, weight blocks of delta1)"
     )
 
@@ -575,7 +585,7 @@ def test_two_step_certificate_errors_name_graph_k_and_phase(monkeypatch):
             classify(star, 2)
         assert str(caught.value) == f"bracket image escapes the center {phase}"
         with pytest.raises(InternalInvariantError) as caught:
-            sweep(4, 2)
+            list(sweep(4, 2))
         assert str(caught.value).startswith("bracket image escapes the center (graph6 ")
         assert str(caught.value).endswith(", k = 2, phase: two-step witness certificate)")
     # a proper span of the brackets that claims to contain the whole center
@@ -586,7 +596,7 @@ def test_two_step_certificate_errors_name_graph_k_and_phase(monkeypatch):
 
 
 def test_sweep_4_2():
-    rows = sweep(4, 2)
+    rows = list(sweep(4, 2))
     assert len(rows) == 17
     assert all(row["verdict"] in ("rigid", "not_rigid") for row in rows)
     assert all("h2" in row for row in rows)
@@ -727,7 +737,7 @@ def test_sweep_counts_each_dimension_once(monkeypatch, k):
     monkeypatch.setattr(basis, "dimension_oracle", counted)
     monkeypatch.setattr(rigidity, "dimension_oracle", counted)
     structure_constants.cache_clear()
-    rows = sweep(5, k)
+    rows = list(sweep(5, k))
     assert len(rows) == 51
     assert sorted(calls, key=repr) == sorted({(g, k) for g, _ in calls}, key=repr)  # once each
     assert len(calls) == 51
