@@ -69,16 +69,18 @@ each twin class, and counts each block as many times as its orbit has
 weights. Each builder takes one multiplicity per column, 0 for the columns
 it skips, and leaves them on its matrix, whose rank adds them up. The
 containment product never sees a delta1 entry between two blocks, so h2_nil
-refuses one whose row and column weights differ. Labels of any other
-shape, and no labels, give the trivial group, with no multiplicities: every
-column is built and counted once.
+refuses one whose row and column weights differ. One packing of the
+labels' multidegrees, with one offset per 1-cochain lead and per pair,
+serves that check and the multiplicities (orbit_multiplicities). Labels
+of any other shape, and no labels, give the trivial group, with no
+multiplicities: every column is built and counted once.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import chain, combinations, groupby
-from math import factorial, lcm
+from itertools import chain, combinations
+from math import factorial, lcm, prod
 from operator import add, lshift
 from typing import NamedTuple
 
@@ -333,35 +335,26 @@ def twin_classes(algebra: LieAlgebra) -> list:
     ]
 
 
-def _run_orbit(fields: int, count: int) -> int:
-    """Orbit size of count entries packed 2 bits each, entry 0 lowest; 0 if one increases."""
-    run = [fields >> 2 * pos & 3 for pos in range(count)]
-    if any(a < b for a, b in zip(run, run[1:])):
-        return 0
-    size = factorial(count)
-    for _, same in groupby(run):
-        size //= factorial(len(list(same)))
-    return size
-
-
 class _OrbitSizes(dict):
     """Packed weight -> its orbit size, or 0 if it is no representative; each computed once.
 
-    The class sizes fix the packing, so one table serves every algebra with
-    the same class sizes (see _orbit_sizes).
+    The class sizes fix the packing, the first class's fields lowest, so one
+    table serves every algebra with the same class sizes (see _orbit_sizes).
     """
 
     def __init__(self, sizes: tuple):
         super().__init__()
-        self.parts, start = [], 0  # (first bit, bit mask, member count) of each class
-        for count in sizes:
-            self.parts.append((2 * start, (1 << 2 * count) - 1, count))
-            start += count
+        self.sizes = sizes
 
     def __missing__(self, weight: int) -> int:
-        size = 1
-        for shift, mask, count in self.parts:
-            size *= _run_orbit(weight >> shift & mask, count)
+        size, fields = 1, weight
+        for count in self.sizes:
+            run = [fields >> 2 * pos & 3 for pos in range(count)]
+            fields >>= 2 * count
+            if run != sorted(run, reverse=True):
+                size = 0
+                break
+            size *= factorial(count) // prod(factorial(run.count(v)) for v in set(run))
         self[weight] = size
         return size
 
@@ -370,36 +363,47 @@ class _OrbitSizes(dict):
 _orbit_sizes = lru_cache(maxsize=32)(_OrbitSizes)
 
 
-def _packed_multidegrees(algebra: LieAlgebra, coords) -> tuple:
-    """Each label's multidegree entries at coords, 2 bits each, first lowest, and the bias
-    that adds 2 to every field. Entries are 0 or 1 (twin_classes checks that), so a weight's
-    entries lie in -2..1, and bias plus its packed sum has them, plus 2, as its 2-bit fields."""
-    shifts = range(0, 2 * len(coords), 2)
-    packed = [
-        sum(map(lshift, map(label.multidegree.__getitem__, coords), shifts)) for label in algebra.labels
-    ]
-    return packed, sum(2 << shift for shift in shifts)
+class _TorusWeights:
+    """The packed multidegrees and offsets of an algebra that twin_classes passes, read once per
+    h2_nil for its multiplicities and its delta1 weight check (see orbit_multiplicities)."""
 
+    def __init__(self, algebra: LieAlgebra, classes: list):
+        twins = [v for cls in classes for v in cls]
+        m = len(algebra.labels[0].multidegree)
+        shifts = range(0, 2 * m, 2)
+        coords = twins + [v for v in range(m) if v not in twins]
+        self.packed = packed = [
+            sum(map(lshift, map(label.multidegree.__getitem__, coords), shifts)) for label in algebra.labels
+        ]
+        bias = sum(2 << shift for shift in shifts)
+        self.f_off = [bias - p for p in packed]
+        self.s_off = [bias - p - q for p, q in combinations(packed, 2)]
+        self.sizes = tuple(map(len, classes))
 
-def _check_weight_blocks(algebra: LieAlgebra, d1: RatMatrix) -> None:
-    """Raise InternalInvariantError unless each delta1 entry joins a row and a column of one weight.
+    def multiplicities(self) -> tuple:
+        get = _orbit_sizes(self.sizes).__getitem__
+        mask = (1 << 2 * sum(self.sizes)) - 1  # the twin fields
+        twin_part = [p & mask for p in self.packed]
 
-    For an algebra that twin_classes passes. Row pair_index(a<b)*n + d has
-    weight md(d) - md(a) - md(b) and column a*n + b has md(b) - md(a); with
-    every coordinate packed, two weights are equal exactly when their packed
-    ints are.
-    """
-    n = algebra.n
-    packed, bias = _packed_multidegrees(algebra, range(len(algebra.labels[0].multidegree)))
-    col_weight = [bias + q - p for p in packed for q in packed]
-    pair_weight = [bias - p - q for p, q in combinations(packed, 2)]
-    for r, cols in d1.supports():
-        weight = pair_weight[r // n] + packed[r % n]
-        for c in cols:
-            if col_weight[c] != weight:
-                raise InternalInvariantError(
-                    f"delta1 entry ({r}, {c}) joins two weight blocks", "h2_nil, weight blocks of delta1"
-                )
+        @cache
+        def row(offset: int) -> list:  # the multiplicities of the n columns offset leads, shared
+            return list(map(get, map(offset.__add__, twin_part)))
+
+        f_mult = list(chain.from_iterable(row(off & mask) for off in self.f_off))
+        s_mult = list(chain.from_iterable(row(off & mask) for off in self.s_off))
+        return f_mult, s_mult
+
+    def check_delta1(self, d1: RatMatrix) -> None:
+        """Raise InternalInvariantError unless each delta1 entry joins a row and a column of one weight:
+        row i*n + d, i the pair a < b, has weight s_off[i] + md(d), column a*n + b has f_off[a] + md(b)."""
+        n, packed, f_off, s_off = len(self.packed), self.packed, self.f_off, self.s_off
+        for r, cols in d1.supports():
+            weight = s_off[r // n] + packed[r % n]
+            for c in cols:
+                if f_off[c // n] + packed[c % n] != weight:
+                    raise InternalInvariantError(
+                        f"delta1 entry ({r}, {c}) joins two weight blocks", "h2_nil, weight blocks of delta1"
+                    )
 
 
 def orbit_multiplicities(algebra: LieAlgebra) -> tuple:
@@ -411,28 +415,21 @@ def orbit_multiplicities(algebra: LieAlgebra) -> tuple:
     md(c) - md(a) - md(b). A weight is a representative when its entries do
     not increase along each class; it then gets the size of its orbit under
     the permutations inside the classes, the product over the classes of the
-    multinomial of its runs, and every other weight gets 0. Only the
-    coordinates of twin vertices matter. The classes come from twin_classes,
-    so every multidegree entry is 0 or 1 and every weight entry lies in
-    -2..1: biased by 2, each fits a 2-bit field of one int with no borrow
-    across fields. A column costs an addition and a lookup, each distinct
-    weight is decoded once per tuple of class sizes, and columns whose
-    offsets agree share one list of n.
+    multinomial of its runs, and every other weight gets 0. The classes come
+    from twin_classes, so every multidegree entry is 0 or 1 and every weight
+    entry lies in -2..1. _TorusWeights packs each label's md once, every
+    coordinate in a 2-bit field, the twin coordinates first and lowest, and
+    bias adds 2 to every field, so no field leaves 0..3 and none borrows
+    from the next. A column's weight is its lead's offset plus md of its
+    last index: f_off[a] = bias - md(a) for f_{a,b}, and
+    s_off[i] = bias - md(a) - md(b) for sigma_{(a<b),c}, the pair a < b
+    the i-th. Only the twin coordinates matter, and masking to the twin
+    fields commutes with these sums. A column costs an addition and a
+    lookup, each distinct weight is decoded once per tuple of class sizes,
+    and columns whose masked offsets agree share one list of n.
     """
     classes = twin_classes(algebra)
-    if not classes:
-        return None, None
-    packed, bias = _packed_multidegrees(algebra, [v for cls in classes for v in cls])
-    get = _orbit_sizes(tuple(map(len, classes))).__getitem__
-
-    @cache
-    def row(offset: int) -> list:  # the multiplicities of the n columns offset leads, shared
-        return list(map(get, map(offset.__add__, packed)))
-
-    f_mult = list(chain.from_iterable(row(bias - p) for p in packed))
-    pairs = combinations(range(algebra.n), 2)
-    s_mult = list(chain.from_iterable(row(bias - packed[a] - packed[b]) for a, b in pairs))
-    return f_mult, s_mult
+    return _TorusWeights(algebra, classes).multiplicities() if classes else (None, None)
 
 
 class H2Report(NamedTuple):
@@ -467,7 +464,9 @@ def h2_nil(algebra: LieAlgebra) -> H2Report:
     its orbit's size (see the module docstring).
     """
     check_h2_size(algebra.n, list(map(len, algebra.sc.values())))
-    f_mult, s_mult = orbit_multiplicities(algebra)
+    classes = twin_classes(algebra)
+    weights = _TorusWeights(algebra, classes) if classes else None
+    f_mult, s_mult = weights.multiplicities() if weights else (None, None)
     e2 = eta2_matrix(algebra, s_mult)
     d1 = delta1_matrix(algebra, f_mult)
     if not e2.matmul(d1).is_zero():
@@ -481,8 +480,8 @@ def h2_nil(algebra: LieAlgebra) -> H2Report:
             f"rank delta1 = {image} exceeds dim ker eta2 = {ker_eta2}",
             "h2_nil, rank of delta1 against dim ker eta2",
         )
-    if s_mult is not None:
-        _check_weight_blocks(algebra, d1)
+    if weights:
+        weights.check_delta1(d1)
     del d1, e2  # delta2 is built only after the other two matrices are released
     ker_delta2 = cols - delta2_matrix(algebra, s_mult).rank()
     return H2Report(ker_eta2, ker_delta2, ker_eta2, image, ker_eta2 - image, True)

@@ -249,3 +249,41 @@ def rank_mod_p(rows) -> int:
                 else:
                     del row[c]
     return len(pivots)
+
+
+def closed_form_h2(graph) -> tuple:
+    """(dim ker eta2, dim im delta1, h2) of graph's 2-step algebra, read off its masks in O(m^2).
+
+    G has m vertices, |E| edges and |I| isolated vertices, n = m + |E|, and
+    dom(G) counts the ordered pairs (c, a), c = a allowed, with
+    N(c) <= N[a], N[a] the closed neighbourhood (the vicinal preorder of
+    threshold-graph theory, Mahadev & Peled 1995). Then
+
+      dim ker eta2 = |E| n + (C(m,2) - |E|) (|E| + |I|),
+      dim im delta1 = n^2 - m |E| - dom(G),
+
+    and h2 is their difference. V is the span of the vertices x_v, W that
+    of the edges y_ab = [x_a, x_b], and the center is C = W + span(x_v, v
+    isolated).
+
+    eta2: take z in C. Then [s(x, y), z] = 0, so s([x, y], z) = 0 by eta2,
+    and s(W, C) = 0. A pair with a zero bracket must map into C. An edge
+    pair {a, b} maps anywhere in g, and its value fixes s(y_ab, z) =
+    -[s(x_a, x_b), z] for z in V. Every other pair is fixed. That leaves
+    |E| edge pairs with n choices each and C(m,2) - |E| non-edge vertex
+    pairs with |C| = |E| + |I| choices each.
+
+    delta1: ker delta1 = Der(g). A derivation is a map A: V -> V plus any
+    B: V -> W, which gives m |E| dimensions, and Leibniz fixes it on W. A
+    non-edge {a, b} forces A_ca = 0 for c in N(b) and A_cb = 0 for c in
+    N(a), and nothing more. So A_ca, the x_c coefficient of A(x_a), is free
+    exactly when N(c) <= N[a], and dim Der(g) = m |E| + dom(G).
+    Rescaled edge elements change no count.
+    """
+    m, adj = graph.m, graph.adj
+    edges, isolated = sum(map(int.bit_count, adj)) // 2, adj.count(0)
+    n = m + edges
+    ker_eta2 = edges * n + (m * (m - 1) // 2 - edges) * (edges + isolated)
+    dom = sum(not adj[c] & ~(adj[a] | 1 << a) for c in range(m) for a in range(m))
+    image = n * n - m * edges - dom
+    return ker_eta2, image, ker_eta2 - image

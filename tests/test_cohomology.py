@@ -30,6 +30,7 @@ from graphlie.liealg import (
 )
 from graphlie.linalg import ONE, ZERO, RatMatrix, RowReducer, axpy, peeled_rank
 from oracles import (
+    closed_form_h2,
     complex_identity_holds,
     edge_set,
     rank_mod_p,
@@ -946,6 +947,17 @@ def test_h2_matches_the_whole_matrix_oracle_on_every_class():
     assert with_twins == 164  # the orbits are used on most classes
 
 
+def test_h2_matches_the_closed_form_on_every_class():
+    # dim ker eta2, rank delta1 and h2 from the graph's masks alone (proofs in
+    # oracles.closed_form_h2), isolated and edgeless classes included
+    classes = [graph for m in range(2, 7) for graph in enumerate_graphs(m)]
+    assert len(classes) == 207
+    for graph in classes:
+        report = h2_nil(structure_constants(graph, 2))
+        found = (report.dim_ker_eta2, report.dim_im_delta1, report.h2_dim)
+        assert found == closed_form_h2(graph), to_graph6(graph)
+
+
 def _planted_twins(rng):
     """A labelled graph on 3..7 vertices, a twin set planted in it and sometimes a second one.
 
@@ -1009,6 +1021,28 @@ def test_multiplicities_count_every_column_once():
     assert s_mult[coords.sigma_coord(0, 1, 2)[0]] == 0
     # sigma((v2, v3), v1) has weight (1, -1, -1), a representative of 3 weights
     assert s_mult[coords.sigma_coord(1, 2, 0)[0]] == 3
+
+
+def test_h2_nil_packs_the_multidegrees_once(monkeypatch):
+    # One packing serves the orbit multiplicities and the delta1 weight
+    # check; the trivial group, unlabelled or with no twins, packs nothing.
+    import graphlie.cohomology as cohomology
+
+    packings = []
+    pack = cohomology._TorusWeights.__init__
+
+    def counted(self, algebra, classes):
+        packings.append(classes)
+        pack(self, algebra, classes)
+
+    monkeypatch.setattr(cohomology._TorusWeights, "__init__", counted)
+    star = structure_constants(SimpleGraph.make(5, [(1, 2), (1, 3), (1, 4), (1, 5)]), 2)
+    assert h2_nil(star) == whole_matrix_h2(star)
+    assert packings == [[[1, 2, 3, 4]]]
+    for trivial in (structure_constants(P4, 2), HEISENBERG):
+        assert twin_classes(trivial) == []
+        h2_nil(trivial)
+    assert len(packings) == 1
 
 
 def test_the_certifier_refuses_a_swap_that_is_no_automorphism():

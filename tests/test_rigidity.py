@@ -326,6 +326,46 @@ def test_two_step_pair_prediction_matches_the_scan(monkeypatch):
     }
 
 
+# K2-K7, P3, 2K2 and C4: the graphs with no isolated vertex on <= 7 vertices
+# whose every edge meets every non-edge pair
+K2_LIST = ["A_", "BW", "Bw", "CK", "C]", "C~", "D~{", "E~~w", "F~~~w"]
+
+
+def _type_a(graph) -> int:
+    """The sum over the non-edges ab of |E| - deg a - deg b, the edges that avoid a and b."""
+    adj = graph.adj
+    edges = sum(map(int.bit_count, adj)) // 2
+    return sum(
+        edges - adj[a].bit_count() - adj[b].bit_count()
+        for a, b in combinations(range(graph.m), 2) if not adj[a] >> b & 1
+    )
+
+
+def test_every_edge_meets_every_non_edge_only_on_the_k2_list():
+    """The paper's k = 2 list, checked on the masks.
+
+    Lemma: with no isolated vertex, every edge meets every non-edge pair
+    exactly when G is complete, P3, 2K2 or C4. Sketch: let {a, b} be a
+    non-edge that every edge meets. Then the other m - 2 vertices are
+    pairwise non-adjacent. If m >= 5, take three of them, c, d and e: the
+    pair {c, d} is a non-edge, and e's edge goes to a or b, so it misses
+    {c, d}. So m <= 4, and what is left is a finite check.
+
+    Each type-A term counts the edges that avoid a non-edge, so the sum is 0
+    exactly when every edge meets every non-edge; find_witness at k = 2
+    looks for the first non-edge that some edge avoids, so it finds none
+    exactly on the list.
+    """
+    classes = [graph for m in range(2, 8) for graph in enumerate_graphs(m) if 0 not in graph.adj]
+    assert len(classes) == 1043
+    assert [to_graph6(graph) for graph in classes if _type_a(graph) == 0] == K2_LIST
+    no_witness = [
+        to_graph6(graph) for graph in classes
+        if graph.m <= 6 and find_witness(graph, structure_constants(graph, 2), 2) is None
+    ]
+    assert no_witness == K2_LIST[:-1]  # K7 has 7 vertices
+
+
 def test_refused_predicted_pair_names_graph_k_and_phase(monkeypatch):
     import graphlie.rigidity as rigidity
 
