@@ -134,7 +134,7 @@ def write_report(rows, fmt: str = "json", out=None) -> None:
     table line per row under a header: identical rows give identical bytes.
     """
     if fmt not in ("json", "table"):
-        raise ValueError(f"unknown report format {fmt!r}")
+        raise ValueError(f"the report format is {fmt!r}, not json or table")
     write = (sys.stdout if out is None else out).write
     if fmt == "table":
         write(f"{'graph6':<10} {'m':>2} {'k':>2} {'dim':>4} {'verdict':<10} certificate\n")

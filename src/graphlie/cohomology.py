@@ -3,10 +3,12 @@
 Coordinate conventions, fixed once for the whole package:
 
   Hom(V, V)        f_{a,b} = coefficient of e_b in f(e_a), index a*n + b.
-  Hom(L^2 V, V)    sigma_{(a<b),c}, pairs enumerated lexicographically,
-                   index pair_index*n + c.
-  delta1 rows      (pair a<b, output d), index pair_index*n + d.
-  delta2 rows      (triple a<b<c, output d), index triple_index*n + d.
+  Hom(L^2 V, V)    sigma_{(a<b),c}, index pair(a, b)*n + c, with
+                   pair(a, b) = a*(2n - a - 3)/2 + b - 1 the position of
+                   (a, b) in combinations(range(n), 2).
+  delta1 rows      (pair a<b, output d), index pair(a, b)*n + d.
+  delta2 rows      (triple a<b<c, output d), index t*n + d, t the position
+                   of the triple in combinations(range(n), 3).
   eta2 rows        (pair a<b, argument c, output d); the codomain is
                    alternating in the first two arguments only, since the
                    defining formula is not symmetrized over the third.
@@ -80,7 +82,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import chain, combinations
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import add, lshift
 from typing import NamedTuple
 
@@ -91,26 +93,18 @@ from .limits import check_h2_size
 from .linalg import RatMatrix, drop_zeros
 
 
-class CochainCoordinates:
-    """Index bookkeeping for 1- and 2-cochains on an n-dimensional algebra."""
+def _pair(a: int, b: int, n: int) -> int:
+    """The position of (a, b), a < b, in combinations(range(n), 2)."""
+    return a * (2 * n - a - 3) // 2 + b - 1
 
-    def __init__(self, n: int):
-        self.n = n
-        self.pairs = list(combinations(range(n), 2))
-        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
-        self.dim_hom = n * n
-        self.dim_two_cochains = len(self.pairs) * n
 
-    def f_coord(self, a: int, b: int) -> int:
-        return a * self.n + b
-
-    def sigma_coord(self, a: int, b: int, c: int):
-        """Column index and sign of sigma(e_a, e_b) component c; None when a == b."""
-        if a == b:
-            return None, 0
-        if a < b:
-            return self.pair_index[(a, b)] * self.n + c, 1
-        return self.pair_index[(b, a)] * self.n + c, -1
+def _sigma(a: int, b: int, n: int) -> tuple:
+    """The column base of sigma(e_a, e_b) and its sign; (None, 0) when a == b."""
+    if a == b:
+        return None, 0
+    if a < b:
+        return _pair(a, b, n) * n, 1
+    return _pair(b, a, n) * n, -1
 
 
 class _CochainRows:
@@ -200,50 +194,49 @@ def _annihilator(algebra: LieAlgebra) -> tuple:
 
 
 def delta1_matrix(algebra: LieAlgebra, mult=None) -> RatMatrix:
-    n, coords = algebra.n, CochainCoordinates(algebra.n)
-    out = _CochainRows(algebra, len(coords.pairs) * n, coords.dim_hom, mult)
+    n = algebra.n
+    out = _CochainRows(algebra, comb(n, 2) * n, n * n, mult)
     leads = out.leads
-    for p, (a, b) in enumerate(coords.pairs):
+    for p, (a, b) in enumerate(combinations(range(n), 2)):
         base = p * n
         # [f(e_a), e_b] = -[e_b, f(e_a)]
         if b in leads:
-            out.block(base, coords.f_coord(a, 0), leads[b], -1)
+            out.block(base, a * n, leads[b], -1)
         # [e_a, f(e_b)]
         if a in leads:
-            out.block(base, coords.f_coord(b, 0), leads[a], 1)
+            out.block(base, b * n, leads[a], 1)
         # -f([e_a, e_b])
         for l, v in out.brackets.get((a, b), ()):
-            out.block(base, coords.f_coord(l, 0), out.unit, -v)
+            out.block(base, l * n, out.unit, -v)
     return out.matrix()
 
 
 def delta2_matrix(algebra: LieAlgebra, mult=None) -> RatMatrix:
-    n, coords = algebra.n, CochainCoordinates(algebra.n)
-    triples = list(combinations(range(n), 3))
-    out = _CochainRows(algebra, len(triples) * n, coords.dim_two_cochains, mult)
+    n = algebra.n
+    out = _CochainRows(algebra, comb(n, 3) * n, comb(n, 2) * n, mult)
     leads = out.leads
     # A triple of r and central p, q has one term, [e_r, s(e_p, e_q)]; over all r
     # they span the annihilator on s(e_p, e_q), written at the first non-central
     # r. The other triples with two or three central members are skipped.
     built, settle = _annihilator(algebra)
     first = min(leads, default=None)
-    for t, (x, y, z) in enumerate(triples):
+    for t, (x, y, z) in enumerate(combinations(range(n), 3)):
         base = t * n
         noncentral = (x in leads) + (y in leads) + (z in leads)
         if noncentral < 2:
             if noncentral and first in (x, y, z):
                 p, q = (i for i in (x, y, z) if i != first)
-                out.block(base, coords.pair_index[(p, q)] * n, built, 1, settle)
+                out.block(base, _pair(p, q, n) * n, built, 1, settle)
             continue
         # adjoint terms [x, s(y,z)] - [y, s(x,z)] + [z, s(x,y)]
         for lead, (a, b), sign in ((x, (y, z), 1), (y, (x, z), -1), (z, (x, y), 1)):
             if lead in leads:
-                out.block(base, coords.pair_index[(a, b)] * n, leads[lead], sign)
+                out.block(base, _pair(a, b, n) * n, leads[lead], sign)
         # substitution terms -s([x,y],z) + s([x,z],y) - s([y,z],x)
         terms = []
         for (a, b), arg, sign in (((x, y), z, -1), ((x, z), y, 1), ((y, z), x, -1)):
             for l, v in out.brackets.get((a, b), ()):
-                col, s_sign = coords.sigma_coord(l, arg, 0)
+                col, s_sign = _sigma(l, arg, n)
                 if col is not None:
                     terms.append((col, sign * s_sign * v))
         if len(terms) == 1:  # its free rows are unit rows
@@ -258,13 +251,13 @@ def delta2_matrix(algebra: LieAlgebra, mult=None) -> RatMatrix:
 def eta2_matrix(algebra: LieAlgebra, mult=None) -> RatMatrix:
     if not is_at_most_two_step(algebra):
         raise ValueError("eta2 is only defined for at most 2-step algebras")
-    n, coords = algebra.n, CochainCoordinates(algebra.n)
-    out = _CochainRows(algebra, len(coords.pairs) * n * n, coords.dim_two_cochains, mult)
+    n = algebra.n
+    out = _CochainRows(algebra, comb(n, 2) * n * n, comb(n, 2) * n, mult)
     leads = out.leads
     # The -ad(e_c) rows of a pair with [e_a, e_b] = 0 span the annihilator of the
     # center; its reduced echelon basis stands for them, settled if it is unit rows.
     built, settle = _annihilator(algebra)
-    for p, (a, b) in enumerate(coords.pairs):
+    for p, (a, b) in enumerate(combinations(range(n), 2)):
         ab = out.brackets.get((a, b))
         if ab is None:
             out.block(p * n * n, p * n, built, 1, settle)
@@ -277,7 +270,7 @@ def eta2_matrix(algebra: LieAlgebra, mult=None) -> RatMatrix:
             # s([e_a, e_b], e_c); when [e_a, e_b] = v e_l, the rows of s(e_l, e_c)
             # that no ad block reaches, all when ad(e_c) = 0, are v times unit rows
             for l, v in ab:
-                col, s_sign = coords.sigma_coord(l, c, 0)
+                col, s_sign = _sigma(l, c, n)
                 if col is None:
                     continue
                 if len(ab) > 1:

@@ -23,9 +23,23 @@ Witness shapes:
 
 classify runs, in order: the abelian shortcut, the abelian-factor
 shortcut, the witness search, the cohomological criterion h2 = 0 (only
-meaningful for k = 2), and the complete-graph citation, before giving up
-with unknown. A not_rigid verdict together with h2 = 0, whenever both are
+meaningful for k = 2), and the complete-graph citation, which at k = 2
+decides only a complete graph whose algebra is over limits.MAX_H2_DIM,
+without h2. A not_rigid verdict together with h2 = 0, whenever both are
 computed, is a contradiction and aborts.
+
+There is no third verdict. Lemma: with no isolated vertex, every edge
+meets every non-edge pair exactly when G is complete, P3, 2K2 or C4.
+Sketch: let {a, b} be a non-edge that every edge meets. Then the other
+m - 2 vertices are pairwise non-adjacent. If m >= 5, take three of them,
+c, d and e: the pair {c, d} is a non-edge, and e's edge goes to a or b,
+so it misses {c, d}. So m <= 4, and what is left is a finite check.
+Graphs with an isolated vertex are decided by the shortcuts. At k = 2,
+find_witness finds no pair exactly when every edge meets every non-edge,
+so only on that list, where h2 = 0. At k >= 3 it returns a witness or
+raises on every non-complete graph with an edge. So a graph that reaches
+the end of classify undecided is an implementation fault, and raises
+InternalInvariantError.
 """
 
 from __future__ import annotations
@@ -33,6 +47,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import NamedTuple
 
+from . import limits
 from .basis import dimension_oracle, structure_constants
 from .cohomology import H2Report, h2_nil
 from .errors import InternalInvariantError, invariant_error
@@ -284,7 +299,7 @@ def find_witness(graph: SimpleGraph, algebra: GradedLieAlgebra, k: int):
 
 
 class RigidityVerdict(NamedTuple):
-    verdict: str  # "rigid" | "not_rigid" | "unknown"
+    verdict: str  # "rigid" | "not_rigid"
     certificate: dict
     h2: H2Report | None = None
     dim: int | None = None  # the algebra's dimension, for the report row
@@ -340,18 +355,23 @@ def classify(graph: SimpleGraph, k: int, with_cohomology: bool = False) -> Rigid
         algebra = structure_constants(graph, k)
         witness = find_witness(graph, algebra, k)
         h2 = None
-        if k == 2 and (with_cohomology or witness is None):
+        # a complete graph over the h2 budget is left to the citation
+        over_budget = graph.is_complete() and algebra.n > limits.MAX_H2_DIM
+        if k == 2 and (with_cohomology or witness is None) and not over_budget:
             h2 = graph_h2(graph, algebra, k)
         if witness is not None:
             verdict = RigidityVerdict("not_rigid", witness, h2)
         elif h2 is not None and h2.h2_dim == 0:
             verdict = RigidityVerdict("rigid", {"kind": "h2_nil_zero"}, h2)
-        elif graph.is_complete():
+        elif graph.is_complete() and h2 is None:
             verdict = RigidityVerdict(
                 "rigid", {"kind": "cited_result", "name": "free k-step nilpotent"}, h2
             )
         else:
-            verdict = RigidityVerdict("unknown", {"kind": "none"}, h2)
+            raise invariant_error(
+                f"no witness, no citation and h2 = {h2 and h2.h2_dim}",
+                to_graph6(graph), k, "classify, the lemma's list against h2",
+            )
     elif k == 2 and with_cohomology:
         algebra = structure_constants(graph, k)
         verdict = verdict._replace(h2=graph_h2(graph, algebra, k))

@@ -8,12 +8,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from graphlie.basis import TraceContext, _mobius
-from graphlie.cohomology import (
-    CochainCoordinates,
-    H2Report,
-    delta1_matrix,
-    delta2_matrix,
-)
+from graphlie.cohomology import H2Report, delta1_matrix, delta2_matrix
 from graphlie.liealg import GradedLieAlgebra
 from graphlie.linalg import ONE, ZERO, RatMatrix, axpy, frac_str, peeled_rank, vec_to_dict
 from graphlie.rigidity import certify_2step_witness
@@ -144,6 +139,30 @@ def two_step_witness_scan(graph, algebra):
                 "z": [frac_str(c) for c in z],
             }
     return None
+
+
+class CochainCoordinates:
+    """Index bookkeeping for 1- and 2-cochains on an n-dimensional algebra, from a
+    table of pairs: the reference builders index through it, not through the
+    package's arithmetic, so each comparison with them checks that arithmetic."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.pairs = list(combinations(range(n), 2))
+        self.pair_index = {p: i for i, p in enumerate(self.pairs)}
+        self.dim_hom = n * n
+        self.dim_two_cochains = len(self.pairs) * n
+
+    def f_coord(self, a: int, b: int) -> int:
+        return a * self.n + b
+
+    def sigma_coord(self, a: int, b: int, c: int):
+        """Column index and sign of sigma(e_a, e_b) component c; None when a == b."""
+        if a == b:
+            return None, 0
+        if a < b:
+            return self.pair_index[(a, b)] * self.n + c, 1
+        return self.pair_index[(b, a)] * self.n + c, -1
 
 
 def ref_delta2(algebra, coords) -> RatMatrix:

@@ -88,6 +88,27 @@ def test_classify_rigid_attaches_h2(capsys):
     assert row["h2"]["h2_dim"] == 0
 
 
+def test_classify_cites_complete_graphs_over_the_h2_budget(capsys):
+    # at k = 2, K11 and K62 are over MAX_H2_DIM; the free k-step citation decides them, with no h2
+    for m, dim in ((11, 66), (62, 1953)):
+        g6 = to_graph6(SimpleGraph.make(m, combinations(range(1, m + 1), 2)))
+        code, out, err = _run(capsys, "rigidity", "classify", "--graph6", g6, "--k", "2")
+        assert code == 0 and err == "" and dim > MAX_H2_DIM
+        row = json.loads(out)
+        assert (row["verdict"], row["dim"], "h2" in row) == ("rigid", dim, False)
+        assert row["certificate"] == {"kind": "cited_result", "name": "free k-step nilpotent"}
+    # h2nil still refuses K11
+    code, out, err = _run(capsys, "cohomology", "h2nil", "--graph6", "J~~~~~~~~~_")
+    assert (code, out) == (1, "")
+    assert err == f"error: the algebra has 66 basis elements; the h2_nil budget is {MAX_H2_DIM}\n"
+    # K10 is within the budget and keeps its h2_nil_zero row, byte for byte
+    code, out, _ = _run(capsys, "rigidity", "classify", "--graph6", "I~~~~~~~w", "--k", "2")
+    assert code == 0 and json.loads(out)["certificate"] == {"kind": "h2_nil_zero"}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "07fcd1be290ee7cd322010b67d86ef208370a680f60f627d63b1b086654a9021"
+    )
+
+
 def test_sweep_deterministic(capsys):
     code, first, _ = _run(capsys, "rigidity", "sweep", "--n", "4", "--k", "2")
     assert code == 0

@@ -9,7 +9,6 @@ import pytest
 
 from graphlie.basis import structure_constants
 from graphlie.cohomology import (
-    CochainCoordinates,
     H2Report,
     delta1_matrix,
     delta2_matrix,
@@ -30,6 +29,7 @@ from graphlie.liealg import (
 )
 from graphlie.linalg import ONE, ZERO, RatMatrix, RowReducer, axpy, peeled_rank
 from oracles import (
+    CochainCoordinates,
     closed_form_h2,
     complex_identity_holds,
     edge_set,
@@ -85,6 +85,18 @@ def test_coordinates():
     assert coords.sigma_coord(0, 2, 1) == (4, 1)
     assert coords.sigma_coord(2, 0, 1) == (4, -1)
     assert coords.sigma_coord(1, 1, 0) == (None, 0)
+
+
+def test_pair_arithmetic_is_the_position_in_the_pair_list():
+    # the builders index by arithmetic; the reference builders by a table
+    from graphlie.cohomology import _pair, _sigma
+    from graphlie.limits import MAX_H2_DIM
+
+    for n in range(MAX_H2_DIM + 1):
+        for p, (a, b) in enumerate(combinations(range(n), 2)):
+            assert _pair(a, b, n) == p, (a, b, n)
+            assert _sigma(a, b, n) == (p * n, 1) and _sigma(b, a, n) == (p * n, -1), (a, b, n)
+        assert all(_sigma(a, a, n) == (None, 0) for a in range(n))
 
 
 def test_sigma_vector_antisymmetry():
@@ -906,7 +918,7 @@ def test_ranks_match_sympy():
 
 def test_h2_budget_refuses_before_indexing(monkeypatch, capsys, tmp_path):
     # the budget is checked before any cochain is indexed, so an oversized
-    # request never reaches the cochain coordinates
+    # request never reaches the cochain row builder
     import graphlie.cohomology as cohomology
     from graphlie.basis import dimension_oracle
     from graphlie.cli import run_command
@@ -915,10 +927,10 @@ def test_h2_budget_refuses_before_indexing(monkeypatch, capsys, tmp_path):
     k8 = SimpleGraph.make(8, [(i, j) for i in range(1, 9) for j in range(i + 1, 9)])
     assert sum(dimension_oracle(k8, 2)) == 36 <= MAX_H2_DIM < 300
 
-    def no_coordinates(n):
-        raise AssertionError("an oversized request reached the cochain coordinates")
+    def no_rows(*args):
+        raise AssertionError("an oversized request reached the cochain row builder")
 
-    monkeypatch.setattr(cohomology, "CochainCoordinates", no_coordinates)
+    monkeypatch.setattr(cohomology, "_CochainRows", no_rows)
     message = f"the algebra has 1000 basis elements; the h2_nil budget is {MAX_H2_DIM}"
     with pytest.raises(ValueError, match=message):
         h2_nil(LieAlgebra(1000, {}))
@@ -1212,8 +1224,8 @@ def test_the_density_budget_refuses_a_dense_algebra_at_once(monkeypatch, capsys,
     from graphlie.cli import run_command
     from graphlie.limits import MAX_H2_CONSTANTS, MAX_H2_DIM
 
-    def no_coordinates(n):
-        raise AssertionError("an oversized request reached the cochain coordinates")
+    def no_rows(*args):
+        raise AssertionError("an oversized request reached the cochain row builder")
 
     # 14 generators and 14 central vectors, every bracket with all 14 terms
     brackets = [
@@ -1225,12 +1237,12 @@ def test_the_density_budget_refuses_a_dense_algebra_at_once(monkeypatch, capsys,
     path.write_text(json.dumps(doc), encoding="utf-8")
     start = time.perf_counter()
     with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "CochainCoordinates", no_coordinates)
+        patch.setattr(cohomology, "_CochainRows", no_rows)
         assert run_command(["cohomology", "h2nil", "--in", str(path)]) == 1
     assert time.perf_counter() - start < 1
     # h2_nil itself refuses before it indexes a cochain, not only the CLI
     with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "CochainCoordinates", no_coordinates)
+        patch.setattr(cohomology, "_CochainRows", no_rows)
         with pytest.raises(ValueError, match="^the algebra has 1274 nonzero structure constants;"):
             h2_nil(algebra_from_json_dict(doc))
     assert capsys.readouterr().err == (
@@ -1259,8 +1271,8 @@ def test_the_bracket_budget_refuses_a_loaded_bracket_at_once(monkeypatch, capsys
     from graphlie.cli import run_command
     from graphlie.limits import MAX_H2_BRACKET_TERMS, MAX_H2_CONSTANTS, MAX_H2_DIM
 
-    def no_coordinates(n):
-        raise AssertionError("an oversized request reached the cochain coordinates")
+    def no_rows(*args):
+        raise AssertionError("an oversized request reached the cochain row builder")
 
     brackets = [
         {"i": i, "j": j, "terms": [{"l": 3 + t, "c": str(1 + (i + j + t) % 5)} for t in range(15)]}
@@ -1272,12 +1284,12 @@ def test_the_bracket_budget_refuses_a_loaded_bracket_at_once(monkeypatch, capsys
     path.write_text(json.dumps(doc), encoding="utf-8")
     start = time.perf_counter()
     with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "CochainCoordinates", no_coordinates)
+        patch.setattr(cohomology, "_CochainRows", no_rows)
         assert run_command(["cohomology", "h2nil", "--in", str(path)]) == 1
     assert time.perf_counter() - start < 1
     # h2_nil itself refuses before it indexes a cochain, not only the CLI
     with monkeypatch.context() as patch:
-        patch.setattr(cohomology, "CochainCoordinates", no_coordinates)
+        patch.setattr(cohomology, "_CochainRows", no_rows)
         with pytest.raises(ValueError, match="^a bracket of the algebra has 15 terms;"):
             h2_nil(algebra_from_json_dict(doc))
     assert capsys.readouterr().err == (

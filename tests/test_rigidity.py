@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -364,6 +365,18 @@ def test_every_edge_meets_every_non_edge_only_on_the_k2_list():
         if graph.m <= 6 and find_witness(graph, structure_constants(graph, 2), 2) is None
     ]
     assert no_witness == K2_LIST[:-1]  # K7 has 7 vertices
+
+
+def test_an_undecided_graph_raises_instead_of_a_third_verdict(monkeypatch):
+    # P4 has h2 = 1 at k = 2, so with no witness nothing decides it
+    import graphlie.rigidity as rigidity
+
+    p4 = from_graph6("Ch")
+    assert h2_nil(structure_constants(p4, 2)).h2_dim == 1
+    monkeypatch.setattr(rigidity, "find_witness", lambda *args: None)
+    with pytest.raises(InternalInvariantError) as caught:
+        classify(p4, 2)
+    assert re.search(r"\(graph6 Ch, k = 2, phase: [^()]+\)$", str(caught.value))
 
 
 def test_refused_predicted_pair_names_graph_k_and_phase(monkeypatch):
