@@ -41,19 +41,19 @@ the dimension of its kernel that the report gives.
 The matrices are built as integer rows, with the structure constants
 scaled by L, the lcm of their denominators. The builder checks each block
 against the matrix shape once, drops cancelled entries itself and hands
-its rows to RatMatrix.adopt, which scans no entry, with L as the matrix's
-denominator. Most eta2 and delta2 rows are never built. With c
-central when ad(e_c) = 0, the rows of an eta2 pair with [e_a, e_b] = 0, and
-those of the delta2 triples of every r with central p, q, span the
-annihilator of the center in the pair's block. They are held there by the
-reduced echelon basis of liealg.ad_span, which center shares. The rows of a
-one-term bracket or substitution term that no ad block reaches are unit
-rows. Unit rows are kept as settled columns, each once; the row space, and
-so every rank, is unchanged. delta1 keeps every row, since the containment
-check reads its column space. h2_nil ranks each matrix once by
-linalg.peeled_rank, structured elimination from its one-entry rows and
-settled columns, so only the few rows left over go through fraction-free
-elimination.
+its rows and settled columns to RatMatrix as they are, with L as the
+matrix's denominator; RatMatrix scans no entry. Most eta2 and delta2 rows
+are never built. With c central when ad(e_c) = 0, the rows of an eta2 pair
+with [e_a, e_b] = 0, and those of the delta2 triples of every r with
+central p, q, span the annihilator of the center in the pair's block. They
+are held there by the reduced echelon basis of liealg.ad_span, which
+center shares. The rows of a one-term bracket or substitution term that no
+ad block reaches are unit rows. Unit rows are kept as settled columns,
+each once; the row space, and so every rank, is unchanged. delta1 keeps
+every row, since the containment check reads its column space. h2_nil
+ranks each matrix once by linalg.peeled_rank, structured elimination from
+its one-entry rows and settled columns, so only the few rows left over go
+through fraction-free elimination.
 
 Torus weights and twin orbits. With md the multidegree of a labelled basis
 element, the column f_{a,b} has weight md(b) - md(a) and sigma_{(a<b),c}
@@ -73,7 +73,7 @@ it skips, and leaves them on its matrix, whose rank adds them up. The
 containment product never sees a delta1 entry between two blocks, so h2_nil
 refuses one whose row and column weights differ. One packing of the
 labels' multidegrees, with one offset per 1-cochain lead and per pair,
-serves that check and the multiplicities (orbit_multiplicities). Labels
+serves that check and the multiplicities (_TorusWeights). Labels
 of any other shape, and no labels, give the trivial group, with no
 multiplicities: every column is built and counted once.
 """
@@ -116,7 +116,7 @@ class _CochainRows:
     accumulated as ints: every structure constant is scaled by L, the lcm of
     their denominators, and L is the matrix's denominator. Each block is
     checked against the nrows x ncols shape once, when it is added, so
-    matrix() hands the rows to RatMatrix.adopt without a per-entry scan.
+    matrix() hands the rows to RatMatrix without a per-entry scan.
     With mult, one multiplicity per column, the entries of the columns whose
     multiplicity is 0 are dropped, a row left empty is never made, and the
     matrix keeps mult for its rank.
@@ -174,11 +174,10 @@ class _CochainRows:
                 settled.setdefault(col_base + u, base + d)
 
     def matrix(self) -> RatMatrix:
-        """Drop cancelled entries and empty rows; adopt the rows over L, with mult."""
+        """Drop cancelled entries and empty rows; hand the rows and settled columns over L, with mult."""
         if self.overlap:
             drop_zeros(self.rows)
-        settled = {r: c for c, r in self.settled.items()}  # the first row of each column
-        return RatMatrix.adopt(self.nrows, self.ncols, self.rows, settled, self.scale, self.mult)
+        return RatMatrix(self.nrows, self.ncols, self.rows, self.settled, self.scale, self.mult)
 
 
 def _annihilator(algebra: LieAlgebra) -> tuple:
@@ -358,7 +357,18 @@ _orbit_sizes = lru_cache(maxsize=32)(_OrbitSizes)
 
 class _TorusWeights:
     """The packed multidegrees and offsets of an algebra that twin_classes passes, read once per
-    h2_nil for its multiplicities and its delta1 weight check (see orbit_multiplicities)."""
+    h2_nil for its multiplicities and its delta1 weight check.
+
+    The weight of f_{a,b} is md(b) - md(a), that of sigma_{(a<b),c} is
+    md(c) - md(a) - md(b). The classes come from twin_classes, so every
+    multidegree entry is 0 or 1 and every weight entry lies in -2..1. Each
+    label's md is packed once, every coordinate in a 2-bit field, the twin
+    coordinates first and lowest, and bias adds 2 to every field, so no
+    field leaves 0..3 and none borrows from the next. A column's weight is
+    its lead's offset plus md of its last index: f_off[a] = bias - md(a) for
+    f_{a,b}, and s_off[i] = bias - md(a) - md(b) for sigma_{(a<b),c}, the
+    pair a < b the i-th.
+    """
 
     def __init__(self, algebra: LieAlgebra, classes: list):
         twins = [v for cls in classes for v in cls]
@@ -374,6 +384,17 @@ class _TorusWeights:
         self.sizes = tuple(map(len, classes))
 
     def multiplicities(self) -> tuple:
+        """One multiplicity per 1-cochain column and one per 2-cochain column, each by its weight.
+
+        A weight is a representative when its entries do not increase along
+        each class; it then gets the size of its orbit under the permutations
+        inside the classes, the product over the classes of the multinomial
+        of its runs, and every other weight gets 0. Only the twin coordinates
+        matter, and masking to the twin fields commutes with the offset sums.
+        A column costs an addition and a lookup, each distinct weight is
+        decoded once per tuple of class sizes, and columns whose masked
+        offsets agree share one list of n.
+        """
         get = _orbit_sizes(self.sizes).__getitem__
         mask = (1 << 2 * sum(self.sizes)) - 1  # the twin fields
         twin_part = [p & mask for p in self.packed]
@@ -397,32 +418,6 @@ class _TorusWeights:
                     raise InternalInvariantError(
                         f"delta1 entry ({r}, {c}) joins two weight blocks", "h2_nil, weight blocks of delta1"
                     )
-
-
-def orbit_multiplicities(algebra: LieAlgebra) -> tuple:
-    """One multiplicity per 1-cochain column and one per 2-cochain column, each by its weight.
-
-    (None, None) when twin_classes gives no classes: the trivial group.
-
-    The weight of f_{a,b} is md(b) - md(a), that of sigma_{(a<b),c} is
-    md(c) - md(a) - md(b). A weight is a representative when its entries do
-    not increase along each class; it then gets the size of its orbit under
-    the permutations inside the classes, the product over the classes of the
-    multinomial of its runs, and every other weight gets 0. The classes come
-    from twin_classes, so every multidegree entry is 0 or 1 and every weight
-    entry lies in -2..1. _TorusWeights packs each label's md once, every
-    coordinate in a 2-bit field, the twin coordinates first and lowest, and
-    bias adds 2 to every field, so no field leaves 0..3 and none borrows
-    from the next. A column's weight is its lead's offset plus md of its
-    last index: f_off[a] = bias - md(a) for f_{a,b}, and
-    s_off[i] = bias - md(a) - md(b) for sigma_{(a<b),c}, the pair a < b
-    the i-th. Only the twin coordinates matter, and masking to the twin
-    fields commutes with these sums. A column costs an addition and a
-    lookup, each distinct weight is decoded once per tuple of class sizes,
-    and columns whose masked offsets agree share one list of n.
-    """
-    classes = twin_classes(algebra)
-    return _TorusWeights(algebra, classes).multiplicities() if classes else (None, None)
 
 
 class H2Report(NamedTuple):

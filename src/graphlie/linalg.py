@@ -4,7 +4,8 @@ Every coefficient is exact, an int or a fractions.Fraction; there is no
 floating point and no tolerance anywhere. A sparse vector is a dict mapping
 an index to a nonzero coefficient; integer input stays int until a division
 makes a Fraction. Dense vectors are lists. A RatMatrix holds int rows of
-such dicts and one denominator, scale, that every entry is divided by.
+such dicts, settled unit rows by column, and one denominator, scale, that
+every entry is divided by; it takes them as given, with no scan or cleaning.
 RowReducer is the one span type; a kernel or a center is a RowReducer.
 peeled_rank, the one rank function, ranks integer rows without ever dividing.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress
-from math import gcd, lcm
+from math import gcd
 from operator import not_
 from types import MappingProxyType
 
@@ -87,55 +88,23 @@ def drop_zeros(data: dict) -> dict:
 class RatMatrix:
     """Sparse matrix over the rationals: int rows {row: {col: int}} over one denominator.
 
-    Entry (r, c) is the stored int divided by scale. Zero entries and empty
-    rows are not stored. Settled rows, {row: col} for unit rows never made
-    into row dicts, are read as the int rows {col: 1} everywhere. mult, one
-    int per column or None, is what rank() counts each settled column and
-    pivot by (see peeled_rank).
+    Entry (r, c) is the stored int divided by scale. The rows are taken as
+    given, in range and clean: no zero entry and no empty row is stored.
+    Settled rows, {col: row} for unit rows never made into row dicts, one
+    row per settled column and none of them in data, are read as the int
+    rows {col: 1} everywhere. mult, one int per column or None, is what
+    rank() counts each settled column and pivot by (see peeled_rank).
     """
 
     __slots__ = ("rows", "cols", "scale", "mult", "_data", "_settled")
 
-    def __init__(self, rows: int, cols: int, data: dict | None = None):
-        """Adopt data, a dict {row: {col: value}}, and clean it in place.
-
-        The matrix owns data and its row dicts from here on: zeros and empty
-        rows are deleted, and Fractions replaced by ints over scale, the lcm
-        of all denominators. Each check is one pass over all entries.
-        """
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        data = {} if data is None else data
-        if not (
-            all(map(range(rows).__contains__, data))
-            and all(map(range(cols).__contains__, chain.from_iterable(data.values())))
-        ):
-            raise ValueError(f"an index lies outside the {rows}x{cols} matrix")
-        values = list(chain.from_iterable(map(dict.values, data.values())))
-        kinds = set(map(type, values))
-        if not kinds <= {int, Fraction}:
-            raise TypeError("matrix entries must be ints or Fractions")
-        if 0 in values or not all(data.values()):
-            drop_zeros(data)
-        scale = 1
-        if Fraction in kinds:
-            scale = lcm(*{v.denominator for v in values})
-            for row in data.values():
-                for c, v in row.items():
-                    row[c] = v.numerator * (scale // v.denominator)
-        self.rows, self.cols, self.scale, self.mult = rows, cols, scale, None
-        self._data, self._settled = data, {}
-
-    @classmethod
-    def adopt(cls, rows: int, cols: int, data: dict, settled: dict, scale: int = 1, mult=None) -> "RatMatrix":
-        """Take int rows data and settled ({row: col}, rows not in data) as given: in range and clean."""
-        self = cls.__new__(cls)
+    def __init__(self, rows: int, cols: int, data=None, settled=None, scale: int = 1, mult=None):
         self.rows, self.cols, self.scale, self.mult = rows, cols, scale, mult
-        self._data, self._settled = data, settled
-        return self
+        self._data = {} if data is None else data
+        self._settled = {} if settled is None else settled
 
     def _all_rows(self) -> dict:  # the settled rows included
-        return {**self._data, **{r: {c: 1} for r, c in self._settled.items()}}
+        return {**self._data, **{r: {c: 1} for c, r in self._settled.items()}}
 
     @property
     def entries(self) -> MappingProxyType:
@@ -148,7 +117,7 @@ class RatMatrix:
 
     def supports(self):
         """(row, its nonzero columns) for each nonzero row, settled rows included, unordered."""
-        return chain(self._data.items(), ((r, (c,)) for r, c in self._settled.items()))
+        return chain(self._data.items(), ((r, (c,)) for c, r in self._settled.items()))
 
     def int_rows(self):
         """The nonzero int rows in row order, as read-only views: scale times the matrix, of its rank."""
@@ -157,7 +126,7 @@ class RatMatrix:
 
     def rank(self) -> int:
         """peeled_rank of the int rows, counted by mult when the matrix has one."""
-        return peeled_rank(self._data.values(), self.mult, self._settled.values())
+        return peeled_rank(self._data.values(), self.mult, self._settled)
 
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -166,7 +135,7 @@ class RatMatrix:
         # of other if settled on c. The rows of self that meet no nonzero row
         # of other are skipped at C speed before any Python loop runs.
         right, data = other._all_rows(), self._data
-        out = {r: dict(right[c]) for r, c in self._settled.items() if c in right}
+        out = {r: dict(right[c]) for c, r in self._settled.items() if c in right}
         for r in compress(data, map(not_, map(right.keys().isdisjoint, data.values()))):
             acc: dict = {}
             for c, v in data[r].items():
@@ -174,15 +143,10 @@ class RatMatrix:
                     axpy(acc, v, right[c])
             if acc:
                 out[r] = acc
-        return RatMatrix.adopt(self.rows, other.cols, out, {}, self.scale * other.scale)
+        return RatMatrix(self.rows, other.cols, out, scale=self.scale * other.scale)
 
     def is_zero(self) -> bool:
         return not self._data and not self._settled
-
-    def __eq__(self, other):
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
     def __repr__(self):
         nnz = sum(map(len, self._data.values())) + len(self._settled)

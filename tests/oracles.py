@@ -4,19 +4,55 @@ Each one recomputes a property the package relies on by a slower or more
 direct route than the package itself, so the tests can compare the two.
 """
 
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
+from math import lcm
 
 from graphlie.basis import TraceContext, _mobius
 from graphlie.cohomology import H2Report, delta1_matrix, delta2_matrix
 from graphlie.liealg import GradedLieAlgebra
-from graphlie.linalg import ONE, ZERO, RatMatrix, axpy, frac_str, peeled_rank, vec_to_dict
+from graphlie.linalg import ONE, ZERO, RatMatrix, axpy, drop_zeros, frac_str, peeled_rank, vec_to_dict
 from graphlie.rigidity import certify_2step_witness
 
 # one context per graph, so that its normal form memo outlives a single call
 context = lru_cache(maxsize=128)(TraceContext)
 
 P = 2**61 - 1  # a Mersenne prime
+
+
+def rat_matrix(rows: int, cols: int, data: dict | None = None) -> RatMatrix:
+    """A RatMatrix from data, a dict {row: {col: int or Fraction}}, checked and cleaned in place.
+
+    The matrix owns data and its row dicts from here on: zeros and empty
+    rows are deleted, and every value replaced by an int over scale, the lcm
+    of all denominators. A negative dimension or an index out of range
+    raises ValueError, and a value that is not an int or a Fraction (a
+    float, even 0.0, or a bool) raises TypeError, so a reference matrix with
+    a fault in it is refused, not ranked.
+    """
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+    data = {} if data is None else data
+    if not (
+        all(map(range(rows).__contains__, data))
+        and all(map(range(cols).__contains__, chain.from_iterable(data.values())))
+    ):
+        raise ValueError(f"an index lies outside the {rows}x{cols} matrix")
+    values = list(chain.from_iterable(map(dict.values, data.values())))
+    if not set(map(type, values)) <= {int, Fraction}:
+        raise TypeError("matrix entries must be ints or Fractions")
+    drop_zeros(data)
+    scale = lcm(*{v.denominator for v in values})
+    for row in data.values():
+        for c, v in row.items():
+            row[c] = v.numerator * (scale // v.denominator)
+    return RatMatrix(rows, cols, data, scale=scale)
+
+
+def matrix_key(matrix) -> tuple:
+    """(rows, cols, {(row, col): value}): what two equal matrices share."""
+    return matrix.rows, matrix.cols, dict(matrix.entries)
 
 
 def adjacent(graph, i: int, j: int) -> bool:
@@ -193,7 +229,7 @@ def ref_delta2(algebra, coords) -> RatMatrix:
     rows: dict = {}
     for (r, c), v in entries.items():
         rows.setdefault(r, {})[c] = v
-    return RatMatrix(len(triples) * n, coords.dim_two_cochains, rows)
+    return rat_matrix(len(triples) * n, coords.dim_two_cochains, rows)
 
 
 def ref_eta2(algebra, coords) -> RatMatrix:
@@ -221,7 +257,7 @@ def ref_eta2(algebra, coords) -> RatMatrix:
     rows: dict = {}
     for (r, c), v in entries.items():
         rows.setdefault(r, {})[c] = v
-    return RatMatrix(len(coords.pairs) * n * n, coords.dim_two_cochains, rows)
+    return rat_matrix(len(coords.pairs) * n * n, coords.dim_two_cochains, rows)
 
 
 def whole_matrix_h2(algebra) -> H2Report:

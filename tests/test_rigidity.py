@@ -1,7 +1,9 @@
+import json
 import random
 import re
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -365,6 +367,20 @@ def test_every_edge_meets_every_non_edge_only_on_the_k2_list():
         if graph.m <= 6 and find_witness(graph, structure_constants(graph, 2), 2) is None
     ]
     assert no_witness == K2_LIST[:-1]  # K7 has 7 vertices
+
+
+def test_the_nine_vertex_record_meets_the_lemma_only_on_k9():
+    # tests/data/k2_lemma_n9.json is a recorded run of the type-A sum over
+    # every class on 9 vertices, too slow for this suite; it read the same
+    # classes that enumerate_n9.json records, and only K9 is on the list there.
+    data = Path(__file__).resolve().parent / "data"
+    record = json.loads((data / "k2_lemma_n9.json").read_text())
+    classes = json.loads((data / "enumerate_n9.json").read_text())
+    assert (record["classes"], record["classes_sha256"]) == (classes["lines"], classes["sha256"])
+    assert (record["m"], record["classes"], record["no_isolated_vertex"]) == (9, 274668, 262322)
+    k9 = to_graph6(SimpleGraph.make(9, list(combinations(range(1, 10), 2))))
+    assert record["type_a_zero"] == [k9] == ["H~~~~~~"]
+    assert record["type_b_where_type_a_zero"] == {k9: 0}
 
 
 def test_an_undecided_graph_raises_instead_of_a_third_verdict(monkeypatch):
